@@ -153,15 +153,15 @@ def differential_matrix(level: CochainLevel) -> Matrix:
     dim, vdim = g.dim, mod.vdim
     out_tuples = tuple_basis(dim, k + 1)
     out_index = _tuple_index(dim, k + 1)
-    nrows = len(out_tuples) * vdim
-    cols: list[dict] = []
+    out: list[dict] = [{} for _ in range(len(out_tuples) * vdim)]
     by_target = _pairs_by_target(g)
-    actions = mod.actions
-    trivial = all(m.is_zero() for m in actions)
-    for s in level.tuples:
+    # action_cols[a][m] = {mm: coefficient}: the column action_a e_m
+    action_cols = [act.transpose().sparse_rows for act in mod.actions]
+    trivial = all(m.is_zero() for m in mod.actions)
+    for si, s in enumerate(level.tuples):
         s_set = set(s)
         for m in range(vdim):
-            col: dict[int, Fraction] = {}
+            col = si * vdim + m
             # module-action sum: T = s with one extra index a, removed at
             # 1-based position i, contributing (-1)^(i+1) action_a e_m
             if not trivial:
@@ -171,12 +171,8 @@ def differential_matrix(level: CochainLevel) -> Matrix:
                     pos, t = _insert(s, a)
                     sgn = 1 if pos % 2 == 0 else -1  # (-1)^(i+1), i = pos+1
                     base = out_index[t] * vdim
-                    acol = actions[a].entries
-                    for mm in range(vdim):
-                        v = acol[mm][m]
-                        if v:
-                            key = base + mm
-                            col[key] = col.get(key, _ZERO) + sgn * v
+                    for mm, v in action_cols[a][m].items():
+                        _accumulate(out[base + mm], col, sgn * v)
             # bracket sum: the bracket of the pair must reproduce one index of s
             for q, sq in enumerate(s):
                 rest = s[:q] + s[q + 1 :]
@@ -191,20 +187,12 @@ def differential_matrix(level: CochainLevel) -> Matrix:
                     i = t.index(a) + 1
                     j = t.index(b) + 1
                     sgn = 1 if (i + j) % 2 == 0 else -1
-                    val = sgn * eval_sign * coef
-                    key = out_index[t] * vdim + m
-                    col[key] = col.get(key, _ZERO) + val
-            cols.append(col)
-    return _from_sparse_columns(nrows, cols)
+                    _accumulate(out[out_index[t] * vdim + m], col, sgn * eval_sign * coef)
+    return Matrix._raw(len(out), level.space_dim, out)
 
 
-def _from_sparse_columns(nrows: int, cols: list[dict]) -> Matrix:
-    ent = [[_ZERO] * len(cols) for _ in range(nrows)]
-    for c, col in enumerate(cols):
-        for r, v in col.items():
-            if v:
-                ent[r][c] = v
-    return Matrix._raw(nrows, len(cols), tuple(tuple(r) for r in ent))
+def _accumulate(row: dict, col: int, v) -> None:
+    row[col] = row[col] + v if col in row else v
 
 
 def _interior_basis_matrix(level: CochainLevel, x: int) -> Matrix:
@@ -216,18 +204,15 @@ def _interior_basis_matrix(level: CochainLevel, x: int) -> Matrix:
 @lru_cache(maxsize=None)
 def _interior_basis_core(dim: int, k: int, vdim: int, x: int) -> Matrix:
     out_index = _tuple_index(dim, k - 1)
-    nrows = len(tuple_basis(dim, k - 1)) * vdim
-    cols: list[dict] = []
-    for s in tuple_basis(dim, k):
-        for m in range(vdim):
-            col: dict[int, Fraction] = {}
-            if x in s:
-                q = s.index(x)
-                rest = s[:q] + s[q + 1 :]
-                sgn = _ONE if q % 2 == 0 else -_ONE
-                col[out_index[rest] * vdim + m] = sgn
-            cols.append(col)
-    return _from_sparse_columns(nrows, cols)
+    out: list[dict] = [{} for _ in range(len(tuple_basis(dim, k - 1)) * vdim)]
+    for si, s in enumerate(tuple_basis(dim, k)):
+        if x in s:
+            q = s.index(x)
+            rest = s[:q] + s[q + 1 :]
+            sgn = _ONE if q % 2 == 0 else -_ONE
+            for m in range(vdim):
+                out[out_index[rest] * vdim + m][si * vdim + m] = sgn
+    return Matrix._raw(len(out), len(tuple_basis(dim, k)) * vdim, out)
 
 
 @lru_cache(maxsize=None)
@@ -236,51 +221,39 @@ def _lie_basis_matrix(level: CochainLevel, x: int) -> Matrix:
     g, mod, k = level.algebra, level.module, level.degree
     dim, vdim = g.dim, mod.vdim
     out_index = _tuple_index(dim, k)
-    nrows = level.space_dim
+    out: list[dict] = [{} for _ in range(level.space_dim)]
     # replacements[c] = [(t, coef)] with coef the c-coefficient of [e_t, e_x]
     replacements: list[list] = [[] for _ in range(dim)]
     for t in range(dim):
         for c, coef in enumerate(g.bracket_basis(t, x)):
             if coef:
                 replacements[c].append((t, coef))
-    action = mod.actions[x].entries
-    action_zero = mod.actions[x].is_zero()
-    cols: list[dict] = []
-    for s in level.tuples:
+    # action_cols[m] = {mm: coefficient}: the column action_x e_m
+    action_cols = mod.actions[x].transpose().sparse_rows
+    for si, s in enumerate(level.tuples):
+        base = out_index[s] * vdim
         for m in range(vdim):
-            col: dict[int, Fraction] = {}
-            if not action_zero:
-                base = out_index[s] * vdim
-                for mm in range(vdim):
-                    v = action[mm][m]
-                    if v:
-                        col[base + mm] = col.get(base + mm, _ZERO) + v
+            col = si * vdim + m
+            for mm, v in action_cols[m].items():
+                out[base + mm][col] = v
             for q, sq in enumerate(s):
                 rest = s[:q] + s[q + 1 :]
                 for t, coef in replacements[sq]:
                     sign, tt = sort_with_sign(rest[:q] + (t,) + rest[q:])
                     if sign == 0:
                         continue
-                    key = out_index[tt] * vdim + m
-                    col[key] = col.get(key, _ZERO) + sign * coef
-            cols.append(col)
-    return _from_sparse_columns(nrows, cols)
+                    _accumulate(out[out_index[tt] * vdim + m], col, sign * coef)
+    return Matrix._raw(len(out), level.space_dim, out)
 
 
 def _combine_basis_matrices(parts: list, nrows: int, ncols: int) -> Matrix:
     """Sparse linear combination sum_i a_i M_i of same-shape matrices."""
-    acc: dict[tuple[int, int], Fraction] = {}
+    out: list[dict] = [{} for _ in range(nrows)]
     for a, m in parts:
-        for r, row in enumerate(m.entries):
-            for c, v in enumerate(row):
-                if v:
-                    key = (r, c)
-                    acc[key] = acc.get(key, _ZERO) + a * v
-    ent = [[_ZERO] * ncols for _ in range(nrows)]
-    for (r, c), v in acc.items():
-        if v:
-            ent[r][c] = v
-    return Matrix._raw(nrows, ncols, tuple(tuple(r) for r in ent))
+        for acc, row in zip(out, m.sparse_rows):
+            for c, v in row.items():
+                _accumulate(acc, c, a * v)
+    return Matrix._raw(nrows, ncols, out)
 
 
 def interior_product_matrix(level: CochainLevel, x: Sequence) -> Matrix:
@@ -315,16 +288,12 @@ def j_map_matrix(g: LieAlgebra, k: int) -> Matrix:
 @lru_cache(maxsize=None)
 def _j_map_core(dim: int, k: int) -> Matrix:
     out_index = _tuple_index(dim, k - 1)
-    nrows = len(tuple_basis(dim, k - 1)) * dim
-    cols: list[dict] = []
-    for s in tuple_basis(dim, k):
-        col: dict[int, Fraction] = {}
+    out: list[dict] = [{} for _ in range(len(tuple_basis(dim, k - 1)) * dim)]
+    for si, s in enumerate(tuple_basis(dim, k)):
         for q, sq in enumerate(s):
             rest = s[:q] + s[q + 1 :]
-            sgn = _ONE if q % 2 == 0 else -_ONE
-            col[out_index[rest] * dim + sq] = sgn
-        cols.append(col)
-    return _from_sparse_columns(nrows, cols)
+            out[out_index[rest] * dim + sq][si] = _ONE if q % 2 == 0 else -_ONE
+    return Matrix._raw(len(out), len(tuple_basis(dim, k)), out)
 
 
 def wedge_one_form_matrix(level: CochainLevel, covector: Sequence) -> Matrix:
@@ -332,55 +301,32 @@ def wedge_one_form_matrix(level: CochainLevel, covector: Sequence) -> Matrix:
     g, vdim = level.algebra, level.vdim
     covector = vector(covector)
     out_index = _tuple_index(g.dim, level.degree + 1)
-    nrows = len(tuple_basis(g.dim, level.degree + 1)) * vdim
-    cols: list[dict] = []
-    for s in level.tuples:
-        s_set = set(s)
-        for m in range(vdim):
-            col: dict[int, Fraction] = {}
-            for a, ca in enumerate(covector):
-                if not ca or a in s_set:
-                    continue
-                pos, t = _insert(s, a)
-                sgn = ca if pos % 2 == 0 else -ca  # (-1)^(l+1), l = pos+1
-                key = out_index[t] * vdim + m
-                col[key] = col.get(key, _ZERO) + sgn
-            cols.append(col)
-    return _from_sparse_columns(nrows, cols)
+    out: list[dict] = [{} for _ in range(len(tuple_basis(g.dim, level.degree + 1)) * vdim)]
+    for si, s in enumerate(level.tuples):
+        for a, ca in enumerate(covector):
+            if not ca or a in s:
+                continue
+            pos, t = _insert(s, a)
+            sgn = ca if pos % 2 == 0 else -ca  # (-1)^(l+1), l = pos+1
+            for m in range(vdim):
+                out[out_index[t] * vdim + m][si * vdim + m] = sgn
+    return Matrix._raw(len(out), level.space_dim, out)
 
 
 @lru_cache(maxsize=None)
 def relative_subspace(level: CochainLevel, h: Subalgebra) -> tuple:
     """Canonical echelon basis of the forms killed by i_X and L_X, X in h.
 
-    Computed by intersecting kernels one operator at a time, which keeps
-    the eliminations small; the final spanning set is re-echelonised so the
-    output does not depend on the iteration order.
+    One kernel of all the operators stacked, re-echelonised so the output
+    is the unique RREF basis of the joint kernel.
     """
     n = level.space_dim
-    if h.dim == 0 or n == 0:
+    if h.dim == 0:
         return tuple(echelon_basis([unit(n, i) for i in range(n)]))
-    basis_cols = None  # None means the full space
-    for w in h.vectors:
-        for op in (interior_product_matrix(level, w), lie_derivative_matrix(level, w)):
-            m = op if basis_cols is None else op * basis_cols
-            ker = m.kernel_basis()
-            if basis_cols is None:
-                if len(ker) == n:
-                    continue
-                basis_cols = Matrix.from_columns(ker, rows=n) if ker else Matrix.zero(n, 0)
-            else:
-                if len(ker) == basis_cols.cols:
-                    continue
-                if not ker:
-                    basis_cols = Matrix.zero(n, 0)
-                else:
-                    basis_cols = basis_cols * Matrix.from_columns(ker, rows=basis_cols.cols)
-            if basis_cols.cols == 0:
-                return ()
-    if basis_cols is None:
-        return tuple(echelon_basis([unit(n, i) for i in range(n)]))
-    return tuple(echelon_basis(basis_cols.columns()))
+    ops = [
+        op(level, w) for w in h.vectors for op in (interior_product_matrix, lie_derivative_matrix)
+    ]
+    return tuple(echelon_basis(Matrix.vstack(ops).kernel_basis()))
 
 
 def relative_level(level: CochainLevel, h: Subalgebra) -> CochainLevel:

@@ -43,11 +43,12 @@ class DegreeOutOfRange(Exception):
     pass
 
 
+_CATALOG_HEADS = frozenset(name.split(":", 1)[0] for name in extensions.BUILTIN_NAMES)
+
+
 def _looks_like_catalog_name(text: str) -> bool:
     # catalog names win over paths; use ./name to force a file of the same name
-    head = text.split(":", 1)[0]
-    return head in {"sl2", "so3", "sl2sl2", "heis3", "abelian", "sl2_so2_pair",
-                    "sl2R_ext", "fivedim_ext"}
+    return text.split(":", 1)[0] in _CATALOG_HEADS
 
 
 def _load_input(text: str):

@@ -124,7 +124,8 @@ def killing_three_form(g: LieAlgebra) -> ThreeFormClass:
     coords = []
     for (i, j, k) in level.tuples:
         bij = g.bracket_basis(i, j)
-        coords.append(sum(b.entries[t][k] * c for t, c in enumerate(bij) if c))
+        bk = b.column(k)
+        coords.append(sum(bk[t] * c for t, c in enumerate(bij) if c))
     form = Cochain(level, tuple(coords))
     image = differential_matrix(level).apply(form.coords)
     if any(image):

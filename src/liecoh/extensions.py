@@ -106,7 +106,7 @@ def central_extension(
         for hb in h.vectors:
             iso_vectors.append(hb + (_ZERO,) * rank)
     for i, r in enumerate(r_vecs):
-        tail = tuple(mix.entries[a][i] for a in range(rank))
+        tail = mix.column(i)
         iso_vectors.append(r + tail)
     isotropy = subalgebra(extended, iso_vectors)
     return ExtensionPair(

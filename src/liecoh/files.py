@@ -41,8 +41,8 @@ class ParseError(Exception):
 
 
 def parse_rational(text) -> Fraction:
-    """Parse an integer or "p/q" string; decimals are rejected."""
-    if isinstance(text, int):
+    """Parse an integer or "p/q" string; decimals and booleans are rejected."""
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str) and _RATIONAL_RE.match(text.strip()):
         try:
@@ -50,6 +50,11 @@ def parse_rational(text) -> Fraction:
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in rational {text!r}")
     raise ParseError(f"not an exact rational: {text!r} (use p/q or an integer string)")
+
+
+def _is_count(x) -> bool:
+    """A nonnegative JSON integer; true and false are not counts."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def format_rational(q: Fraction) -> str:
@@ -70,10 +75,13 @@ def load_algebra_dict(data: dict, where: str = "algebra file"):
         brackets_raw = data.get("brackets", {})
     except KeyError as missing:
         raise ParseError(f"{where}: missing field {missing}")
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_count(dim):
         raise ParseError(f"{where}: dim must be a nonnegative integer")
     if not isinstance(basis, list) or len(basis) != dim:
         raise ParseError(f"{where}: basis must list exactly dim names")
+    names = [str(b) for b in basis]
+    if len(set(names)) != dim:
+        raise ParseError(f"{where}: basis names must be distinct")
     if not isinstance(brackets_raw, dict):
         raise ParseError(f"{where}: brackets must be an object")
     brackets = {}
@@ -84,9 +92,12 @@ def load_algebra_dict(data: dict, where: str = "algebra file"):
         i, j = int(m.group(1)), int(m.group(2))
         if not (0 <= i < j < dim):
             raise ParseError(f"{where}: bracket key {key!r} needs 0 <= i < j < dim")
+        if (i, j) in brackets:
+            raise ParseError(f"{where}: bracket key {key!r} repeats the pair ({i},{j})")
         if not isinstance(coeffs, dict):
             raise ParseError(f"{where}: brackets[{key!r}] must map indices to rationals")
         vec = [Fraction(0)] * dim
+        seen = set()
         for idx, val in coeffs.items():
             try:
                 t = int(idx)
@@ -94,12 +105,15 @@ def load_algebra_dict(data: dict, where: str = "algebra file"):
                 raise ParseError(f"{where}: brackets[{key!r}] index {idx!r} is not an integer")
             if not (0 <= t < dim):
                 raise ParseError(f"{where}: brackets[{key!r}] index {idx} out of range")
+            if t in seen:
+                raise ParseError(f"{where}: brackets[{key!r}] index {idx!r} repeats index {t}")
+            seen.add(t)
             try:
                 vec[t] = parse_rational(val)
             except ParseError as exc:
                 raise ParseError(f"{where}: brackets[{key!r}][{idx!r}]: {exc}")
         brackets[(i, j)] = tuple(vec)
-    g = validate(dim, [str(b) for b in basis], brackets)
+    g = validate(dim, names, brackets)
     h = None
     if "h_subalgebra" in data and data["h_subalgebra"] is not None:
         rows = data["h_subalgebra"]
@@ -183,7 +197,7 @@ def load_module(path, g: LieAlgebra):
         raise ParseError(f"{where}: missing or unsupported format version")
     vdim = data.get("vdim")
     actions_raw = data.get("actions")
-    if not isinstance(vdim, int) or vdim < 0:
+    if not _is_count(vdim):
         raise ParseError(f"{where}: vdim must be a nonnegative integer")
     if not isinstance(actions_raw, list) or len(actions_raw) != g.dim:
         raise ParseError(f"{where}: actions must list one matrix per algebra basis vector")

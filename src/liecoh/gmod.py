@@ -18,9 +18,6 @@ from typing import Sequence
 from .liealg import DimensionMismatch, LieAlgebra, unit
 from .ratlin import Matrix, vector
 
-_ZERO = Fraction(0)
-
-
 class ModuleAxiomViolation(Exception):
     def __init__(self, i: int, j: int, residual: Matrix):
         self.pair = (i, j)
@@ -111,18 +108,16 @@ def direct_sum(mods: Sequence[GModule]) -> GModule:
     if any(m.algebra != g for m in mods):
         raise MixedAlgebras("direct summands live over different algebras")
     vdim = sum(m.vdim for m in mods)
+    offsets = [sum(m.vdim for m in mods[:i]) for i in range(len(mods))]
     actions = []
     for i in range(g.dim):
-        ent = [[_ZERO] * vdim for _ in range(vdim)]
-        off = 0
-        for m in mods:
-            block = m.actions[i].entries
-            for r in range(m.vdim):
-                row = ent[off + r]
-                for c in range(m.vdim):
-                    row[off + c] = block[r][c]
-            off += m.vdim
-        actions.append(Matrix(vdim, vdim, ent))
+        # block-diagonal: row r of summand m becomes row off + r, shifted right by off
+        rows = [
+            {off + c: x for c, x in row.items()}
+            for m, off in zip(mods, offsets)
+            for row in m.actions[i].sparse_rows
+        ]
+        actions.append(Matrix._raw(vdim, vdim, rows))
     return make_module(g, vdim, tuple(actions))
 
 

@@ -184,12 +184,8 @@ def killing_form(g: LieAlgebra) -> Matrix:
     ent = [[_ZERO] * g.dim for _ in range(g.dim)]
     for i in range(g.dim):
         for j in range(i, g.dim):
-            t = _ZERO
-            a, b = ads[i].entries, ads[j].entries
-            for r in range(g.dim):
-                for c in range(g.dim):
-                    if a[r][c] and b[c][r]:
-                        t += a[r][c] * b[c][r]
+            prod = ads[i] * ads[j]
+            t = sum((prod.row(r)[r] for r in range(g.dim)), _ZERO)
             ent[i][j] = t
             ent[j][i] = t
     return Matrix(g.dim, g.dim, ent)
@@ -198,7 +194,7 @@ def killing_form(g: LieAlgebra) -> Matrix:
 def killing_determinant(g: LieAlgebra) -> Fraction:
     """Determinant of the Killing matrix (exact, via fraction-free expansion)."""
     m = killing_form(g)
-    return _det(list(list(r) for r in m.entries))
+    return _det([list(m.row(i)) for i in range(m.rows)])
 
 
 def _det(a: list[list[Fraction]]) -> Fraction:

@@ -5,16 +5,24 @@ and no tolerance anywhere.  Ranks, kernels and echelon forms are exact,
 which is what makes dimension counts trustworthy: a Betti number computed
 here is a theorem about the input matrices, not an estimate.
 
-The reduction engine clears denominators and eliminates on sparse integer
-rows (gcd-stripped after every combination) before normalising pivots back
-to fractions.  Reduced row echelon form over a field is unique, so every
+A :class:`Matrix` stores only its nonzero entries, one ``{col: Fraction}``
+dict per row, and every operation (sums, products, transposes, stacking)
+works on that sparse form; cochain operators are almost entirely zeros.
+Vectors stay dense tuples of Fractions.
+
+There is one reduction engine: it clears the denominators of each row and
+eliminates on sparse primitive integer rows (gcd-stripped after every
+combination).  :meth:`Matrix.rref` and friends run it to full Gauss-Jordan
+form and normalise pivots back to fractions; :class:`EchelonSpan` runs it
+incrementally.  Reduced row echelon form over a field is unique, so every
 result below is canonical no matter which pivots the heuristic picks.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -47,28 +55,36 @@ def unit_vector(n: int, i: int) -> tuple[Fraction, ...]:
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions, row-major."""
+    """Immutable sparse matrix of Fractions.
 
-    __slots__ = ("rows", "cols", "entries")
+    ``sparse_rows[i]`` is a ``{col: Fraction}`` dict holding exactly the
+    nonzero entries of row i; it must not be mutated.  Equality and the
+    (cached) hash depend only on the shape and these entries.  ``entries``
+    is a dense row-major view built on demand for display and tests.
+    """
+
+    __slots__ = ("rows", "cols", "sparse_rows", "_hash")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(tuple(rational(x) for x in row) for row in entries)
+        entries = [tuple(rational(x) for x in row) for row in entries]
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError(f"entries do not form a {rows}x{cols} matrix")
+        self._set(rows, cols, tuple({j: x for j, x in enumerate(r) if x} for r in entries))
+
+    def _set(self, rows: int, cols: int, sparse_rows: tuple) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "sparse_rows", sparse_rows)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def _raw(cls, rows: int, cols: int, entries) -> "Matrix":
-        """Internal constructor for entries that are already Fraction tuples."""
+    def _raw(cls, rows: int, cols: int, sparse_rows) -> "Matrix":
+        """Internal constructor from {col: Fraction} row dicts; zeros are dropped."""
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", entries)
+        m._set(rows, cols, tuple({j: x for j, x in r.items() if x} for r in sparse_rows))
         return m
 
     @classmethod
@@ -84,63 +100,71 @@ class Matrix:
             if not columns:
                 raise ValueError("cannot infer row count from zero columns")
             rows = len(columns[0])
-        return cls(rows, len(columns), [[c[i] for c in columns] for i in range(rows)])
+        return cls(len(columns), rows, columns).transpose()
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [[_ZERO] * cols for _ in range(rows)])
+        return cls._raw(rows, cols, [{}] * rows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls._raw(n, n, [{i: _ONE} for i in range(n)])
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(self.row(i) for i in range(self.rows))
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        if self._hash is None:
+            rows = tuple(frozenset(r.items()) for r in self.sparse_rows)
+            object.__setattr__(self, "_hash", hash((self.rows, self.cols, rows)))
+        return self._hash
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
+        r = self.sparse_rows[i]
+        return tuple(r.get(j, _ZERO) for j in range(self.cols))
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.entries)
+        return tuple(r.get(j, _ZERO) for r in self.sparse_rows)
 
     def columns(self) -> list[tuple[Fraction, ...]]:
-        return [self.column(j) for j in range(self.cols)]
+        t = self.transpose()
+        return [t.row(j) for j in range(t.rows)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, [self.column(j) for j in range(self.cols)])
+        out: list[dict] = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.sparse_rows):
+            for j, x in r.items():
+                out[j][i] = x
+        return Matrix._raw(self.cols, self.rows, out)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(self.sparse_rows)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._raw(
-            self.rows,
-            self.cols,
-            tuple(tuple(-x if x else _ZERO for x in row) for row in self.entries),
-        )
+        return self.scale(-_ONE)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix addition")
-        return Matrix._raw(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple((a + b) if a and b else (b if b else a) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        out = []
+        for ra, rb in zip(self.sparse_rows, other.sparse_rows):
+            acc = dict(ra)
+            for j, x in rb.items():
+                acc[j] = acc[j] + x if j in acc else x
+            out.append(acc)
+        return Matrix._raw(self.rows, self.cols, out)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
@@ -155,39 +179,30 @@ class Matrix:
 
     def scale(self, c: Fraction) -> "Matrix":
         return Matrix._raw(
-            self.rows,
-            self.cols,
-            tuple(tuple(c * x if x else _ZERO for x in row) for row in self.entries),
+            self.rows, self.cols, [{j: c * x for j, x in r.items()} for r in self.sparse_rows]
         )
 
     def _matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        out = [[_ZERO] * other.cols for _ in range(self.rows)]
-        ob = other.entries
-        for i, row in enumerate(self.entries):
-            acc = out[i]
-            for k, a in enumerate(row):
-                if a:
-                    # accumulate a * (row k of other), skipping zero a
-                    brow = ob[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] += a * b
-        return Matrix._raw(self.rows, other.cols, tuple(tuple(r) for r in out))
+        ob = other.sparse_rows
+        out = []
+        for r in self.sparse_rows:
+            # row i of the product: sum over k of a_ik * (row k of other)
+            acc: dict[int, Fraction] = {}
+            for k, a in r.items():
+                for j, b in ob[k].items():
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append(acc)
+        return Matrix._raw(self.rows, other.cols, out)
 
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
         vec = vector(vec)
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
-        out = []
-        for row in self.entries:
-            s = _ZERO
-            for a, x in zip(row, vec):
-                if a and x:
-                    s += a * x
-            out.append(s)
-        return tuple(out)
+        return tuple(
+            sum((a * vec[j] for j, a in r.items() if vec[j]), _ZERO) for r in self.sparse_rows
+        )
 
     @classmethod
     def vstack(cls, blocks: Sequence["Matrix"]) -> "Matrix":
@@ -197,32 +212,13 @@ class Matrix:
         cols = blocks[0].cols
         if any(b.cols != cols for b in blocks):
             raise ValueError("column mismatch in vstack")
-        rows = []
-        for b in blocks:
-            rows.extend(b.entries)
-        return cls(len(rows), cols, rows)
+        rows = [r for b in blocks for r in b.sparse_rows]
+        return cls._raw(len(rows), cols, rows)
 
     # -- elimination-backed queries ------------------------------------
 
-    def _int_rows(self) -> list[dict]:
-        """Rows as sparse primitive integer dicts (denominators cleared)."""
-        out = []
-        for row in self.entries:
-            d: dict[int, int] = {}
-            den = 1
-            for x in row:
-                if x:
-                    den = den * x.denominator // gcd(den, x.denominator)
-            for j, x in enumerate(row):
-                if x:
-                    d[j] = x.numerator * (den // x.denominator)
-            _strip_gcd(d)
-            out.append(d)
-        return out
-
     def _rref_data(self):
-        pivots, rows = _gauss_jordan(self._int_rows(), self.cols)
-        return pivots, rows
+        return _gauss_jordan([_int_row(r) for r in self.sparse_rows], self.cols)
 
     def rank(self) -> int:
         return len(self._rref_data()[0])
@@ -230,13 +226,9 @@ class Matrix:
     def rref(self) -> "tuple[Matrix, tuple[int, ...]]":
         """Reduced row echelon form (unique) and its pivot columns."""
         pivots, rows = self._rref_data()
-        out = []
-        for p, r in zip(pivots, rows):
-            lead = r[p]
-            out.append([Fraction(r.get(j, 0), lead) for j in range(self.cols)])
-        while len(out) < self.rows:
-            out.append([_ZERO] * self.cols)
-        return Matrix(self.rows, self.cols, out), tuple(pivots)
+        out = [{j: Fraction(v, r[p]) for j, v in r.items()} for p, r in zip(pivots, rows)]
+        out.extend({} for _ in range(self.rows - len(out)))
+        return Matrix._raw(self.rows, self.cols, out), tuple(pivots)
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
         """Canonical kernel basis: one vector per free column, set to 1."""
@@ -254,9 +246,13 @@ class Matrix:
             basis.append(tuple(v))
         return basis
 
-    def column_space_basis(self) -> list[tuple[Fraction, ...]]:
-        """Canonical echelon basis of the column span."""
-        return echelon_basis(self.columns())
+
+def _int_row(row: dict) -> dict:
+    """The primitive integer row proportional to a {col: rational} row."""
+    den = lcm(*(x.denominator for x in row.values()))
+    out = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    _strip_gcd(out)
+    return out
 
 
 def _strip_gcd(row: dict) -> None:
@@ -322,42 +318,47 @@ def _gauss_jordan(int_rows: list[dict], cols: int):
 
 
 class EchelonSpan:
-    """Incrementally maintained echelon basis of a growing span."""
+    """Incrementally maintained echelon basis of a growing span.
+
+    Rows are primitive integer rows keyed by their leading column; each is
+    zero in the leading columns of the rows stored before it, so reducing a
+    vector against them in increasing pivot order never reintroduces an
+    entry already cleared.
+    """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._rows: dict[int, tuple[Fraction, ...]] = {}
+        self._rows: dict[int, dict] = {}
+        self._pivots: list[int] = []  # the keys of _rows, increasing
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def reduce(self, vec: Sequence) -> tuple[Fraction, ...]:
-        """Residual of vec after reduction against the current span."""
-        v = list(vector(vec))
-        # increasing pivot order: rows have zeros left of their own pivot,
-        # so earlier-cleared positions are never reintroduced
-        for p in sorted(self._rows):
-            c = v[p]
-            if c:
-                row = self._rows[p]
-                for j in range(p, self.dim):
-                    if row[j]:
-                        v[j] -= c * row[j]
-        return tuple(v)
+    def _residual(self, vec: Sequence) -> dict:
+        """Primitive integer residual of vec after reduction against the span."""
+        res = _int_row({j: q for j, q in enumerate(vector(vec)) if q})
+        for p in self._pivots:
+            b = res.get(p)
+            if b:
+                prow = self._rows[p]
+                res = _combine(res, prow, prow[p], b)
+                if not res:
+                    break
+        return res
 
     def add(self, vec: Sequence) -> bool:
         """Add vec to the span; True if it enlarged the span."""
-        res = self.reduce(vec)
-        for p, x in enumerate(res):
-            if x:
-                lead = x
-                self._rows[p] = tuple(y / lead for y in res)
-                return True
-        return False
+        res = self._residual(vec)
+        if not res:
+            return False
+        p = min(res)
+        self._rows[p] = res
+        insort(self._pivots, p)
+        return True
 
     def contains(self, vec: Sequence) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        return not self._residual(vec)
 
 
 def span_rank(vectors: Sequence[Sequence]) -> int:
@@ -399,16 +400,16 @@ def solve_columns(a: Matrix, b: Matrix) -> Matrix | None:
     """
     if a.rows != b.rows:
         raise ValueError("row mismatch in solve")
-    aug = Matrix(a.rows, a.cols + b.cols, [ra + rb for ra, rb in zip(a.entries, b.entries)])
+    n = a.cols
+    aug = Matrix._raw(
+        a.rows,
+        n + b.cols,
+        [{**ra, **{n + j: x for j, x in rb.items()}} for ra, rb in zip(a.sparse_rows, b.sparse_rows)],
+    )
     pivots, rows = aug._rref_data()
-    for p in pivots:
-        if p >= a.cols:
-            return None
-    out = [[_ZERO] * b.cols for _ in range(a.cols)]
+    if any(p >= n for p in pivots):
+        return None
+    out: list[dict] = [{} for _ in range(n)]
     for p, r in zip(pivots, rows):
-        lead = r[p]
-        for j in range(b.cols):
-            num = r.get(a.cols + j)
-            if num:
-                out[p][j] = Fraction(num, lead)
-    return Matrix(a.cols, b.cols, out)
+        out[p] = {j - n: Fraction(v, r[p]) for j, v in r.items() if j >= n}
+    return Matrix._raw(n, b.cols, out)

@@ -384,7 +384,7 @@ def _killing_data() -> tuple[bool, str]:
         and three.class_nonzero
     )
     return ok, (
-        f"killing={[[str(x) for x in row] for row in b.entries]} det={det} "
+        f"killing={[[str(x) for x in row] for row in map(b.row, range(b.rows))]} det={det} "
         f"kappa(H,E,F)={kappa} closed={'yes' if not any(closed) else 'no'} "
         f"class_nonzero={'yes' if three.class_nonzero else 'no'}"
     )

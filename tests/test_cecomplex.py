@@ -20,10 +20,11 @@ from liecoh.cecomplex import (
     wedge_one_form_matrix,
 )
 from liecoh.cohomology import killing_three_form
-from liecoh.extensions import builtin
+from liecoh.extensions import BUILTIN_NAMES, builtin
 from liecoh.gmod import adjoint_module, coadjoint_module, trivial_module
 from liecoh.liealg import subalgebra, unit
-from liecoh.ratlin import Matrix
+from liecoh.cohomology import betti_sequence
+from liecoh.ratlin import Matrix, echelon_basis
 from liecoh.suite import check_operator_identities, random_identity_sample
 
 
@@ -241,3 +242,46 @@ def test_randomized_identity_samples():
         g, module, k, x = random_identity_sample(rng)
         assert g.dim <= 5
         assert check_operator_identities(g, module, k, x) == []
+
+
+def _reference_relative_subspace(level, h):
+    """Joint kernel of i_X and L_X, X in h, one operator at a time."""
+    n = level.space_dim
+    basis = [unit(n, i) for i in range(n)]  # spans the forms killed so far
+    for w in h.vectors:
+        for op in (interior_product_matrix(level, w), lie_derivative_matrix(level, w)):
+            if not basis:
+                return ()
+            b = Matrix.from_columns(basis, rows=n)
+            basis = [b.apply(v) for v in (op * b).kernel_basis()]
+    return tuple(echelon_basis(basis))
+
+
+@pytest.mark.parametrize("name", ["sl2_so2_pair", "sl2R_ext", "fivedim_ext:1"])
+def test_relative_subspace_matches_one_operator_at_a_time(name):
+    entry = builtin(name)
+    g = entry.algebra
+    for spec in ("trivial", "adjoint", "coadjoint"):
+        for k in range(g.dim + 1):
+            lvl = level(name, spec, k)
+            assert relative_subspace(lvl, entry.h) == _reference_relative_subspace(lvl, entry.h), (
+                spec, k)
+
+
+def _catalog_names():
+    return [n.replace(":n", ":3").replace(":alpha", ":1") for n in BUILTIN_NAMES]
+
+
+def _alternating_sum(xs):
+    return sum((-1) ** k * x for k, x in enumerate(xs))
+
+
+@pytest.mark.parametrize("name", _catalog_names())
+def test_euler_characteristic_of_absolute_cohomology(name):
+    # sum (-1)^k dim C^k = sum (-1)^k b_k, whatever the ranks of the d_k
+    g = builtin(name).algebra
+    for spec in ("trivial", "adjoint"):
+        levels = [level(name, spec, k) for k in range(g.dim + 1)]
+        bettis = betti_sequence(g, levels[0].module)
+        assert _alternating_sum(lvl.space_dim for lvl in levels) == _alternating_sum(bettis), (
+            spec, bettis)

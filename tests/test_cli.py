@@ -8,9 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecoh import files
-from liecoh.cli import EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_VERIFY_FAILED, main
+from liecoh.cli import (
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_VALIDATION,
+    EXIT_VERIFY_FAILED,
+    _looks_like_catalog_name,
+    main,
+)
 from liecoh.cohomology import betti_sequence
-from liecoh.extensions import builtin
+from liecoh.extensions import BUILTIN_NAMES, builtin
 from liecoh.gmod import adjoint_module
 
 SL2_JSON = {
@@ -78,6 +85,49 @@ def test_parse_rejects_bad_keys_and_versions(tmp_path):
             files.load_algebra(write_json(tmp_path, data))
 
 
+def _check_file(capsys, tmp_path, data):
+    return run(capsys, ["check", write_json(tmp_path, data)])
+
+
+def test_dim_true_is_rejected(capsys, tmp_path):
+    bad = dict(SL2_JSON, dim=True, basis=["H"], brackets={})
+    code, out, err = _check_file(capsys, tmp_path, bad)
+    assert code == EXIT_PARSE and out == ""
+    assert "dim must be a nonnegative integer" in err
+
+
+def test_duplicate_basis_names_are_rejected(capsys, tmp_path):
+    bad = dict(SL2_JSON, basis=["H", "E", "H"])
+    code, out, err = _check_file(capsys, tmp_path, bad)
+    assert code == EXIT_PARSE and out == ""
+    assert "distinct" in err
+
+
+def test_aliased_bracket_keys_are_rejected(capsys, tmp_path):
+    # [0,1] and [00,1] name the same pair; neither may silently win
+    bad = json.loads(json.dumps(SL2_JSON))
+    bad["brackets"]["[00,1]"] = {"1": "3"}
+    code, out, err = _check_file(capsys, tmp_path, bad)
+    assert code == EXIT_PARSE and out == ""
+    assert "repeats the pair (0,1)" in err
+    # the same aliasing inside one bracket's coefficient indices
+    bad = json.loads(json.dumps(SL2_JSON))
+    bad["brackets"]["[0,1]"] = {"1": "2", "01": "3"}
+    code, _, err = _check_file(capsys, tmp_path, bad)
+    assert code == EXIT_PARSE and "repeats index 1" in err
+
+
+def test_json_booleans_are_not_rationals(capsys, tmp_path):
+    for flag in (True, False):
+        with pytest.raises(files.ParseError):
+            files.parse_rational(flag)
+        bad = json.loads(json.dumps(SL2_JSON))
+        bad["brackets"]["[1,2]"] = {"0": flag}
+        code, out, err = _check_file(capsys, tmp_path, bad)
+        assert code == EXIT_PARSE and out == ""
+        assert "not an exact rational" in err
+
+
 def test_rational_formatting():
     assert files.format_rational(Q(-3, 7)) == "-3/7"
     assert files.format_rational(Q(5)) == "5"
@@ -96,6 +146,13 @@ def test_rational_round_trip(p, q):
 
 
 # -- check ------------------------------------------------------------
+
+
+def test_every_builtin_name_is_recognised_as_catalog_name():
+    for name in BUILTIN_NAMES:
+        assert _looks_like_catalog_name(name), name
+        assert _looks_like_catalog_name(name.replace(":n", ":3").replace(":alpha", ":-3/4"))
+    assert not _looks_like_catalog_name("sl2.json")
 
 
 def test_check_catalog_name(capsys):

@@ -148,3 +148,102 @@ def test_product_rank_bound(a, b):
     if a.cols != b.rows:
         b = Matrix.zero(a.cols, 2)
     assert (a * b).rank() <= min(a.rank(), b.rank())
+
+
+# -- independent oracle and sparse-storage invariants ------------------
+
+sparse_rationals = st.one_of(st.just(Q(0)), st.just(Q(0)), st.just(Q(0)), rationals)
+
+
+@st.composite
+def sparse_matrices(draw, max_dim=7, rows=None, cols=None):
+    rows = draw(st.integers(1, max_dim)) if rows is None else rows
+    cols = draw(st.integers(1, max_dim)) if cols is None else cols
+    ent = draw(
+        st.lists(
+            st.lists(sparse_rationals, min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    return Matrix(rows, cols, ent)
+
+
+def _stores_no_zeros(m):
+    return all(all(r.values()) for r in m.sparse_rows)
+
+
+@given(sparse_matrices())
+@settings(max_examples=80, deadline=None)
+def test_rank_and_rref_agree_with_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    ref = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.entries])
+    ref_red, ref_pivots = ref.rref()
+    red, pivots = m.rref()
+    assert m.rank() == ref.rank()
+    assert pivots == tuple(ref_pivots)
+    want = [[Q(int(x.p), int(x.q)) for x in ref_red.row(i)] for i in range(ref_red.rows)]
+    assert red.entries == Matrix.from_rows(want).entries
+    assert _stores_no_zeros(red)
+
+
+@given(sparse_matrices())
+@settings(max_examples=60, deadline=None)
+def test_cancellation_leaves_no_stored_zeros(a):
+    z = a + (-a)
+    assert z == Matrix.zero(a.rows, a.cols)
+    assert hash(z) == hash(Matrix.zero(a.rows, a.cols))
+    assert z.sparse_rows == ({},) * a.rows
+    assert (a - a) == z and (a * 0) == z and _stores_no_zeros(a.scale(Q(-3, 2)))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_product_matches_transposed_product(data):
+    a = data.draw(sparse_matrices())
+    b = data.draw(sparse_matrices(cols=None, rows=a.cols))
+    ab = a * b
+    assert ab == (b.transpose() * a.transpose()).transpose()
+    assert _stores_no_zeros(ab)
+    assert ab.entries == tuple(
+        tuple(sum((x * y for x, y in zip(a.row(i), b.column(j))), Q(0)) for j in range(b.cols))
+        for i in range(a.rows)
+    )
+
+
+def test_product_cancellation_is_dropped():
+    a = Matrix.from_rows([[1, 1], [2, 0]])
+    b = Matrix.from_rows([[1], [-1]])
+    ab = a * b
+    assert ab.sparse_rows == ({}, {0: Q(2)})
+    assert ab == Matrix.from_rows([[0], [2]])
+    assert hash(ab) == hash(Matrix.from_rows([[0], [2]]))
+
+
+def test_equal_matrices_hash_equal_whatever_their_history():
+    a = Matrix.from_rows([[1, 0, 2], [0, 0, 3]])
+    b = Matrix.from_columns([[1, 0], [0, 0], [2, 3]]).transpose().transpose()
+    assert a == b and hash(a) == hash(b)
+    assert a != Matrix.from_rows([[1, 0, 2], [0, 0, 4]])
+
+
+def test_entries_is_a_dense_read_only_view():
+    m = Matrix.from_rows([[0, "1/2"], [0, 0]])
+    assert m.entries == ((Q(0), Q(1, 2)), (Q(0), Q(0)))
+    assert m.sparse_rows == ({1: Q(1, 2)}, {})
+    with pytest.raises(AttributeError):
+        m.entries = ()
+    with pytest.raises(ValueError):
+        Matrix(2, 2, [[1, 2]])
+
+
+@given(st.lists(st.lists(sparse_rationals, min_size=4, max_size=4), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_echelon_span_agrees_with_batch_rank(vecs):
+    span = EchelonSpan(4)
+    for i, v in enumerate(vecs):
+        before = span.rank
+        grew = span.add(v)
+        assert grew == (span.rank == before + 1)
+        assert span.rank == len(echelon_basis(vecs[: i + 1]))
+        assert span.contains(v)
