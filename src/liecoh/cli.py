@@ -269,6 +269,7 @@ def main(argv=None) -> int:
         DimensionMismatch,
         DegreeOutOfRange,
         gmod.UnknownModuleSpec,
+        gmod.ModuleTooLarge,
         gmod.ModuleAxiomViolation,
         gmod.MixedAlgebras,
         extensions.UnknownName,
@@ -278,6 +279,9 @@ def main(argv=None) -> int:
         volumes.ZeroEuler,
     ) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError:
+        print("validation error: out of memory; the input is too large", file=sys.stderr)
         return EXIT_VALIDATION
 
 

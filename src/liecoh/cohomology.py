@@ -1,9 +1,15 @@
 """Betti numbers and distinguished cocycles of the (relative) complex.
 
 Dimensions are kernel/image ranks of exact matrices, so every number here
-is an integer fact, not an approximation.  Representatives are extracted
-by a greedy echelon complement over the canonical cocycle basis, which
-makes them deterministic and therefore safe to freeze in tests.
+is an integer fact, not an approximation.  Cocycles and coboundaries stay
+sparse ``{col: Fraction}`` rows from the operator matrices to one
+:class:`~liecoh.ratlin.EchelonSpan` pass per degree: the coboundaries are
+added first, which gives rank(B), and the canonical cocycle basis Z is
+then added greedily.  The cocycles that enlarge the span are the
+representatives, so they are deterministic and safe to freeze in tests,
+and dim H = |Z| - rank(B) holds exactly when their number matches; any
+other count means B is not inside span(Z).  Only the returned
+representatives are made dense.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .cecomplex import (
     relative_subspace,
 )
 from .liealg import LieAlgebra, Subalgebra, killing_form, structure_report, unit
-from .ratlin import EchelonSpan, Matrix, quotient_dim
+from .ratlin import EchelonSpan, Matrix, SubspaceNotContained, dense_vector
 
 
 class NotSemisimple(Exception):
@@ -59,37 +65,42 @@ def _cohomology_core(g, module, k, h) -> CohomologyResult:
     delta_prev = differential_matrix(level_prev)
 
     if h is None or h.dim == 0:
-        cocycles = delta_k.kernel_basis()
-        coboundaries = [c for c in delta_prev.columns() if any(c)]
+        cocycles = delta_k.kernel_rows()
+        coboundaries = delta_prev.transpose().sparse_rows
     else:
-        sub_k = relative_subspace(level_k, h)
-        sub_prev = relative_subspace(level_prev, h)
-        if sub_k:
-            bmat = Matrix.from_columns(sub_k, rows=level_k.space_dim)
-            small_kernel = (delta_k * bmat).kernel_basis()
-            cocycles = [bmat.apply(v) for v in small_kernel]
-        else:
-            cocycles = []
-        coboundaries = [
-            w for w in (delta_prev.apply(v) for v in sub_prev) if any(w)
-        ]
+        # rows of bt are the relative basis, so bt^T is the inclusion
+        bt = _row_matrix(relative_subspace(level_k, h), level_k.space_dim)
+        kernel = (delta_k * bt.transpose()).kernel_rows()
+        cocycles = (Matrix._raw(len(kernel), bt.rows, kernel) * bt).sparse_rows
+        bt_prev = _row_matrix(relative_subspace(level_prev, h), level_prev.space_dim)
+        coboundaries = (bt_prev * delta_prev.transpose()).sparse_rows
 
-    betti = quotient_dim(cocycles, coboundaries)
-    span = EchelonSpan(level_k.space_dim)
+    n = level_k.space_dim
+    span = EchelonSpan(n)
     for v in coboundaries:
-        span.add(v)
-    reps = []
-    for v in cocycles:
-        if span.add(v):
-            reps.append(Cochain(level_k, v))
+        if v:
+            span.add(v)
+    rank_b = span.rank
+    # the cocycles are independent (a kernel basis, or its image under the
+    # injective inclusion), so |Z| - rank(B) is the quotient dimension
+    betti = len(cocycles) - rank_b
+    reps = [Cochain(level_k, dense_vector(v, n)) for v in cocycles if span.add(v)]
     if len(reps) != betti:
-        raise AssertionError("representative extraction disagrees with quotient dimension")
+        # rank(Z + B) > rank(Z): some coboundary is not a cocycle
+        raise SubspaceNotContained(
+            f"span of rank {rank_b} is not inside the rank-{len(cocycles)} span"
+        )
     return CohomologyResult(
         degree=k,
         betti=betti,
         cocycle_representatives=tuple(reps),
         relative=h is not None and h.dim > 0,
     )
+
+
+def _row_matrix(vectors, n: int) -> Matrix:
+    """The matrix whose rows are the given dense length-n Fraction vectors."""
+    return Matrix._raw(len(vectors), n, [dict(enumerate(v)) for v in vectors])
 
 
 def betti_sequence(
@@ -121,20 +132,24 @@ def killing_three_form(g: LieAlgebra) -> ThreeFormClass:
         raise NotSemisimple("the Killing 3-form class needs a semisimple algebra")
     b = killing_form(g)
     level = CochainLevel(g, gmod.trivial_module(g, 1), 3)
-    coords = []
-    for (i, j, k) in level.tuples:
+    coords = {}
+    for idx, (i, j, k) in enumerate(level.tuples):
         bij = g.bracket_basis(i, j)
         bk = b.column(k)
-        coords.append(sum(bk[t] * c for t, c in enumerate(bij) if c))
-    form = Cochain(level, tuple(coords))
-    image = differential_matrix(level).apply(form.coords)
-    if any(image):
+        value = sum(bk[t] * c for t, c in enumerate(bij) if c)
+        if value:
+            coords[idx] = value
+    form = Cochain(level, dense_vector(coords, level.space_dim))
+    if any(
+        sum(a * coords[j] for j, a in r.items() if j in coords)
+        for r in differential_matrix(level).sparse_rows
+    ):
         raise AssertionError("Killing 3-form is not closed; bracket data is corrupt")
-    boundaries = [c for c in differential_matrix(level.shifted(-1)).columns() if any(c)]
     span = EchelonSpan(level.space_dim)
-    for v in boundaries:
-        span.add(v)
-    nonzero = span.add(form.coords) if not form.is_zero() else False
+    for v in differential_matrix(level.shifted(-1)).transpose().sparse_rows:
+        if v:
+            span.add(v)
+    nonzero = span.add(coords) if coords else False
     return ThreeFormClass(form, nonzero)
 
 

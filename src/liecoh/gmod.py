@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Sequence
 
 from .liealg import DimensionMismatch, LieAlgebra, unit
@@ -33,6 +34,25 @@ class MixedAlgebras(Exception):
 
 class UnknownModuleSpec(Exception):
     pass
+
+
+class ModuleTooLarge(Exception):
+    pass
+
+
+# Largest cochain level, vdim * max_k C(dim, k), that a module spec may
+# lead to; sl4 with trivial coefficients (6435) is well inside it.
+MAX_LEVEL_DIM = 1 << 15
+
+
+def _check_level_dim(g: LieAlgebra, vdim: int, spec: str) -> None:
+    """Reject a module before it is built if its largest level is too big."""
+    level_dim = vdim * comb(g.dim, g.dim // 2)
+    if level_dim > MAX_LEVEL_DIM:
+        raise ModuleTooLarge(
+            f"module {spec!r} gives cochain levels of dimension {level_dim}, "
+            f"over the limit of {MAX_LEVEL_DIM}"
+        )
 
 
 @dataclass(frozen=True)
@@ -125,10 +145,13 @@ def module_from_spec(g: LieAlgebra, spec: str) -> GModule:
     """Parse a coefficient-module spec string.
 
     Accepted forms: ``trivial``, ``trivial:n``, ``adjoint``, ``coadjoint``,
-    ``dual:<spec>`` and ``sum:<spec>+<spec>+...``.
+    ``dual:<spec>`` and ``sum:<spec>+<spec>+...``.  A spec whose largest
+    cochain level would exceed ``MAX_LEVEL_DIM`` raises ModuleTooLarge
+    before its action matrices are allocated.
     """
     spec = spec.strip()
     if spec == "trivial":
+        _check_level_dim(g, 1, spec)
         return trivial_module(g, 1)
     if spec.startswith("trivial:"):
         try:
@@ -137,18 +160,20 @@ def module_from_spec(g: LieAlgebra, spec: str) -> GModule:
             raise UnknownModuleSpec(f"bad trivial module rank in {spec!r}")
         if n < 0:
             raise UnknownModuleSpec(f"negative trivial module rank in {spec!r}")
+        _check_level_dim(g, n, spec)
         return trivial_module(g, n)
-    if spec == "adjoint":
-        return adjoint_module(g)
-    if spec == "coadjoint":
-        return coadjoint_module(g)
+    if spec in ("adjoint", "coadjoint"):
+        _check_level_dim(g, g.dim, spec)
+        return adjoint_module(g) if spec == "adjoint" else coadjoint_module(g)
     if spec.startswith("dual:"):
         return dual_module(module_from_spec(g, spec.split(":", 1)[1]))
     if spec.startswith("sum:"):
         parts = spec.split(":", 1)[1].split("+")
         if len(parts) < 2:
             raise UnknownModuleSpec(f"sum spec needs at least two summands: {spec!r}")
-        return direct_sum([module_from_spec(g, p) for p in parts])
+        summands = [module_from_spec(g, p) for p in parts]
+        _check_level_dim(g, sum(m.vdim for m in summands), spec)
+        return direct_sum(summands)
     raise UnknownModuleSpec(f"unknown module spec {spec!r}")
 
 

@@ -8,7 +8,11 @@ here is a theorem about the input matrices, not an estimate.
 A :class:`Matrix` stores only its nonzero entries, one ``{col: Fraction}``
 dict per row, and every operation (sums, products, transposes, stacking)
 works on that sparse form; cochain operators are almost entirely zeros.
-Vectors stay dense tuples of Fractions.
+Vectors come in the same two forms: :meth:`Matrix.kernel_rows` and
+:class:`EchelonSpan` work on sparse ``{col: Fraction}`` dicts, so a caller
+can stay sparse from operator to span, while the dense tuples of
+:func:`vector`, :meth:`Matrix.kernel_basis` and :func:`echelon_basis` are
+views for callers that index coordinates.
 
 There is one reduction engine: it clears the denominators of each row and
 eliminates on sparse primitive integer rows (gcd-stripped after every
@@ -52,6 +56,11 @@ def vector(xs: Iterable) -> tuple[Fraction, ...]:
 
 def unit_vector(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(_ONE if j == i else _ZERO for j in range(n))
+
+
+def dense_vector(row: dict, n: int) -> tuple[Fraction, ...]:
+    """The length-n dense tuple of a sparse {col: Fraction} vector."""
+    return tuple(row.get(j, _ZERO) for j in range(n))
 
 
 class Matrix:
@@ -132,8 +141,7 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        r = self.sparse_rows[i]
-        return tuple(r.get(j, _ZERO) for j in range(self.cols))
+        return dense_vector(self.sparse_rows[i], self.cols)
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(r.get(j, _ZERO) for r in self.sparse_rows)
@@ -230,21 +238,27 @@ class Matrix:
         out.extend({} for _ in range(self.rows - len(out)))
         return Matrix._raw(self.rows, self.cols, out), tuple(pivots)
 
-    def kernel_basis(self) -> list[tuple[Fraction, ...]]:
-        """Canonical kernel basis: one vector per free column, set to 1."""
+    def kernel_rows(self) -> list[dict]:
+        """Canonical kernel basis as sparse {col: Fraction} dicts.
+
+        One vector per free column f, in increasing order of f: 1 at f and,
+        at each pivot column p, minus the RREF entry of p's row in column f.
+        """
         pivots, rows = self._rref_data()
         pivot_set = set(pivots)
         free = [j for j in range(self.cols) if j not in pivot_set]
-        basis = []
-        for f in free:
-            v = [_ZERO] * self.cols
-            v[f] = _ONE
-            for p, r in zip(pivots, rows):
-                num = r.get(f)
-                if num:
-                    v[p] = Fraction(-num, r[p])
-            basis.append(tuple(v))
-        return basis
+        basis = {f: {f: _ONE} for f in free}
+        for p, r in zip(pivots, rows):
+            # Gauss-Jordan leaves a pivot row nonzero only at p and free columns
+            pv = r[p]
+            for j, num in r.items():
+                if j != p:
+                    basis[j][p] = Fraction(-num, pv)
+        return [basis[f] for f in free]
+
+    def kernel_basis(self) -> list[tuple[Fraction, ...]]:
+        """Dense view of :meth:`kernel_rows`."""
+        return [dense_vector(v, self.cols) for v in self.kernel_rows()]
 
 
 def _int_row(row: dict) -> dict:
@@ -335,9 +349,15 @@ class EchelonSpan:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _residual(self, vec: Sequence) -> dict:
-        """Primitive integer residual of vec after reduction against the span."""
-        res = _int_row({j: q for j, q in enumerate(vector(vec)) if q})
+    def _residual(self, vec: Sequence | dict) -> dict:
+        """Primitive integer residual of vec after reduction against the span.
+
+        vec is a dense sequence or a sparse {col: Fraction} dict that holds
+        only nonzero entries, such as a row of ``Matrix.sparse_rows``.
+        """
+        if not isinstance(vec, dict):
+            vec = {j: q for j, q in enumerate(vector(vec)) if q}
+        res = _int_row(vec)
         for p in self._pivots:
             b = res.get(p)
             if b:
@@ -347,7 +367,7 @@ class EchelonSpan:
                     break
         return res
 
-    def add(self, vec: Sequence) -> bool:
+    def add(self, vec: Sequence | dict) -> bool:
         """Add vec to the span; True if it enlarged the span."""
         res = self._residual(vec)
         if not res:
@@ -357,7 +377,7 @@ class EchelonSpan:
         insort(self._pivots, p)
         return True
 
-    def contains(self, vec: Sequence) -> bool:
+    def contains(self, vec: Sequence | dict) -> bool:
         return not self._residual(vec)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecoh import files
+from liecoh import cli, files, gmod
 from liecoh.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -257,6 +257,30 @@ def test_cohomology_unknown_module_spec(capsys):
     assert "spinor" in err
 
 
+def test_oversized_module_spec_is_rejected_before_allocation(capsys, monkeypatch):
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("an oversized module was allocated")
+
+    for name in ("trivial_module", "adjoint_module", "coadjoint_module", "direct_sum"):
+        monkeypatch.setattr(gmod, name, must_not_build)
+    for name, spec in (("sl2", "trivial:99999999999"), ("sl2", "dual:trivial:20000"),
+                       ("sl2", "sum:trivial:20000+trivial"), ("abelian:18", "trivial"),
+                       ("abelian:16", "adjoint")):
+        code, out, err = run(capsys, ["cohomology", name, "--coeffs", spec])
+        assert code == EXIT_VALIDATION
+        assert out == "" and "over the limit" in err
+
+
+def test_memory_error_maps_to_validation_exit(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cohomology", exhausted)
+    code, out, err = run(capsys, ["cohomology", "sl2"])
+    assert code == EXIT_VALIDATION
+    assert out == "" and "out of memory" in err and "Traceback" not in err
+
+
 def test_cohomology_with_module_file(capsys, tmp_path):
     # explicit action matrices: the adjoint module of sl2, spelled out
     from liecoh.liealg import unit
@@ -352,11 +376,16 @@ def test_verify_paper_passes(capsys):
     assert report.get("row[mutation-sensitivity]") == "pass"
 
 
+def _failed_rows(report):
+    return {key for key, value in report.items if key.startswith("row[") and value == "FAIL"}
+
+
 def test_verify_paper_flipped_sign_fails(capsys):
     code, out, _ = run(capsys, ["verify-paper", "--json", "--mutate", "flip-coadjoint-sign"])
     assert code == EXIT_VERIFY_FAILED
     report = files.parse_report(out)
     assert report.get("row[operator-identities]") == "FAIL"
+    assert _failed_rows(report) == {"row[operator-identities]"}
 
 
 def test_verify_paper_omit_diagonal_fails(capsys):
@@ -364,3 +393,7 @@ def test_verify_paper_omit_diagonal_fails(capsys):
     assert code == EXIT_VERIFY_FAILED
     report = files.parse_report(out)
     assert report.get("row[extension-vanishing-3dim]") == "FAIL"
+    assert _failed_rows(report) == {
+        "row[extension-vanishing-3dim]",
+        "row[extension-vanishing-5dim]",
+    }

@@ -4,7 +4,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from liecoh.cecomplex import CochainLevel, differential_matrix, tuple_basis
+from liecoh import suite
+from liecoh.cecomplex import CochainLevel, differential_matrix, relative_subspace, tuple_basis
 from liecoh.cohomology import (
     NotSemisimple,
     betti_sequence,
@@ -13,9 +14,9 @@ from liecoh.cohomology import (
     invariant_volume_form,
     killing_three_form,
 )
-from liecoh.extensions import builtin
+from liecoh.extensions import BUILTIN_NAMES, builtin
 from liecoh.gmod import adjoint_module, coadjoint_module, dual_module, trivial_module
-from liecoh.ratlin import EchelonSpan
+from liecoh.ratlin import EchelonSpan, Matrix, SubspaceNotContained, quotient_dim
 
 
 def test_betti_sl2_trivial():
@@ -175,3 +176,58 @@ def test_degree_bounds_are_enforced():
         cohomology(g, trivial_module(g, 1), 4)
     with pytest.raises(ValueError):
         duality_report(g, None, trivial_module(g, 1), 5)
+
+
+# -- the one-pass core against the three-rank quotient formula ---------
+
+ORACLE_NAMES = tuple(n for n in BUILTIN_NAMES if ":" not in n) + (
+    "abelian:4",
+    "fivedim_ext:1",
+    "fivedim_ext:-3/4",
+)
+MODULES = {"trivial": lambda g: trivial_module(g, 1), "adjoint": adjoint_module,
+           "coadjoint": coadjoint_module}
+
+
+def _quotient_formula_betti(g, mod, k, h=None):
+    """dim Z/B from dense cocycles and coboundaries by quotient_dim."""
+    level = CochainLevel(g, mod, k)
+    d_k = differential_matrix(level)
+    d_prev = differential_matrix(level.shifted(-1))
+    if h is None:
+        cocycles = d_k.kernel_basis()
+        coboundaries = [c for c in d_prev.columns() if any(c)]
+    else:
+        sub_k = relative_subspace(level, h)
+        cocycles = []
+        if sub_k:
+            bmat = Matrix.from_columns(sub_k, rows=level.space_dim)
+            cocycles = [bmat.apply(v) for v in (d_k * bmat).kernel_basis()]
+        images = (d_prev.apply(v) for v in relative_subspace(level.shifted(-1), h))
+        coboundaries = [w for w in images if any(w)]
+    return quotient_dim(cocycles, coboundaries)
+
+
+@pytest.mark.parametrize("spec", sorted(MODULES))
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_betti_matches_the_quotient_formula(name, spec):
+    entry = builtin(name)
+    g = entry.algebra
+    mod = MODULES[spec](g)
+    for k in range(g.dim + 1):
+        assert cohomology(g, mod, k).betti == _quotient_formula_betti(g, mod, k)
+    if entry.h is not None:
+        for k in range(g.dim - entry.h.dim + 1):
+            got = cohomology(g, mod, k, entry.h).betti
+            assert got == _quotient_formula_betti(g, mod, k, entry.h)
+
+
+def test_containment_check_fires_on_a_non_module():
+    # +ad^T is an anti-homomorphism, so delta o delta != 0 and some
+    # coboundaries of degrees 1 and 2 are not cocycles
+    g = builtin("sl2").algebra
+    flipped = suite.flipped_coadjoint_module(g)
+    for k in (1, 2):
+        with pytest.raises(SubspaceNotContained):
+            cohomology(g, flipped, k)
+    assert [cohomology(g, flipped, k).betti for k in (0, 3)] == [0, 0]

@@ -8,7 +8,9 @@ from liecoh.extensions import builtin
 from liecoh.gmod import (
     GModule,
     MixedAlgebras,
+    MAX_LEVEL_DIM,
     ModuleAxiomViolation,
+    ModuleTooLarge,
     UnknownModuleSpec,
     adjoint_module,
     check_module_axiom,
@@ -106,6 +108,18 @@ def test_module_spec_parsing():
     for bad in ("nonsense", "trivial:x", "sum:adjoint", "dual:"):
         with pytest.raises(UnknownModuleSpec):
             module_from_spec(g, bad)
+
+
+def test_module_spec_bounds_the_largest_cochain_level():
+    # sl2 levels have at most 3 tuples, so trivial:n reaches 3n cochains
+    g = builtin("sl2").algebra
+    n = MAX_LEVEL_DIM // 3
+    assert module_from_spec(g, f"trivial:{n}").vdim == n
+    for bad in (f"trivial:{n + 1}", f"sum:trivial:{n}+trivial"):
+        with pytest.raises(ModuleTooLarge):
+            module_from_spec(g, bad)
+    # the largest level the benchmark reaches: sl4-sized trivial, C(15, 7)
+    assert module_from_spec(builtin("abelian:15").algebra, "trivial").vdim == 1
 
 
 def test_simple_adjoint_modules_have_no_invariants():

@@ -247,3 +247,24 @@ def test_echelon_span_agrees_with_batch_rank(vecs):
         assert grew == (span.rank == before + 1)
         assert span.rank == len(echelon_basis(vecs[: i + 1]))
         assert span.contains(v)
+
+
+@given(sparse_matrices())
+@settings(max_examples=80, deadline=None)
+def test_kernel_rows_are_the_sparse_kernel_basis(m):
+    rows = m.kernel_rows()
+    assert [tuple(r.get(j, Q(0)) for j in range(m.cols)) for r in rows] == m.kernel_basis()
+    assert all(all(r.values()) for r in rows)
+
+
+@given(sparse_matrices())
+@settings(max_examples=80, deadline=None)
+def test_echelon_span_takes_dicts_and_dense_rows_alike(m):
+    from_dicts, from_dense = EchelonSpan(m.cols), EchelonSpan(m.cols)
+    for i, r in enumerate(m.sparse_rows):
+        assert from_dicts.add(r) == from_dense.add(m.row(i))
+        assert from_dicts.rank == from_dense.rank
+    assert from_dicts.rank == m.rank()
+    for r in m.kernel_rows():
+        v = tuple(r.get(j, Q(0)) for j in range(m.cols))
+        assert from_dicts.contains(r) == from_dense.contains(v)
