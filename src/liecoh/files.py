@@ -132,14 +132,20 @@ def load_algebra_dict(data: dict, where: str = "algebra file"):
     return g, h, name
 
 
-def load_algebra(path):
+def _read_json(path):
     try:
         with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: line {exc.lineno} column {exc.colno}")
+    # ValueError: a NUL or lone surrogate in the path, or a file that is not
+    # UTF-8; RecursionError: JSON nested deeper than the parser's stack
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}")
+
+
+def load_algebra(path):
+    data = _read_json(path)
     return load_algebra_dict(data, where=str(path))
 
 
@@ -185,13 +191,7 @@ def load_module(path, g: LieAlgebra):
     from . import gmod
     from .ratlin import Matrix
 
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: line {exc.lineno} column {exc.colno}")
+    data = _read_json(path)
     where = str(path)
     if not isinstance(data, dict) or data.get("format") != FORMAT_VERSION:
         raise ParseError(f"{where}: missing or unsupported format version")

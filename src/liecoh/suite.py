@@ -10,6 +10,11 @@ vacuous: ``flip-coadjoint-sign`` replaces the coadjoint action matrices by
 their negatives (an anti-homomorphism), which must break the degree-(-1)
 map relations; ``omit-diagonal`` drops the central component from the
 isotropy generators of the extension pairs, which must break vanishing.
+``run_suite(mutation=...)`` runs the full table under one of them.  The
+unmutated table ends with a ``mutation-sensitivity`` self-check that reruns
+only the sabotaged rows (``operator-identities`` with the flipped coadjoint
+action, and both ``extension-vanishing`` rows without the diagonal) and
+requires each of them to fail.
 """
 
 from __future__ import annotations
@@ -127,40 +132,41 @@ def _extension_pairs(omit_diagonal: bool):
         )
 
 
-def _extension_vanishing_3dim(omit_diagonal: bool) -> Callable[[], tuple[bool, str]]:
+def _extension_vanishing(
+    prefix: str, omit_diagonal: bool, describe: Callable[..., str]
+) -> Callable[[], tuple[bool, str]]:
     def check() -> tuple[bool, str]:
-        pairs = [p for p in _extension_pairs(omit_diagonal) if p[0].startswith("sl2R")]
+        pairs = [p for p in _extension_pairs(omit_diagonal) if p[0].startswith(prefix)]
         ok = True
         details = []
         for name, pair in pairs:
             rep = extensions.verify_vanishing(pair)
             ok = ok and rep.passed
-            details.append(
-                f"{name}: b1(adjoint)={rep.betti1_adjoint} "
-                f"b{pair.homogeneous_dim - 1}(coadjoint)={rep.betti_top_minus_one_coadjoint} "
-                f"volume_dim={rep.volume_form_dim}"
-            )
+            details.append(f"{name}: {describe(pair, rep)}")
         return ok, "; ".join(details)
 
     return check
 
 
-def _extension_vanishing_5dim(omit_diagonal: bool) -> Callable[[], tuple[bool, str]]:
-    def check() -> tuple[bool, str]:
-        pairs = [p for p in _extension_pairs(omit_diagonal) if p[0].startswith("fivedim")]
-        ok = True
-        details = []
-        for name, pair in pairs:
-            rep = extensions.verify_vanishing(pair)
-            ok = ok and rep.passed
-            details.append(
-                f"{name}: b1={rep.betti1_adjoint} "
-                f"b{pair.homogeneous_dim - 1}={rep.betti_top_minus_one_coadjoint} "
-                f"vol={rep.volume_form_dim} dual_equal={'yes' if rep.duality.equal else 'no'}"
-            )
-        return ok, "; ".join(details)
+def _vanishing_rows(omit_diagonal: bool) -> list[SuiteRow]:
+    def three_dim(pair, rep) -> str:
+        return (
+            f"b1(adjoint)={rep.betti1_adjoint} "
+            f"b{pair.homogeneous_dim - 1}(coadjoint)={rep.betti_top_minus_one_coadjoint} "
+            f"volume_dim={rep.volume_form_dim}"
+        )
 
-    return check
+    def five_dim(pair, rep) -> str:
+        return (
+            f"b1={rep.betti1_adjoint} "
+            f"b{pair.homogeneous_dim - 1}={rep.betti_top_minus_one_coadjoint} "
+            f"vol={rep.volume_form_dim} dual_equal={'yes' if rep.duality.equal else 'no'}"
+        )
+
+    return [
+        _row("extension-vanishing-3dim", _extension_vanishing("sl2R", omit_diagonal, three_dim)),
+        _row("extension-vanishing-5dim", _extension_vanishing("fivedim", omit_diagonal, five_dim)),
+    ]
 
 
 def _sample_bases() -> tuple[LieAlgebra, ...]:
@@ -207,33 +213,39 @@ def random_identity_sample(rng: random.Random):
     return g, module, k, x
 
 
-def check_operator_identities(g: LieAlgebra, module: gmod.GModule, k: int, x) -> list[str]:
-    """All exact operator identities at degree k; returns failure labels."""
-    x = vector(x)
+def _level_failures(level: CochainLevel, x) -> list[str]:
+    """Square-zero and the Cartan relation L_X = d i_X + i_X d on one level."""
     failures = []
-    level = CochainLevel(g, module, k)
     level_up = level.shifted(1)
-    level_down = level.shifted(-1)
     delta_k = differential_matrix(level)
     if not (differential_matrix(level_up) * delta_k).is_zero():
         failures.append("square-zero")
     cartan_lhs = lie_derivative_matrix(level, x)
-    cartan_rhs = differential_matrix(level_down) * interior_product_matrix(level, x) + (
+    cartan_rhs = differential_matrix(level.shifted(-1)) * interior_product_matrix(level, x) + (
         interior_product_matrix(level_up, x) * delta_k
     )
     if cartan_lhs != cartan_rhs:
         failures.append("cartan-relation")
+    return failures
 
-    triv = gmod.trivial_module(g, 1)
-    tlevel = CochainLevel(g, triv, k)
-    d_k = differential_matrix(tlevel)
+
+def _doubled_differential_holds(g: LieAlgebra, k: int) -> bool:
+    """2 d = sum_i e^i wedge L_{e_i} on trivial k-cochains."""
+    tlevel = CochainLevel(g, gmod.trivial_module(g, 1), k)
     acc = None
     for i in range(g.dim):
         term = wedge_one_form_matrix(tlevel, unit(g.dim, i)) * lie_derivative_matrix(
             tlevel, unit(g.dim, i)
         )
         acc = term if acc is None else acc + term
-    if acc is not None and d_k.scale(Fraction(2)) != acc:
+    return acc is None or differential_matrix(tlevel).scale(Fraction(2)) == acc
+
+
+def check_operator_identities(g: LieAlgebra, module: gmod.GModule, k: int, x) -> list[str]:
+    """All exact operator identities at degree k; returns failure labels."""
+    x = vector(x)
+    failures = _level_failures(CochainLevel(g, module, k), x)
+    if not _doubled_differential_holds(g, k):
         failures.append("doubled-differential")
     if k == 1 and not _one_form_differential_agrees(g):
         failures.append("one-form-differential")
@@ -314,26 +326,11 @@ def run_operator_identity_suite(coadjoint_factory=None) -> tuple[int, list[str]]
         }
         for spec, module in modules.items():
             for k in range(0, g.dim + 1):
-                level = CochainLevel(g, module, k)
-                delta_k = differential_matrix(level)
-                if not (differential_matrix(level.shifted(1)) * delta_k).is_zero():
-                    failures.append(f"{name}:{spec}:k={k}:square-zero")
-                cartan_lhs = lie_derivative_matrix(level, x)
-                cartan_rhs = differential_matrix(level.shifted(-1)) * interior_product_matrix(
-                    level, x
-                ) + interior_product_matrix(level.shifted(1), x) * delta_k
-                if cartan_lhs != cartan_rhs:
-                    failures.append(f"{name}:{spec}:k={k}:cartan-relation")
+                for label in _level_failures(CochainLevel(g, module, k), x):
+                    failures.append(f"{name}:{spec}:k={k}:{label}")
                 checked += 2
         for k in range(0, g.dim + 1):
-            tlevel = CochainLevel(g, modules["trivial"], k)
-            acc = None
-            for i in range(g.dim):
-                term = wedge_one_form_matrix(tlevel, unit(g.dim, i)) * lie_derivative_matrix(
-                    tlevel, unit(g.dim, i)
-                )
-                acc = term if acc is None else acc + term
-            if acc is not None and differential_matrix(tlevel).scale(Fraction(2)) != acc:
+            if not _doubled_differential_holds(g, k):
                 failures.append(f"{name}:k={k}:doubled-differential")
             checked += 1
         if not _one_form_differential_agrees(g):
@@ -435,14 +432,9 @@ def _uniqueness_of_volume_forms() -> tuple[bool, str]:
 
 
 def _mutation_sensitivity() -> tuple[bool, str]:
-    flipped = run_suite(mutation="flip-coadjoint-sign", _self_check=False)
-    j_rows_fail = any(
-        not row.passed and row.name == "operator-identities" for row in flipped.rows
-    )
-    broken = run_suite(mutation="omit-diagonal", _self_check=False)
-    vanishing_fail = any(
-        not row.passed and row.name.startswith("extension-vanishing") for row in broken.rows
-    )
+    flipped = _row("operator-identities", _operator_identities(flipped_coadjoint_module))
+    j_rows_fail = not flipped.passed
+    vanishing_fail = any(not row.passed for row in _vanishing_rows(omit_diagonal=True))
     ok = j_rows_fail and vanishing_fail
     return ok, (
         f"flip-coadjoint-sign breaks operator identities: {'yes' if j_rows_fail else 'NO'}; "
@@ -450,26 +442,24 @@ def _mutation_sensitivity() -> tuple[bool, str]:
     )
 
 
-def run_suite(mutation: str | None = None, _self_check: bool = True) -> SuiteReport:
+def run_suite(mutation: str | None = None) -> SuiteReport:
     """Run every verification row, optionally under a sabotage mutation."""
     if mutation is not None and mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}; known: {', '.join(MUTATIONS)}")
     coadjoint_factory = (
         flipped_coadjoint_module if mutation == "flip-coadjoint-sign" else gmod.coadjoint_module
     )
-    omit_diagonal = mutation == "omit-diagonal"
     rows = [
         _row("betti-absolute", _betti_absolute),
         _row("whitehead-vanishing", _whitehead),
         _row("relative-pair", _relative_pair),
-        _row("extension-vanishing-3dim", _extension_vanishing_3dim(omit_diagonal)),
-        _row("extension-vanishing-5dim", _extension_vanishing_5dim(omit_diagonal)),
+        *_vanishing_rows(omit_diagonal=mutation == "omit-diagonal"),
         _row("operator-identities", _operator_identities(coadjoint_factory)),
         _row("killing-data", _killing_data),
         _row("volume-constants", _volume_constants),
         _row("structure-classification", _structure_classification),
         _row("volume-form-uniqueness", _uniqueness_of_volume_forms),
     ]
-    if _self_check and mutation is None:
+    if mutation is None:
         rows.append(_row("mutation-sensitivity", _mutation_sensitivity))
     return SuiteReport(tuple(rows), all(r.passed for r in rows))

@@ -164,7 +164,7 @@ def test_criterion_09_structure_classification():
 def test_criterion_10_mutation_sensitivity():
     _, flipped_failures = suite.run_operator_identity_suite(suite.flipped_coadjoint_module)
     j_broken = any(":j-" in f for f in flipped_failures)
-    broken_suite = suite.run_suite(mutation="omit-diagonal", _self_check=False)
+    broken_suite = suite.run_suite(mutation="omit-diagonal")
     vanishing_rows = [r for r in broken_suite.rows if r.name.startswith("extension-vanishing")]
     vanishing_broken = any(not r.passed for r in vanishing_rows)
     ok = j_broken and vanishing_broken

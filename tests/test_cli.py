@@ -1,5 +1,7 @@
 """Command-line surface: file format, reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction as Q
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecoh import cli, files, gmod
+from liecoh import cli, files, gmod, suite
 from liecoh.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -39,6 +41,18 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _run_uncaptured(argv):
+    # StringIO takes any str, such as a lone surrogate, where captured
+    # stderr would fail to encode it
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors and --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 # -- file format ------------------------------------------------------
@@ -126,6 +140,23 @@ def test_json_booleans_are_not_rationals(capsys, tmp_path):
         code, out, err = _check_file(capsys, tmp_path, bad)
         assert code == EXIT_PARSE and out == ""
         assert "not an exact rational" in err
+
+
+@pytest.mark.parametrize("kind", ["nul-in-path", "surrogate-in-path", "not-utf8", "deeply-nested"])
+def test_unreadable_files_are_parse_errors(tmp_path, kind):
+    if kind == "nul-in-path":
+        path = "alg\x00.json"
+    elif kind == "surrogate-in-path":
+        path = "alg\ud800.json"
+    else:
+        content = b"\xff\xfe{}" if kind == "not-utf8" else b"[" * 100_000
+        path = tmp_path / "alg.json"
+        path.write_bytes(content)
+        path = str(path)
+    for argv in (["check", path], ["cohomology", "sl2", "--coeffs", path]):
+        code, out, err = _run_uncaptured(argv)
+        assert code == EXIT_PARSE
+        assert out == "" and err.startswith("parse error: cannot read")
 
 
 def test_rational_formatting():
@@ -374,6 +405,9 @@ def test_verify_paper_passes(capsys):
     assert report.get("row[betti-absolute]") == "pass"
     assert report.get("row[extension-vanishing-5dim]") == "pass"
     assert report.get("row[mutation-sensitivity]") == "pass"
+    assert report.get("detail[operator-identities]") == (
+        "557 identity checks, 200 randomized samples"
+    )
 
 
 def _failed_rows(report):
@@ -386,6 +420,11 @@ def test_verify_paper_flipped_sign_fails(capsys):
     report = files.parse_report(out)
     assert report.get("row[operator-identities]") == "FAIL"
     assert _failed_rows(report) == {"row[operator-identities]"}
+    assert report.get("detail[operator-identities]") == (
+        "failed: sl2:coadjoint:k=0:square-zero; sl2:coadjoint:k=1:square-zero; "
+        "sl2:k=1:j-differential; sl2:k=1:j-lie-derivative; sl2:k=2:j-differential; "
+        "sl2:k=2:j-lie-derivative; sl2:k=3:j-lie-derivative; so3:coadjoint:k=0:square-zero"
+    )
 
 
 def test_verify_paper_omit_diagonal_fails(capsys):
@@ -397,3 +436,97 @@ def test_verify_paper_omit_diagonal_fails(capsys):
         "row[extension-vanishing-3dim]",
         "row[extension-vanishing-5dim]",
     }
+
+
+def _self_check_detail(capsys):
+    code, out, _ = run(capsys, ["verify-paper", "--json"])
+    report = files.parse_report(out)
+    assert code == EXIT_VERIFY_FAILED
+    assert _failed_rows(report) == {"row[mutation-sensitivity]"}
+    return report.get("detail[mutation-sensitivity]")
+
+
+def test_self_check_fails_when_the_sign_flip_is_harmless(capsys, monkeypatch):
+    monkeypatch.setattr(suite, "flipped_coadjoint_module", gmod.coadjoint_module)
+    assert _self_check_detail(capsys) == (
+        "flip-coadjoint-sign breaks operator identities: NO; "
+        "omit-diagonal breaks vanishing: yes"
+    )
+
+
+def test_self_check_fails_when_omitting_the_diagonal_is_harmless(capsys, monkeypatch):
+    intact_pairs = suite._extension_pairs
+    monkeypatch.setattr(suite, "_extension_pairs", lambda omit_diagonal: intact_pairs(False))
+    assert _self_check_detail(capsys) == (
+        "flip-coadjoint-sign breaks operator identities: yes; "
+        "omit-diagonal breaks vanishing: NO"
+    )
+
+
+# -- fuzzing ----------------------------------------------------------
+
+_FUZZ_NAMES = [n for n in BUILTIN_NAMES if ":" not in n] + [
+    "abelian:0", "abelian:3", "abelian:x", "abelian:-1", "fivedim_ext:2",
+    "fivedim_ext:-3/4", "fivedim_ext:0", "fivedim_ext:1/0", "nosuch", "missing.json",
+]
+_FUZZ_POSITIONAL = {
+    "check": _FUZZ_NAMES,
+    "cohomology": _FUZZ_NAMES,
+    "volume": ["seifert", "sl2tilde"],
+    "verify-paper": [],
+}
+_FUZZ_FLAGS = {
+    "check": ["--json"],
+    "cohomology": ["--coeffs", "--relative", "--degree", "--representatives", "--json"],
+    "volume": ["--chi", "--e", "--n", "--json"],
+    "verify-paper": ["--json", "--mutate"],
+}
+# every module and algebra here has cochain levels of at most a few hundred
+_FUZZ_VALUES = {
+    "--coeffs": ["trivial", "trivial:2", "trivial:-1", "adjoint", "coadjoint", "dual:adjoint",
+                 "sum:trivial+adjoint", "sum:trivial", "spinor", "x/y.json"],
+    "--degree": ["all", "0", "1", "2", "7", "-1", "x"],
+    "--chi": ["-5/2", "3/2", "0", "1", "1/0", "x"],
+    "--e": ["-5/2", "3/2", "0", "1/0", "x"],
+    "--n": ["1", "0", "-2", "x"],
+    "--mutate": [*suite.MUTATIONS, "x"],
+}
+
+# tokens no real shell passes but main(argv) accepts, and path edge cases
+_FUZZ_ODD = ["", "-", "--", ".", "/", "\x00", "a\x00b", "\ud800", " sl2", "sl2 "]
+
+
+@st.composite
+def _cli_argv(draw):
+    def pick(choices):
+        # now and then a random token in place of a real one
+        if not choices or draw(st.integers(0, 3)) == 0:
+            return draw(st.text(st.characters(blacklist_categories=()), max_size=6)
+                        | st.sampled_from(_FUZZ_ODD))
+        return draw(st.sampled_from(choices))
+
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    argv = [pick([command])]
+    if _FUZZ_POSITIONAL[command] or draw(st.integers(0, 9)) == 0:
+        argv.append(pick(_FUZZ_POSITIONAL[command]))
+    for flag in draw(st.lists(st.sampled_from(_FUZZ_FLAGS[command]), max_size=4, unique=True)):
+        argv.append(pick([flag]))
+        if flag in _FUZZ_VALUES:
+            argv.append(pick(_FUZZ_VALUES[flag]))
+    return argv
+
+
+def _stub_suite(mutation=None):
+    # the real table takes seconds; the rows' own tests run it
+    passed = mutation is None
+    return suite.SuiteReport((suite.SuiteRow("stub", passed, "stub"),), passed)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cli_argv())
+def test_cli_fuzz_exits_with_a_known_code_and_no_traceback(argv):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(suite, "run_suite", _stub_suite)
+        code, _, err = _run_uncaptured(argv)
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_PARSE, EXIT_VERIFY_FAILED)
+    assert "Traceback" not in err
