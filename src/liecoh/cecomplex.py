@@ -20,13 +20,14 @@ Conventions, fixed once and used by every operator here:
 * The degree -1 map into coadjoint coefficients is
   ``(J w)(X_1..X_{k-1})(X) = w(X, X_1..X_{k-1})``.
 
-Relative subspaces are spanning sets inside the full space: the forms
-killed by every ``i_X`` and ``L_X`` with X in the subalgebra.
+A relative subspace is given by its canonical RREF basis inside the full
+space: the forms killed by every ``i_X`` and ``L_X`` with X in the
+subalgebra.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -34,7 +35,7 @@ from typing import Sequence
 
 from . import gmod
 from .liealg import LieAlgebra, Subalgebra, unit
-from .ratlin import Matrix, echelon_basis, span_rank, vector
+from .ratlin import EchelonSpan, Matrix, _kernel_echelon, vector
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -83,7 +84,6 @@ class CochainLevel:
     algebra: LieAlgebra
     module: gmod.GModule
     degree: int
-    relative_basis: tuple | None = field(default=None, compare=False)
 
     @property
     def tuples(self) -> tuple[tuple[int, ...], ...]:
@@ -322,29 +322,22 @@ def relative_subspace(level: CochainLevel, h: Subalgebra) -> tuple:
     """
     n = level.space_dim
     if h.dim == 0:
-        return tuple(echelon_basis([unit(n, i) for i in range(n)]))
+        return tuple(unit(n, i) for i in range(n))
     ops = [
         op(level, w) for w in h.vectors for op in (interior_product_matrix, lie_derivative_matrix)
     ]
-    return tuple(echelon_basis(Matrix.vstack(ops).kernel_basis()))
-
-
-def relative_level(level: CochainLevel, h: Subalgebra) -> CochainLevel:
-    return CochainLevel(
-        level.algebra, level.module, level.degree, relative_subspace(level, h)
-    )
+    return _kernel_echelon(Matrix.vstack(ops))
 
 
 def relative_closure_holds(level: CochainLevel, h: Subalgebra) -> bool:
     """True when the differential maps this relative subspace into the next one."""
     sub_k = relative_subspace(level, h)
-    sub_next = relative_subspace(level.shifted(1), h)
     if not sub_k:
         return True
-    delta = differential_matrix(level)
-    images = [delta.apply(v) for v in sub_k]
-    images = [v for v in images if any(v)]
-    if not images:
-        return True
-    base = list(sub_next)  # already an echelon basis, so its rank is its length
-    return span_rank(base + images) == len(base)
+    # row i of the product is delta applied to the relative basis vector i
+    images = Matrix.from_rows(sub_k) * differential_matrix(level).transpose()
+    nxt = level.shifted(1)
+    target = EchelonSpan(nxt.space_dim)
+    for v in relative_subspace(nxt, h):
+        target.add(v)
+    return all(target.contains(v) for v in images.sparse_rows if v)

@@ -187,6 +187,8 @@ def load_module(path, g: LieAlgebra):
 
     Format: ``{"format": 1, "vdim": n, "actions": [M_1, ..., M_dim]}``
     with one row-major n x n rational matrix per algebra basis vector.
+    A module whose largest cochain level would exceed ``gmod.MAX_LEVEL_DIM``
+    raises ModuleTooLarge before any matrix is built.
     """
     from . import gmod
     from .ratlin import Matrix
@@ -199,6 +201,7 @@ def load_module(path, g: LieAlgebra):
     actions_raw = data.get("actions")
     if not _is_count(vdim):
         raise ParseError(f"{where}: vdim must be a nonnegative integer")
+    gmod._check_level_dim(g, vdim, where)
     if not isinstance(actions_raw, list) or len(actions_raw) != g.dim:
         raise ParseError(f"{where}: actions must list one matrix per algebra basis vector")
     actions = []

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 from .ratlin import (
     EchelonSpan,
     Matrix,
+    _kernel_echelon,
     echelon_basis,
     span_rank,
     solve_columns,
@@ -231,13 +232,15 @@ class StructureReport:
 
 def center_of(g: LieAlgebra) -> Subalgebra:
     """Kernel of X -> ad(X), as a canonical echelon basis."""
-    rows = []
-    for j in range(g.dim):
-        for k in range(g.dim):
-            # row of the linear map x |-> (ad(x) e_j)_k
-            rows.append(tuple(g.bracket_basis(i, j)[k] for i in range(g.dim)))
-    ker = Matrix.from_rows(rows).kernel_basis() if rows else []
-    return Subalgebra(g, tuple(echelon_basis(ker)))
+    n = g.dim
+    # row j*n + k of the linear map x |-> (ad(x) e_j)_k
+    rows: list[dict] = [{} for _ in range(n * n)]
+    for i in range(n):
+        for j in range(n):
+            for k, c in enumerate(g.bracket_basis(i, j)):
+                if c:
+                    rows[j * n + k][i] = c
+    return Subalgebra(g, _kernel_echelon(Matrix._raw(len(rows), n, rows)))
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subalgebra:

@@ -14,17 +14,20 @@ can stay sparse from operator to span, while the dense tuples of
 :func:`vector`, :meth:`Matrix.kernel_basis` and :func:`echelon_basis` are
 views for callers that index coordinates.
 
-There is one reduction engine: it clears the denominators of each row and
-eliminates on sparse primitive integer rows (gcd-stripped after every
-combination).  :meth:`Matrix.rref` and friends run it to full Gauss-Jordan
-form and normalise pivots back to fractions; :class:`EchelonSpan` runs it
-incrementally.  Reduced row echelon form over a field is unique, so every
-result below is canonical no matter which pivots the heuristic picks.
+There is one elimination loop, :meth:`EchelonSpan._residual`: it clears
+the denominators of a row and reduces it, as a sparse primitive integer row
+(gcd-stripped after every combination), against the rows already stored.
+A matrix is eliminated by one forward pass over its rows in input order;
+:meth:`Matrix.rank` stops there, while :meth:`Matrix.rref`,
+:meth:`Matrix.kernel_rows` and :func:`solve_columns` add a
+back-substitution from the last pivot upward (:meth:`EchelonSpan.reduced`)
+and normalise pivots back to fractions.  Reduced row echelon form over a
+field is unique, so every result below is canonical whatever the row order.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from heapq import heapify, heappop, heappush
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -52,10 +55,6 @@ def rational(x) -> Fraction:
 
 def vector(xs: Iterable) -> tuple[Fraction, ...]:
     return tuple(rational(x) for x in xs)
-
-
-def unit_vector(n: int, i: int) -> tuple[Fraction, ...]:
-    return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
 def dense_vector(row: dict, n: int) -> tuple[Fraction, ...]:
@@ -225,15 +224,20 @@ class Matrix:
 
     # -- elimination-backed queries ------------------------------------
 
-    def _rref_data(self):
-        return _gauss_jordan([_int_row(r) for r in self.sparse_rows], self.cols)
+    def _span(self) -> "EchelonSpan":
+        """The forward pass: every nonzero row added in input order."""
+        span = EchelonSpan(self.cols)
+        for r in self.sparse_rows:
+            if r:
+                span.add(r)
+        return span
 
     def rank(self) -> int:
-        return len(self._rref_data()[0])
+        return self._span().rank
 
     def rref(self) -> "tuple[Matrix, tuple[int, ...]]":
         """Reduced row echelon form (unique) and its pivot columns."""
-        pivots, rows = self._rref_data()
+        pivots, rows = self._span().reduced()
         out = [{j: Fraction(v, r[p]) for j, v in r.items()} for p, r in zip(pivots, rows)]
         out.extend({} for _ in range(self.rows - len(out)))
         return Matrix._raw(self.rows, self.cols, out), tuple(pivots)
@@ -244,17 +248,16 @@ class Matrix:
         One vector per free column f, in increasing order of f: 1 at f and,
         at each pivot column p, minus the RREF entry of p's row in column f.
         """
-        pivots, rows = self._rref_data()
+        pivots, rows = self._span().reduced()
         pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
-        basis = {f: {f: _ONE} for f in free}
+        basis = {f: {f: _ONE} for f in range(self.cols) if f not in pivot_set}
         for p, r in zip(pivots, rows):
-            # Gauss-Jordan leaves a pivot row nonzero only at p and free columns
+            # back-substitution leaves a pivot row nonzero only at p and free columns
             pv = r[p]
             for j, num in r.items():
                 if j != p:
                     basis[j][p] = Fraction(-num, pv)
-        return [basis[f] for f in free]
+        return list(basis.values())
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
         """Dense view of :meth:`kernel_rows`."""
@@ -295,42 +298,6 @@ def _combine(row: dict, prow: dict, a: int, b: int) -> dict:
     return out
 
 
-def _gauss_jordan(int_rows: list[dict], cols: int):
-    """Full Gauss-Jordan elimination on sparse integer rows.
-
-    Returns (pivot columns, reduced integer rows), one row per pivot, with
-    every pivot column eliminated from every other row.  Pivot rows are
-    primitive; uniqueness of RREF is restored by the callers' final
-    division by the pivot entry.
-    """
-    active = [r for r in int_rows if r]
-    pivots: list[int] = []
-    prows: list[dict] = []
-    for c in range(cols):
-        best = -1
-        best_key = None
-        for idx, r in enumerate(active):
-            v = r.get(c)
-            if v is not None:
-                key = (len(r), abs(v))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = idx
-        if best < 0:
-            continue
-        prow = active.pop(best)
-        pv = prow[c]
-        for rows_list in (active, prows):
-            for idx, r in enumerate(rows_list):
-                v = r.get(c)
-                if v is not None:
-                    rows_list[idx] = _combine(r, prow, pv, v)
-        active = [r for r in active if r]
-        pivots.append(c)
-        prows.append(prow)
-    return pivots, prows
-
-
 class EchelonSpan:
     """Incrementally maintained echelon basis of a growing span.
 
@@ -343,7 +310,6 @@ class EchelonSpan:
     def __init__(self, dim: int):
         self.dim = dim
         self._rows: dict[int, dict] = {}
-        self._pivots: list[int] = []  # the keys of _rows, increasing
 
     @property
     def rank(self) -> int:
@@ -358,13 +324,22 @@ class EchelonSpan:
         if not isinstance(vec, dict):
             vec = {j: q for j, q in enumerate(vector(vec)) if q}
         res = _int_row(vec)
-        for p in self._pivots:
+        rows = self._rows
+        # reduce at the pivot columns res holds, smallest first; clearing p
+        # only adds columns after p, and those that are pivots join the heap
+        todo = [c for c in res if c in rows]
+        heapify(todo)
+        while todo:
+            p = heappop(todo)
             b = res.get(p)
             if b:
-                prow = self._rows[p]
+                prow = rows[p]
                 res = _combine(res, prow, prow[p], b)
                 if not res:
                     break
+                for c in prow:
+                    if c > p and c in rows:
+                        heappush(todo, c)
         return res
 
     def add(self, vec: Sequence | dict) -> bool:
@@ -374,27 +349,45 @@ class EchelonSpan:
             return False
         p = min(res)
         self._rows[p] = res
-        insort(self._pivots, p)
         return True
 
     def contains(self, vec: Sequence | dict) -> bool:
         return not self._residual(vec)
 
+    def reduced(self) -> tuple[list[int], list[dict]]:
+        """(pivot columns, rows) of the reduced row echelon form of the span.
+
+        Back-substitution from the last pivot upward: once the rows below a
+        row are reduced, they are zero at every pivot but their own, so
+        clearing one pivot column never brings back another.  The rows stay
+        primitive integer rows, one per pivot; dividing each by its pivot
+        entry gives the unique RREF.  The span itself is left unchanged.
+        """
+        pivots = sorted(self._rows)
+        red: dict[int, dict] = {}
+        for p in reversed(pivots):
+            row = self._rows[p]
+            for c in [c for c in row if c != p and c in red]:
+                prow = red[c]
+                row = _combine(row, prow, prow[c], row[c])
+            red[p] = row
+        return pivots, [red[p] for p in pivots]
+
+
+def _kernel_echelon(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
+    """The canonical (RREF-row) basis of the kernel of m, as dense tuples."""
+    ker = m.kernel_rows()
+    red, pivots = Matrix._raw(len(ker), m.cols, ker).rref()
+    return tuple(red.row(i) for i in range(len(pivots)))
+
 
 def span_rank(vectors: Sequence[Sequence]) -> int:
-    vectors = [vector(v) for v in vectors]
-    if not vectors:
-        return 0
     return Matrix.from_rows(vectors).rank()
 
 
 def echelon_basis(vectors: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
     """Canonical (RREF-row) basis of the span of the given vectors."""
-    vectors = [vector(v) for v in vectors]
-    if not vectors:
-        return []
-    m = Matrix.from_rows(vectors)
-    red, pivots = m.rref()
+    red, pivots = Matrix.from_rows(vectors).rref()
     return [red.row(i) for i in range(len(pivots))]
 
 
@@ -426,7 +419,7 @@ def solve_columns(a: Matrix, b: Matrix) -> Matrix | None:
         n + b.cols,
         [{**ra, **{n + j: x for j, x in rb.items()}} for ra, rb in zip(a.sparse_rows, b.sparse_rows)],
     )
-    pivots, rows = aug._rref_data()
+    pivots, rows = aug._span().reduced()
     if any(p >= n for p in pivots):
         return None
     out: list[dict] = [{} for _ in range(n)]

@@ -329,6 +329,20 @@ def test_cohomology_with_module_file(capsys, tmp_path):
     assert [report.get(f"betti[{k}]") for k in range(4)] == ["0"] * 4
 
 
+def test_oversized_module_file_is_rejected_before_allocation(capsys, tmp_path, monkeypatch):
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("an oversized module was allocated")
+
+    monkeypatch.setattr(gmod, "make_module", must_not_build)
+    # 40 x C(12, 6) = 36960 cochains per level, over gmod.MAX_LEVEL_DIM
+    zero = [["0"] * 40 for _ in range(40)]
+    path = tmp_path / "big_module.json"
+    path.write_text(json.dumps({"format": 1, "vdim": 40, "actions": [zero] * 12}))
+    code, out, err = run(capsys, ["cohomology", "abelian:12", "--coeffs", str(path)])
+    assert code == EXIT_VALIDATION
+    assert out == "" and "over the limit" in err and "Traceback" not in err
+
+
 def test_module_file_axiom_violation(capsys, tmp_path):
     path = tmp_path / "broken_module.json"
     # actions that are not a module: X acts by a projection, Y and Z by zero

@@ -6,6 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liecoh.cecomplex import CochainLevel, differential_matrix
+from liecoh.extensions import builtin
+from liecoh.gmod import trivial_module
+from liecoh.liealg import unit
 from liecoh.ratlin import (
     EchelonSpan,
     Matrix,
@@ -13,7 +17,6 @@ from liecoh.ratlin import (
     echelon_basis,
     quotient_dim,
     solve_columns,
-    unit_vector,
     vector,
 )
 
@@ -39,7 +42,7 @@ def test_rank_sl2_d1_is_full():
 
 
 def test_kernel_zero_matrix_is_standard_basis():
-    assert Matrix.zero(2, 2).kernel_basis() == [unit_vector(2, 0), unit_vector(2, 1)]
+    assert Matrix.zero(2, 2).kernel_basis() == [unit(2, 0), unit(2, 1)]
 
 
 def test_kernel_identity_is_empty():
@@ -48,11 +51,11 @@ def test_kernel_identity_is_empty():
 
 def test_kernel_heisenberg_d1():
     # 1-forms closed on the Heisenberg algebra: exactly those killing Z
-    assert HEIS_D1.kernel_basis() == [unit_vector(3, 0), unit_vector(3, 1)]
+    assert HEIS_D1.kernel_basis() == [unit(3, 0), unit(3, 1)]
 
 
 def test_quotient_dim_plain():
-    e1, e2 = unit_vector(2, 0), unit_vector(2, 1)
+    e1, e2 = unit(2, 0), unit(2, 1)
     assert quotient_dim([e1, e2], [e1]) == 1
     assert quotient_dim([e1], [e1]) == 0
 
@@ -61,14 +64,14 @@ def test_quotient_dim_top_degree_cocycles():
     # top-degree cocycle space of a 3-dim algebra is everything (d_3 = 0
     # into nothing); coboundaries from the zero d_2 of sl2
     top_cocycles = Matrix.zero(0, 1).kernel_basis()
-    assert top_cocycles == [unit_vector(1, 0)]
+    assert top_cocycles == [unit(1, 0)]
     d2_image = [c for c in Matrix.zero(1, 3).columns() if any(c)]
     assert quotient_dim(top_cocycles, d2_image) == 1
 
 
 def test_quotient_dim_rejects_noncontained():
     with pytest.raises(SubspaceNotContained):
-        quotient_dim([unit_vector(2, 0)], [unit_vector(2, 1)])
+        quotient_dim([unit(2, 0)], [unit(2, 1)])
 
 
 def test_rref_is_canonical():
@@ -173,18 +176,74 @@ def _stores_no_zeros(m):
     return all(all(r.values()) for r in m.sparse_rows)
 
 
-@given(sparse_matrices())
-@settings(max_examples=80, deadline=None)
-def test_rank_and_rref_agree_with_sympy(m):
-    sympy = pytest.importorskip("sympy")
-    ref = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.entries])
+def _to_sympy(sympy, m):
+    return sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(*m.row(i)[j].as_integer_ratio()))
+
+
+def _from_sympy(v):
+    return tuple(Q(int(x.p), int(x.q)) for x in v)
+
+
+def _check_rref_and_kernel(sympy, m):
+    ref = _to_sympy(sympy, m)
     ref_red, ref_pivots = ref.rref()
     red, pivots = m.rref()
     assert m.rank() == ref.rank()
     assert pivots == tuple(ref_pivots)
-    want = [[Q(int(x.p), int(x.q)) for x in ref_red.row(i)] for i in range(ref_red.rows)]
-    assert red.entries == Matrix.from_rows(want).entries
+    assert red.entries == tuple(_from_sympy(ref_red.row(i)) for i in range(ref_red.rows))
     assert _stores_no_zeros(red)
+    # sympy's nullspace is the same canonical basis: one vector per free column
+    assert m.kernel_basis() == [_from_sympy(v) for v in ref.nullspace()]
+
+
+def _check_solve(sympy, a, b):
+    ref_a = _to_sympy(sympy, a)
+    x = solve_columns(a, b)
+    if ref_a.row_join(_to_sympy(sympy, b)).rank() > ref_a.rank():
+        assert x is None
+    else:
+        assert x is not None and a * x == b
+
+
+@given(sparse_matrices())
+@settings(max_examples=80, deadline=None)
+def test_rank_and_rref_agree_with_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    _check_rref_and_kernel(sympy, m)
+
+
+@st.composite
+def shaped_matrices(draw, tall):
+    long, short = draw(st.integers(7, 12)), draw(st.integers(1, 6))
+    rows, cols = (long, short) if tall else (short, long)
+    return draw(sparse_matrices(rows=rows, cols=cols))
+
+
+@pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_kernel_and_solve_agree_with_sympy(tall, data):
+    sympy = pytest.importorskip("sympy")
+    a = data.draw(shaped_matrices(tall))
+    _check_rref_and_kernel(sympy, a)
+    # a random right-hand side, or one in the column space of a
+    b = data.draw(
+        st.one_of(
+            sparse_matrices(max_dim=3, rows=a.rows),
+            sparse_matrices(max_dim=3, rows=a.cols).map(lambda x: a * x),
+        )
+    )
+    _check_solve(sympy, a, b)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_sl2sl2_differentials_agree_with_sympy(k):
+    sympy = pytest.importorskip("sympy")
+    g = builtin("sl2sl2").algebra
+    d = differential_matrix(CochainLevel(g, trivial_module(g, 1), k))
+    _check_rref_and_kernel(sympy, d)
+    _check_solve(sympy, d, Matrix.identity(d.rows))
+    _check_solve(sympy, d, d * Matrix.from_rows([[(i * j) % 5 - 2 for j in range(3)] for i in range(d.cols)]))
 
 
 @given(sparse_matrices())
