@@ -25,6 +25,7 @@ from . import extensions, files, gmod, suite, volumes
 from .cecomplex import Cochain
 from .cohomology import cohomology
 from .liealg import (
+    AlgebraTooLarge,
     DimensionMismatch,
     JacobiViolation,
     SubalgebraNotClosed,
@@ -264,6 +265,7 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (
+        AlgebraTooLarge,
         JacobiViolation,
         SubalgebraNotClosed,
         DimensionMismatch,

@@ -20,6 +20,7 @@ from .liealg import (
     DimensionMismatch,
     LieAlgebra,
     Subalgebra,
+    check_dim,
     subalgebra,
     validate,
 )
@@ -238,6 +239,7 @@ def builtin(name: str) -> CatalogEntry:
             raise UnknownName(f"bad abelian dimension in {name!r}")
         if n < 0:
             raise UnknownName("abelian dimension must be nonnegative")
+        check_dim(n, f"catalog algebra {name!r}")
         return CatalogEntry(
             name,
             _abelian(n),

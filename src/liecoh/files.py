@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .liealg import LieAlgebra, Subalgebra, subalgebra, validate
+from .liealg import LieAlgebra, Subalgebra, check_dim, subalgebra, validate
 
 FORMAT_VERSION = 1
 REPORT_HEADER = "liecoh-report 1"
@@ -77,6 +77,7 @@ def load_algebra_dict(data: dict, where: str = "algebra file"):
         raise ParseError(f"{where}: missing field {missing}")
     if not _is_count(dim):
         raise ParseError(f"{where}: dim must be a nonnegative integer")
+    check_dim(dim, where)
     if not isinstance(basis, list) or len(basis) != dim:
         raise ParseError(f"{where}: basis must list exactly dim names")
     names = [str(b) for b in basis]

@@ -17,6 +17,7 @@ from .ratlin import (
     EchelonSpan,
     Matrix,
     _kernel_echelon,
+    dense_vector,
     echelon_basis,
     span_rank,
     solve_columns,
@@ -46,6 +47,16 @@ class JacobiViolation(LieAlgebraError):
 
 class SubalgebraNotClosed(LieAlgebraError):
     pass
+
+
+class AlgebraTooLarge(LieAlgebraError):
+    pass
+
+
+# Largest algebra dimension accepted, far above every catalog entry (the
+# largest fixed one has dim 7); cochain levels exceed gmod.MAX_LEVEL_DIM
+# from dim 18 on, and it keeps the O(dim^3) work of `check` bounded.
+MAX_DIM = 1 << 8
 
 
 def _pair_index(i: int, j: int, dim: int) -> int:
@@ -87,32 +98,51 @@ class LieAlgebra:
     def ad_matrix(self, x: Sequence) -> Matrix:
         """Matrix of Y -> [x, Y] in the defining basis."""
         x = vector(x)
-        cols = []
+        support = [(i, a) for i, a in enumerate(x) if a]
+        rows: list[dict] = [{} for _ in range(self.dim)]
+        # entry (k, j) is sum_i x_i [e_i, e_j]_k; columns j enter each row in order
         for j in range(self.dim):
-            col = [_ZERO] * self.dim
-            for i, a in enumerate(x):
-                if a:
-                    for k, t in enumerate(self.bracket_basis(i, j)):
-                        if t:
-                            col[k] += a * t
-            cols.append(col)
-        return Matrix.from_columns(cols, rows=self.dim)
+            for i, a in support:
+                if i == j:
+                    continue
+                if i < j:
+                    coeffs, c = self.table[_pair_index(i, j, self.dim)], a
+                else:
+                    coeffs, c = self.table[_pair_index(j, i, self.dim)], -a
+                for k, t in enumerate(coeffs):
+                    if t:
+                        row = rows[k]
+                        row[j] = row[j] + c * t if j in row else c * t
+        return Matrix._raw(self.dim, self.dim, rows)
 
     def name_of(self, i: int) -> str:
         return self.basis_names[i]
+
+
+def check_dim(dim: int, where: str) -> None:
+    """Reject an algebra before its bracket table is built if dim is too big."""
+    if dim > MAX_DIM:
+        raise AlgebraTooLarge(f"{where} has dimension {dim}, over the limit of {MAX_DIM}")
 
 
 def validate(dim: int, names: Sequence[str], brackets: Mapping) -> LieAlgebra:
     """Build a LieAlgebra from ``{(i, j): coefficients}`` data, i < j.
 
     Missing pairs mean a zero bracket.  The Jacobi identity is verified on
-    every index triple; the first failure is reported with its residual.
+    every index triple i < j < k where one of [e_j, e_k], [e_k, e_i],
+    [e_i, e_j] is nonzero, in lexicographic order; on every other triple
+    each term of the identity is a bracket with zero and vanishes exactly.
+    The first failure is reported with its residual.
     """
+    check_dim(dim, "the algebra")
     names = tuple(str(n) for n in names)
     if len(names) != dim:
         raise DimensionMismatch(f"{len(names)} basis names for dimension {dim}")
     npairs = dim * (dim - 1) // 2
     table = [(_ZERO,) * dim] * npairs
+    # nonzero brackets, both orders: sparse[(a, b)] = {c: coefficient of e_c}
+    sparse: dict[tuple[int, int], dict[int, Fraction]] = {}
+    partners: list[set[int]] = [set() for _ in range(dim)]
     for key, coeffs in brackets.items():
         i, j = key
         if not (0 <= i < j < dim):
@@ -123,17 +153,36 @@ def validate(dim: int, names: Sequence[str], brackets: Mapping) -> LieAlgebra:
                 f"bracket ({i},{j}) has {len(coeffs)} coefficients, expected {dim}"
             )
         table[_pair_index(i, j, dim)] = coeffs
+        nz = {c: t for c, t in enumerate(coeffs) if t}
+        if nz:
+            sparse[(i, j)] = nz
+            sparse[(j, i)] = {c: -t for c, t in nz.items()}
+            partners[i].add(j)
+            partners[j].add(i)
     g = LieAlgebra(dim, names, tuple(table))
     for i in range(dim):
         for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                s1 = g.bracket(unit(dim, i), g.bracket_basis(j, k))
-                s2 = g.bracket(unit(dim, j), g.bracket_basis(k, i))
-                s3 = g.bracket(unit(dim, k), g.bracket_basis(i, j))
-                residual = tuple(a + b + c for a, b, c in zip(s1, s2, s3))
-                if any(residual):
-                    raise JacobiViolation(i, j, k, residual)
+            if (i, j) in sparse:
+                ks = range(j + 1, dim)
+            elif partners[i] or partners[j]:
+                ks = sorted(k for k in partners[i] | partners[j] if k > j)
+            else:
+                continue
+            for k in ks:
+                residual = _jacobi_residual(sparse, i, j, k)
+                if residual:
+                    raise JacobiViolation(i, j, k, dense_vector(residual, dim))
     return g
+
+
+def _jacobi_residual(sparse: Mapping, i: int, j: int, k: int) -> dict[int, Fraction]:
+    """Nonzero entries of [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]]."""
+    acc: dict[int, Fraction] = {}
+    for x, (y, z) in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
+        for m, c in sparse.get((y, z), {}).items():
+            for t, d in sparse.get((x, m), {}).items():
+                acc[t] = acc[t] + c * d if t in acc else c * d
+    return {t: v for t, v in acc.items() if v}
 
 
 def unit(dim: int, i: int) -> tuple[Fraction, ...]:
@@ -185,11 +234,20 @@ def killing_form(g: LieAlgebra) -> Matrix:
     ent = [[_ZERO] * g.dim for _ in range(g.dim)]
     for i in range(g.dim):
         for j in range(i, g.dim):
-            prod = ads[i] * ads[j]
-            t = sum((prod.row(r)[r] for r in range(g.dim)), _ZERO)
+            t = _trace_of_product(ads[i], ads[j])
             ent[i][j] = t
             ent[j][i] = t
     return Matrix(g.dim, g.dim, ent)
+
+
+def _trace_of_product(a: Matrix, b: Matrix) -> Fraction:
+    """trace(a b) = sum over r, s of a[r][s] b[s][r], read from nonzeros only."""
+    brows = b.sparse_rows
+    return sum(
+        (x * brows[s][r] for r, row in enumerate(a.sparse_rows) for s, x in row.items()
+         if r in brows[s]),
+        _ZERO,
+    )
 
 
 def killing_determinant(g: LieAlgebra) -> Fraction:

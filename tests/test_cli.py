@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecoh import cli, files, gmod, suite
+from liecoh import cli, extensions, files, gmod, liealg, suite
 from liecoh.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -341,6 +341,23 @@ def test_oversized_module_file_is_rejected_before_allocation(capsys, tmp_path, m
     code, out, err = run(capsys, ["cohomology", "abelian:12", "--coeffs", str(path)])
     assert code == EXIT_VALIDATION
     assert out == "" and "over the limit" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["catalog", "file"])
+def test_oversized_algebra_is_rejected_before_validation(capsys, tmp_path, monkeypatch, source):
+    def must_not_validate(*args, **kwargs):
+        raise AssertionError("an oversized algebra reached validate")
+
+    for module in (liealg, extensions, files):
+        monkeypatch.setattr(module, "validate", must_not_validate)
+    n = liealg.MAX_DIM + 1
+    if source == "catalog":
+        target = f"abelian:{n}"
+    else:
+        target = write_json(tmp_path, {"format": 1, "dim": n, "basis": [], "brackets": {}})
+    code, out, err = run(capsys, ["check", target])
+    assert code == EXIT_VALIDATION
+    assert out == "" and f"dimension {n}, over the limit" in err and "Traceback" not in err
 
 
 def test_module_file_axiom_violation(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Structure-constant validation, adjoint maps, Killing form, classification."""
 
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from liecoh.extensions import builtin
 from liecoh.liealg import (
+    MAX_DIM,
+    AlgebraTooLarge,
     DimensionMismatch,
     JacobiViolation,
     SubalgebraNotClosed,
@@ -16,9 +19,10 @@ from liecoh.liealg import (
     killing_form,
     structure_report,
     subalgebra,
+    unit,
     validate,
 )
-from liecoh.ratlin import Matrix
+from liecoh.ratlin import Matrix, vector
 
 SL2_BRACKETS = {(0, 1): (0, 2, 0), (0, 2): (0, 0, -2), (1, 2): (1, 0, 0)}
 
@@ -169,3 +173,207 @@ def test_change_of_basis_preserves_structure():
     rep = structure_report(g2)
     assert rep.is_semisimple
     assert killing_determinant(g2) == Q(-128)  # determinant of P is 1
+
+
+# -- Jacobi validation against the dense triple loop ----------------------
+
+
+def _dense_bracket(table, dim, x, y):
+    out = [Q(0)] * dim
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            if a and b and i != j:
+                coeffs = table[(i, j)] if i < j else [-t for t in table[(j, i)]]
+                for k, t in enumerate(coeffs):
+                    out[k] += a * b * t
+    return tuple(out)
+
+
+def _reference_jacobi(dim, brackets):
+    """The dense check on every triple i < j < k: None or (triple, residual)."""
+    table = {(i, j): [Q(0)] * dim for i in range(dim) for j in range(i + 1, dim)}
+    for key, coeffs in brackets.items():
+        table[key] = list(vector(coeffs))
+
+    def basis_bracket(a, b):
+        return table[(a, b)] if a < b else [-t for t in table[(b, a)]]
+
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                terms = [
+                    _dense_bracket(table, dim, unit(dim, x), basis_bracket(y, z))
+                    for x, y, z in ((i, j, k), (j, k, i), (k, i, j))
+                ]
+                residual = tuple(sum(col, Q(0)) for col in zip(*terms))
+                if any(residual):
+                    return (i, j, k), residual
+    return None
+
+
+def _assert_agrees_with_reference(dim, brackets):
+    expected = _reference_jacobi(dim, brackets)
+    names = tuple(f"x{i}" for i in range(dim))
+    if expected is None:
+        validate(dim, names, brackets)
+        return True
+    (i, j, k), residual = expected
+    with pytest.raises(JacobiViolation) as exc:
+        validate(dim, names, brackets)
+    assert exc.value.triple == (i, j, k)
+    assert exc.value.residual == residual
+    assert all(type(x) is Q for x in exc.value.residual)
+    pretty = ", ".join(str(x) for x in residual)
+    assert str(exc.value) == (
+        f"Jacobi identity fails on basis triple ({i},{j},{k}); residual ({pretty})"
+    )
+    return False
+
+
+def _upper_triangular(n):
+    """Upper-triangular n x n matrices in the basis of matrix units E_ab, a <= b."""
+    units = [(a, b) for a in range(n) for b in range(a, n)]
+    index = {u: t for t, u in enumerate(units)}
+    dim = len(units)
+    brackets = {}
+    for x, (a, b) in enumerate(units):
+        for y in range(x + 1, dim):
+            c, d = units[y]
+            vec = [0] * dim
+            if b == c:
+                vec[index[(a, d)]] += 1
+            if d == a:
+                vec[index[(c, b)]] -= 1
+            if any(vec):
+                brackets[(x, y)] = tuple(vec)
+    return dim, brackets
+
+
+def _monomial_change(dim, brackets, rng):
+    """The same algebra in a permuted and rescaled basis."""
+    perm = list(range(dim))
+    rng.shuffle(perm)
+    scale = [Q(rng.choice([1, -1, 2, -3]), rng.choice([1, 2, 5])) for _ in range(dim)]
+    out = {}
+    for (a, b), coeffs in brackets.items():
+        pa, pb = perm[a], perm[b]
+        vec = [Q(0)] * dim
+        for c, t in enumerate(coeffs):
+            if t:
+                vec[perm[c]] = scale[a] * scale[b] * Q(t) / scale[c]
+        out[(pa, pb) if pa < pb else (pb, pa)] = tuple(vec if pa < pb else [-v for v in vec])
+    return out
+
+
+def _valid_tables(rng):
+    tables = []
+    for n in (2, 3):
+        dim, brackets = _upper_triangular(n)
+        tables.append((dim, brackets))
+        tables.append((dim, _monomial_change(dim, brackets, rng)))
+    for name in ("sl2", "so3", "heis3", "sl2sl2", "sl2R_ext", "fivedim_ext:-3/4"):
+        g = builtin(name).algebra
+        cols = [
+            [Q(rng.randint(-2, 2)) + (1 if r == c else 0) for r in range(g.dim)]
+            for c in range(g.dim)
+        ]
+        if Matrix.from_columns(cols).rank() == g.dim:
+            g = change_of_basis(g, cols)
+        brackets = {
+            (i, j): g.bracket_basis(i, j)
+            for i in range(g.dim) for j in range(i + 1, g.dim) if any(g.bracket_basis(i, j))
+        }
+        tables.append((g.dim, brackets))
+    return tables
+
+
+def _broken(dim, brackets, rng):
+    """Add a random rational to one structure constant (of a zero bracket too)."""
+    out = dict(brackets)
+    i, j = sorted(rng.sample(range(dim), 2))
+    vec = list(out.get((i, j), (0,) * dim))
+    vec[rng.randrange(dim)] += Q(rng.choice([1, -1, 2, -2]), rng.choice([1, 3]))
+    out[(i, j)] = tuple(vec)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_validate_agrees_with_dense_reference(seed):
+    rng = random.Random(seed)
+    verdicts = []
+    for dim, brackets in _valid_tables(rng):
+        assert _assert_agrees_with_reference(dim, brackets)
+        for _ in range(3):
+            verdicts.append(_assert_agrees_with_reference(dim, _broken(dim, brackets, rng)))
+    for _ in range(12):
+        # sparse random tables, almost always broken
+        dim = rng.randint(3, 7)
+        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        brackets = {
+            p: tuple(rng.choice([0, 0, 0, 1, -1, Q(1, 2)]) for _ in range(dim))
+            for p in rng.sample(pairs, rng.randint(1, 3))
+        }
+        verdicts.append(_assert_agrees_with_reference(dim, brackets))
+    assert False in verdicts
+
+
+def test_validate_rejects_break_with_one_nonzero_outer_pair():
+    # on (0, 1, 3) only [e0, e1] = e2 is nonzero, and [e2, e3] = e2 makes
+    # [e3, [e0, e1]] = -e2
+    brackets = {(0, 1): (0, 0, 1, 0), (2, 3): (0, 0, 1, 0)}
+    assert not _assert_agrees_with_reference(4, brackets)
+    with pytest.raises(JacobiViolation) as exc:
+        validate(4, "abcd", brackets)
+    assert exc.value.triple == (0, 1, 3)
+    assert exc.value.residual == (Q(0), Q(0), Q(-1), Q(0))
+
+
+def test_validate_rejects_break_with_one_nonzero_inner_pair():
+    # on (0, 2, 3) only [e2, e3] = e1 is nonzero, and [e0, e1] = e0 makes
+    # [e0, [e2, e3]] = e0, although [e0, e2] is zero
+    brackets = {(2, 3): (0, 1, 0, 0), (0, 1): (1, 0, 0, 0)}
+    assert not _assert_agrees_with_reference(4, brackets)
+    with pytest.raises(JacobiViolation) as exc:
+        validate(4, "abcd", brackets)
+    assert exc.value.triple == (0, 2, 3)
+    assert exc.value.residual == (Q(1), Q(0), Q(0), Q(0))
+
+
+def test_abelian_200_validates():
+    g = builtin("abelian:200").algebra
+    assert g.dim == 200 and g.bracket_basis(17, 199) == (Q(0),) * 200
+
+
+def test_validate_refuses_dimension_over_the_limit():
+    # the limit is checked before any name or bracket table is looked at
+    with pytest.raises(AlgebraTooLarge, match="over the limit"):
+        validate(MAX_DIM + 1, (), {})
+
+
+# -- sparse adjoint and Killing matrices against dense references --------
+
+
+def _reference_ad_matrix(g, x):
+    cols = []
+    for j in range(g.dim):
+        col = [Q(0)] * g.dim
+        for i, a in enumerate(x):
+            for k, t in enumerate(g.bracket_basis(i, j)):
+                col[k] += a * t
+        cols.append(col)
+    return Matrix.from_columns(cols, rows=g.dim)
+
+
+@pytest.mark.parametrize("name", ["sl2", "so3", "heis3", "sl2sl2", "sl2R_ext", "fivedim_ext:5/2"])
+def test_ad_matrix_and_killing_form_match_dense_references(name):
+    g = builtin(name).algebra
+    rng = random.Random(name)
+    vectors = [unit(g.dim, i) for i in range(g.dim)]
+    vectors += [tuple(Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(g.dim))
+                for _ in range(4)]
+    for x in vectors:
+        assert g.ad_matrix(x) == _reference_ad_matrix(g, x)
+    ads = [_reference_ad_matrix(g, unit(g.dim, i)) for i in range(g.dim)]
+    dense = [[sum((ads[i] * ads[j]).row(r)[r] for r in range(g.dim)) for j in range(g.dim)]
+             for i in range(g.dim)]
+    assert killing_form(g) == Matrix.from_rows(dense)
