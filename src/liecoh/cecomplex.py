@@ -138,11 +138,10 @@ def basis_cochain(level: CochainLevel, t: tuple[int, ...], m: int = 0) -> Cochai
 def _pairs_by_target(g: LieAlgebra):
     """For each basis index c: the pairs (a,b), a<b, with c-coefficient in [e_a,e_b]."""
     out: list[list] = [[] for _ in range(g.dim)]
-    for a in range(g.dim):
+    for a, bmat in enumerate(g.brackets):
         for b in range(a + 1, g.dim):
-            for c, coef in enumerate(g.bracket_basis(a, b)):
-                if coef:
-                    out[c].append(((a, b), coef))
+            for c, coef in bmat.sparse_rows[b].items():
+                out[c].append(((a, b), coef))
     return tuple(tuple(row) for row in out)
 
 
@@ -224,10 +223,9 @@ def _lie_basis_matrix(level: CochainLevel, x: int) -> Matrix:
     out: list[dict] = [{} for _ in range(level.space_dim)]
     # replacements[c] = [(t, coef)] with coef the c-coefficient of [e_t, e_x]
     replacements: list[list] = [[] for _ in range(dim)]
-    for t in range(dim):
-        for c, coef in enumerate(g.bracket_basis(t, x)):
-            if coef:
-                replacements[c].append((t, coef))
+    for t, bmat in enumerate(g.brackets):
+        for c, coef in bmat.sparse_rows[x].items():
+            replacements[c].append((t, coef))
     # action_cols[m] = {mm: coefficient}: the column action_x e_m
     action_cols = mod.actions[x].transpose().sparse_rows
     for si, s in enumerate(level.tuples):

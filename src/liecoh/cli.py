@@ -279,6 +279,7 @@ def main(argv=None) -> int:
         extensions.RNotCommutingWithH,
         extensions.MixingRankDeficient,
         volumes.ZeroEuler,
+        files.ValueTooLong,
     ) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -134,9 +134,8 @@ def killing_three_form(g: LieAlgebra) -> ThreeFormClass:
     level = CochainLevel(g, gmod.trivial_module(g, 1), 3)
     coords = {}
     for idx, (i, j, k) in enumerate(level.tuples):
-        bij = g.bracket_basis(i, j)
         bk = b.column(k)
-        value = sum(bk[t] * c for t, c in enumerate(bij) if c)
+        value = sum(bk[t] * c for t, c in g.brackets[i].sparse_rows[j].items())
         if value:
             coords[idx] = value
     form = Cochain(level, dense_vector(coords, level.space_dim))

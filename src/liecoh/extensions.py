@@ -24,7 +24,7 @@ from .liealg import (
     subalgebra,
     validate,
 )
-from .ratlin import Matrix, rational, vector
+from .ratlin import Matrix, dense_vector, rational, vector
 
 _ZERO = Fraction(0)
 
@@ -95,11 +95,11 @@ def central_extension(
     dim_ext = g.dim + rank
     names = g.basis_names + tuple(f"c{a + 1}" for a in range(rank))
     brackets = {}
-    for i in range(g.dim):
+    for i, b in enumerate(g.brackets):
         for j in range(i + 1, g.dim):
-            coeffs = g.bracket_basis(i, j)
-            if any(coeffs):
-                brackets[(i, j)] = coeffs + (_ZERO,) * rank
+            row = b.sparse_rows[j]
+            if row:
+                brackets[(i, j)] = dense_vector(row, dim_ext)
     extended = validate(dim_ext, names, brackets)
 
     iso_vectors = []

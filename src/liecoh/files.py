@@ -40,6 +40,10 @@ class ParseError(Exception):
     pass
 
 
+class ValueTooLong(Exception):
+    """A computed rational has more digits than Python converts to text."""
+
+
 def parse_rational(text) -> Fraction:
     """Parse an integer or "p/q" string; decimals and booleans are rejected."""
     if isinstance(text, int) and not isinstance(text, bool):
@@ -49,6 +53,8 @@ def parse_rational(text) -> Fraction:
             return Fraction(text.strip())
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in rational {text!r}")
+        except ValueError:  # over Python's limit on int string conversion
+            raise ParseError(f"rational of {len(text)} characters has too many digits")
     raise ParseError(f"not an exact rational: {text!r} (use p/q or an integer string)")
 
 
@@ -58,9 +64,12 @@ def _is_count(x) -> bool:
 
 
 def format_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:  # over Python's limit on int string conversion
+        raise ValueTooLong("a result has too many digits to print")
 
 
 def load_algebra_dict(data: dict, where: str = "algebra file"):
@@ -90,7 +99,10 @@ def load_algebra_dict(data: dict, where: str = "algebra file"):
         m = _BRACKET_KEY_RE.match(key)
         if not m:
             raise ParseError(f"{where}: bracket key {key!r} is not of the form [i,j]")
-        i, j = int(m.group(1)), int(m.group(2))
+        try:
+            i, j = int(m.group(1)), int(m.group(2))
+        except ValueError:  # over Python's limit on int string conversion
+            raise ParseError(f"{where}: bracket key of {len(key)} characters has too many digits")
         if not (0 <= i < j < dim):
             raise ParseError(f"{where}: bracket key {key!r} needs 0 <= i < j < dim")
         if (i, j) in brackets:
@@ -152,13 +164,11 @@ def load_algebra(path):
 
 def algebra_to_dict(g: LieAlgebra, h: Subalgebra | None = None, name: str = "unnamed") -> dict:
     brackets = {}
-    for i in range(g.dim):
+    for i, b in enumerate(g.brackets):
         for j in range(i + 1, g.dim):
-            coeffs = g.bracket_basis(i, j)
-            if any(coeffs):
-                brackets[f"[{i},{j}]"] = {
-                    str(t): format_rational(c) for t, c in enumerate(coeffs) if c
-                }
+            row = b.sparse_rows[j]
+            if row:
+                brackets[f"[{i},{j}]"] = {str(t): format_rational(c) for t, c in row.items()}
     data = {
         "format": FORMAT_VERSION,
         "name": name,

@@ -17,7 +17,7 @@ from math import comb
 from typing import Sequence
 
 from .liealg import DimensionMismatch, LieAlgebra, unit
-from .ratlin import Matrix, vector
+from .ratlin import Matrix
 
 class ModuleAxiomViolation(Exception):
     def __init__(self, i: int, j: int, residual: Matrix):
@@ -63,14 +63,6 @@ class GModule:
     vdim: int
     actions: tuple[Matrix, ...]
 
-    def action_of(self, x: Sequence) -> Matrix:
-        x = vector(x)
-        out = Matrix.zero(self.vdim, self.vdim)
-        for a, m in zip(x, self.actions):
-            if a:
-                out = out + m.scale(a)
-        return out
-
 
 def make_module(g: LieAlgebra, vdim: int, actions: Sequence[Matrix]) -> GModule:
     actions = tuple(actions)
@@ -87,9 +79,11 @@ def make_module(g: LieAlgebra, vdim: int, actions: Sequence[Matrix]) -> GModule:
 def check_module_axiom(mod: GModule) -> None:
     """Raise ModuleAxiomViolation unless the bracket relation holds exactly."""
     g = mod.algebra
-    for i in range(g.dim):
+    zero = Matrix.zero(mod.vdim, mod.vdim)
+    for i, b in enumerate(g.brackets):
         for j in range(i + 1, g.dim):
-            lhs = mod.action_of(g.bracket_basis(i, j))
+            # the action of [e_i, e_j], from its nonzero structure constants
+            lhs = sum((mod.actions[c].scale(t) for c, t in b.sparse_rows[j].items()), zero)
             rhs = mod.actions[i] * mod.actions[j] - mod.actions[j] * mod.actions[i]
             residual = lhs - rhs
             if not residual.is_zero():
@@ -103,15 +97,14 @@ def trivial_module(g: LieAlgebra, n: int = 1) -> GModule:
 
 @lru_cache(maxsize=None)
 def adjoint_module(g: LieAlgebra) -> GModule:
-    return make_module(g, g.dim, tuple(g.ad_matrix(unit(g.dim, i)) for i in range(g.dim)))
+    """Matrices ad(e_i) = brackets[i]^T."""
+    return make_module(g, g.dim, tuple(b.transpose() for b in g.brackets))
 
 
 @lru_cache(maxsize=None)
 def coadjoint_module(g: LieAlgebra) -> GModule:
-    """Action of x on covectors by w -> w([. , x]); matrices -ad(x)^T."""
-    return make_module(
-        g, g.dim, tuple(-g.ad_matrix(unit(g.dim, i)).transpose() for i in range(g.dim))
-    )
+    """Action of x on covectors by w -> w([. , x]); matrices -ad(x)^T = -brackets[i]."""
+    return make_module(g, g.dim, tuple(-b for b in g.brackets))
 
 
 def dual_module(mod: GModule) -> GModule:
@@ -166,7 +159,13 @@ def module_from_spec(g: LieAlgebra, spec: str) -> GModule:
         _check_level_dim(g, g.dim, spec)
         return adjoint_module(g) if spec == "adjoint" else coadjoint_module(g)
     if spec.startswith("dual:"):
-        return dual_module(module_from_spec(g, spec.split(":", 1)[1]))
+        # strip the prefixes in a loop: dualising twice gives back an equal module
+        count = 0
+        while spec.startswith("dual:"):
+            spec = spec[len("dual:") :].strip()
+            count += 1
+        mod = module_from_spec(g, spec)
+        return dual_module(mod) if count % 2 else mod
     if spec.startswith("sum:"):
         parts = spec.split(":", 1)[1].split("+")
         if len(parts) < 2:

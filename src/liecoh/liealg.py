@@ -1,9 +1,13 @@
 """Finite-dimensional Lie algebras given by rational structure constants.
 
-An algebra is stored as the coefficient vectors of ``[e_i, e_j]`` for
-``i < j`` only; brackets for ``i >= j`` follow by antisymmetry, so that
-half of the axioms holds by construction and only the Jacobi identity
-needs checking.
+An algebra stores its structure constants once, sparsely: one
+:class:`~liecoh.ratlin.Matrix` per basis vector, ``brackets[i]`` with row
+j equal to ``[e_i, e_j]``.  That matrix is ad(e_i) transposed, so minus
+the coadjoint action of e_i.  :func:`validate` fills both ``[e_i, e_j]``
+and ``[e_j, e_i] = -[e_i, e_j]`` from data given for ``i < j`` only, so
+antisymmetry holds by construction and only the Jacobi identity needs
+checking.  Every reader takes the nonzero entries from the sparse rows;
+:meth:`LieAlgebra.bracket_basis` is a dense view.
 """
 
 from __future__ import annotations
@@ -39,7 +43,10 @@ class JacobiViolation(LieAlgebraError):
     def __init__(self, i: int, j: int, k: int, residual):
         self.triple = (i, j, k)
         self.residual = tuple(residual)
-        pretty = ", ".join(str(x) for x in self.residual)
+        try:
+            pretty = ", ".join(str(x) for x in self.residual)
+        except ValueError:  # over Python's limit on int string conversion
+            pretty = "entries with too many digits to print"
         super().__init__(
             f"Jacobi identity fails on basis triple ({i},{j},{k}); residual ({pretty})"
         )
@@ -59,61 +66,45 @@ class AlgebraTooLarge(LieAlgebraError):
 MAX_DIM = 1 << 8
 
 
-def _pair_index(i: int, j: int, dim: int) -> int:
-    # position of (i, j), i < j, in lexicographic order of all such pairs
-    return i * dim - i * (i + 1) // 2 + (j - i - 1)
-
-
 @dataclass(frozen=True)
 class LieAlgebra:
-    """Lie algebra over Q with basis names and an upper-triangular bracket table."""
+    """Lie algebra over Q with basis names and one sparse bracket matrix per basis vector.
+
+    Row j of ``brackets[i]`` is ``[e_i, e_j]``; equality and hashing cover
+    only the nonzero structure constants, through the matrices' cached hash.
+    """
 
     dim: int
     basis_names: tuple[str, ...]
-    table: tuple[tuple[Fraction, ...], ...]  # [e_i, e_j] for i < j, lexicographic
+    brackets: tuple[Matrix, ...]
 
     def bracket_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
-        if i == j:
-            return (_ZERO,) * self.dim
-        if i < j:
-            return self.table[_pair_index(i, j, self.dim)]
-        return tuple(-x for x in self.table[_pair_index(j, i, self.dim)])
+        """Dense coefficient vector of [e_i, e_j]."""
+        return self.brackets[i].row(j)
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
         x = vector(x)
         y = vector(y)
-        out = [_ZERO] * self.dim
+        out: dict[int, Fraction] = {}
         for i, a in enumerate(x):
             if not a:
                 continue
+            rows = self.brackets[i].sparse_rows
             for j, b in enumerate(y):
-                if not b or i == j:
+                if not b:
                     continue
                 c = a * b
-                for k, t in enumerate(self.bracket_basis(i, j)):
-                    if t:
-                        out[k] += c * t
-        return tuple(out)
+                for k, t in rows[j].items():
+                    out[k] = out[k] + c * t if k in out else c * t
+        return dense_vector(out, self.dim)
 
     def ad_matrix(self, x: Sequence) -> Matrix:
-        """Matrix of Y -> [x, Y] in the defining basis."""
-        x = vector(x)
-        support = [(i, a) for i, a in enumerate(x) if a]
-        rows: list[dict] = [{} for _ in range(self.dim)]
-        # entry (k, j) is sum_i x_i [e_i, e_j]_k; columns j enter each row in order
-        for j in range(self.dim):
-            for i, a in support:
-                if i == j:
-                    continue
-                if i < j:
-                    coeffs, c = self.table[_pair_index(i, j, self.dim)], a
-                else:
-                    coeffs, c = self.table[_pair_index(j, i, self.dim)], -a
-                for k, t in enumerate(coeffs):
-                    if t:
-                        row = rows[k]
-                        row[j] = row[j] + c * t if j in row else c * t
-        return Matrix._raw(self.dim, self.dim, rows)
+        """Matrix of Y -> [x, Y] in the defining basis: (sum_i x_i brackets[i])^T."""
+        total = Matrix.zero(self.dim, self.dim)
+        for a, b in zip(vector(x), self.brackets):
+            if a:
+                total = total + b.scale(a)
+        return total.transpose()
 
     def name_of(self, i: int) -> str:
         return self.basis_names[i]
@@ -128,21 +119,21 @@ def check_dim(dim: int, where: str) -> None:
 def validate(dim: int, names: Sequence[str], brackets: Mapping) -> LieAlgebra:
     """Build a LieAlgebra from ``{(i, j): coefficients}`` data, i < j.
 
-    Missing pairs mean a zero bracket.  The Jacobi identity is verified on
-    every index triple i < j < k where one of [e_j, e_k], [e_k, e_i],
-    [e_i, e_j] is nonzero, in lexicographic order; on every other triple
-    each term of the identity is a bracket with zero and vanishes exactly.
-    The first failure is reported with its residual.
+    Missing pairs and zero coefficients mean a zero bracket; only nonzero
+    structure constants are stored, in both orders.  The Jacobi identity is
+    verified on every index triple i < j < k where one of [e_j, e_k],
+    [e_k, e_i], [e_i, e_j] is nonzero, in lexicographic order, from the
+    stored sparse rows; on every other triple each term of the identity is
+    a bracket with zero and vanishes exactly.  The first failure is
+    reported with its residual.
     """
     check_dim(dim, "the algebra")
     names = tuple(str(n) for n in names)
     if len(names) != dim:
         raise DimensionMismatch(f"{len(names)} basis names for dimension {dim}")
-    npairs = dim * (dim - 1) // 2
-    table = [(_ZERO,) * dim] * npairs
-    # nonzero brackets, both orders: sparse[(a, b)] = {c: coefficient of e_c}
-    sparse: dict[tuple[int, int], dict[int, Fraction]] = {}
-    partners: list[set[int]] = [set() for _ in range(dim)]
+    # rows[i][j] = {c: coefficient of e_c in [e_i, e_j]}, nonzero brackets
+    # only, so the keys of rows[i] are the bracket partners of e_i
+    rows: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(dim)]
     for key, coeffs in brackets.items():
         i, j = key
         if not (0 <= i < j < dim):
@@ -152,35 +143,38 @@ def validate(dim: int, names: Sequence[str], brackets: Mapping) -> LieAlgebra:
             raise DimensionMismatch(
                 f"bracket ({i},{j}) has {len(coeffs)} coefficients, expected {dim}"
             )
-        table[_pair_index(i, j, dim)] = coeffs
         nz = {c: t for c, t in enumerate(coeffs) if t}
         if nz:
-            sparse[(i, j)] = nz
-            sparse[(j, i)] = {c: -t for c, t in nz.items()}
-            partners[i].add(j)
-            partners[j].add(i)
-    g = LieAlgebra(dim, names, tuple(table))
+            rows[i][j] = nz
+            rows[j][i] = {c: -t for c, t in nz.items()}
+    g = LieAlgebra(
+        dim, names, tuple(Matrix._raw(dim, dim, [r.get(j, {}) for j in range(dim)]) for r in rows)
+    )
+    table = [b.sparse_rows for b in g.brackets]
     for i in range(dim):
         for j in range(i + 1, dim):
-            if (i, j) in sparse:
+            if table[i][j]:
                 ks = range(j + 1, dim)
-            elif partners[i] or partners[j]:
-                ks = sorted(k for k in partners[i] | partners[j] if k > j)
+            elif rows[i] or rows[j]:
+                ks = sorted(k for k in rows[i].keys() | rows[j].keys() if k > j)
             else:
                 continue
             for k in ks:
-                residual = _jacobi_residual(sparse, i, j, k)
+                residual = _jacobi_residual(table, i, j, k)
                 if residual:
                     raise JacobiViolation(i, j, k, dense_vector(residual, dim))
     return g
 
 
-def _jacobi_residual(sparse: Mapping, i: int, j: int, k: int) -> dict[int, Fraction]:
-    """Nonzero entries of [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]]."""
+def _jacobi_residual(table: Sequence, i: int, j: int, k: int) -> dict[int, Fraction]:
+    """Nonzero entries of [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]].
+
+    ``table[a][b]`` is the sparse row of [e_a, e_b].
+    """
     acc: dict[int, Fraction] = {}
     for x, (y, z) in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
-        for m, c in sparse.get((y, z), {}).items():
-            for t, d in sparse.get((x, m), {}).items():
+        for m, c in table[y][z].items():
+            for t, d in table[x][m].items():
                 acc[t] = acc[t] + c * d if t in acc else c * d
     return {t: v for t, v in acc.items() if v}
 
@@ -229,25 +223,25 @@ def trivial_subalgebra(ambient: LieAlgebra) -> Subalgebra:
 
 @lru_cache(maxsize=None)
 def killing_form(g: LieAlgebra) -> Matrix:
-    """Symmetric matrix B(e_i, e_j) = trace(ad(e_i) ad(e_j))."""
-    ads = [g.ad_matrix(unit(g.dim, i)) for i in range(g.dim)]
-    ent = [[_ZERO] * g.dim for _ in range(g.dim)]
+    """Symmetric matrix B(e_i, e_j) = trace(ad(e_i) ad(e_j)).
+
+    ad(e_i) is brackets[i] transposed, and trace(A^T B^T) = trace(B A), so
+    each entry is trace(brackets[i] brackets[j]).
+    """
+    nonzero = [[(r, row) for r, row in enumerate(b.sparse_rows) if row] for b in g.brackets]
+    ent: list[dict] = [{} for _ in range(g.dim)]
     for i in range(g.dim):
         for j in range(i, g.dim):
-            t = _trace_of_product(ads[i], ads[j])
-            ent[i][j] = t
-            ent[j][i] = t
-    return Matrix(g.dim, g.dim, ent)
-
-
-def _trace_of_product(a: Matrix, b: Matrix) -> Fraction:
-    """trace(a b) = sum over r, s of a[r][s] b[s][r], read from nonzeros only."""
-    brows = b.sparse_rows
-    return sum(
-        (x * brows[s][r] for r, row in enumerate(a.sparse_rows) for s, x in row.items()
-         if r in brows[s]),
-        _ZERO,
-    )
+            # sum over r, s of brackets[i][r][s] brackets[j][s][r], from nonzeros only
+            brows = g.brackets[j].sparse_rows
+            t = sum(
+                (x * brows[s][r] for r, row in nonzero[i] for s, x in row.items() if r in brows[s]),
+                _ZERO,
+            )
+            if t:
+                ent[i][j] = t
+                ent[j][i] = t
+    return Matrix._raw(g.dim, g.dim, ent)
 
 
 def killing_determinant(g: LieAlgebra) -> Fraction:
@@ -289,21 +283,19 @@ class StructureReport:
 
 
 def center_of(g: LieAlgebra) -> Subalgebra:
-    """Kernel of X -> ad(X), as a canonical echelon basis."""
-    n = g.dim
-    # row j*n + k of the linear map x |-> (ad(x) e_j)_k
-    rows: list[dict] = [{} for _ in range(n * n)]
-    for i in range(n):
-        for j in range(n):
-            for k, c in enumerate(g.bracket_basis(i, j)):
-                if c:
-                    rows[j * n + k][i] = c
-    return Subalgebra(g, _kernel_echelon(Matrix._raw(len(rows), n, rows)))
+    """Kernel of X -> ad(X), as a canonical echelon basis.
+
+    x is central when [e_j, x] = 0 for every j, that is when x lies in the
+    kernel of every ad(e_j) = brackets[j]^T; only their nonzero rows matter.
+    """
+    rows = [r for b in g.brackets for r in b.transpose().sparse_rows if r]
+    return Subalgebra(g, _kernel_echelon(Matrix._raw(len(rows), g.dim, rows)))
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subalgebra:
-    vecs = [g.bracket_basis(i, j) for i in range(g.dim) for j in range(i + 1, g.dim)]
-    return Subalgebra(g, tuple(echelon_basis([v for v in vecs if any(v)])))
+    rows = [r for i, b in enumerate(g.brackets) for r in b.sparse_rows[i + 1 :] if r]
+    red, pivots = Matrix._raw(len(rows), g.dim, rows).rref()
+    return Subalgebra(g, tuple(red.row(i) for i in range(len(pivots))))
 
 
 def induced_algebra(g: LieAlgebra, basis: Sequence[Sequence], prefix: str = "d") -> LieAlgebra:

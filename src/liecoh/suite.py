@@ -71,10 +71,8 @@ class SuiteReport:
 
 
 def flipped_coadjoint_module(g: LieAlgebra) -> gmod.GModule:
-    # +ad^T instead of -ad^T: deliberately NOT a module (anti-homomorphism)
-    return gmod.GModule(
-        g, g.dim, tuple(g.ad_matrix(unit(g.dim, i)).transpose() for i in range(g.dim))
-    )
+    # +ad^T = brackets[i] instead of -ad^T: deliberately NOT a module (anti-homomorphism)
+    return gmod.GModule(g, g.dim, g.brackets)
 
 
 def _row(name: str, fn: Callable[[], tuple[bool, str]]) -> SuiteRow:

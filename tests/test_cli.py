@@ -1,8 +1,10 @@
 """Command-line surface: file format, reports, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -217,6 +219,17 @@ def test_check_abelian_flags(capsys):
     assert report.get("reductive") == "yes"
 
 
+def test_check_abelian_256(capsys):
+    # the largest algebra accepted: stored and checked from nonzero structure
+    # constants only, so this takes well under a second
+    code, out, _ = run(capsys, ["check", "abelian:256", "--json"])
+    assert code == EXIT_OK
+    report = files.parse_report(out)
+    assert report.get("center_dim") == "256"
+    assert report.get("derived_dim") == "0"
+    assert report.get("killing_rank") == "0"
+
+
 def test_check_jacobi_violation_exit(capsys, tmp_path):
     bad = json.loads(json.dumps(SL2_JSON))
     bad["brackets"]["[1,2]"] = {"0": "1", "1": "1"}
@@ -286,6 +299,19 @@ def test_cohomology_unknown_module_spec(capsys):
     code, _, err = run(capsys, ["cohomology", "sl2", "--coeffs", "spinor"])
     assert code == EXIT_VALIDATION
     assert "spinor" in err
+
+
+def test_many_nested_dual_prefixes(capsys):
+    # an odd count of dual: prefixes is one dual, without a frame per prefix;
+    # on heis3 the adjoint and coadjoint Betti numbers differ, so parity shows
+    def betti_lines(spec):
+        code, out, err = run(capsys, ["cohomology", "heis3", "--coeffs", spec, "--json"])
+        assert code == EXIT_OK, err
+        return [line for line in out.splitlines() if line.startswith("betti[")]
+
+    once = betti_lines("dual:adjoint")
+    assert betti_lines("dual:" * 1201 + "adjoint") == once != betti_lines("adjoint")
+    assert betti_lines("dual:" * 1200 + "adjoint") == betti_lines("adjoint")
 
 
 def test_oversized_module_spec_is_rejected_before_allocation(capsys, monkeypatch):
@@ -425,12 +451,65 @@ def test_volume_zero_euler_rejected(capsys):
     assert "Euler" in err
 
 
+# -- integers over Python's digit limit ------------------------------
+
+
+_INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_needs_int_limit = pytest.mark.skipif(
+    not _INT_LIMIT, reason="no limit on int string conversion in this Python"
+)
+
+
+@_needs_int_limit
+@pytest.mark.parametrize("where", ["bracket-coefficient", "module-entry", "chi", "e", "bracket-key"])
+def test_integers_over_the_digit_limit_are_parse_errors(capsys, tmp_path, where):
+    big = "1" * (_INT_LIMIT + 1)
+    if where == "bracket-coefficient":
+        data = json.loads(json.dumps(SL2_JSON))
+        data["brackets"]["[0,1]"] = {"1": big}
+        argv = ["check", write_json(tmp_path, data)]
+    elif where == "module-entry":
+        module = {"format": 1, "vdim": 1, "actions": [[[big]], [["0"]]]}
+        argv = ["cohomology", "abelian:2", "--coeffs", write_json(tmp_path, module, "mod.json")]
+    elif where == "chi":
+        argv = ["volume", "seifert", "--chi", big, "--e", "1"]
+    elif where == "e":
+        argv = ["volume", "seifert", "--chi", "1", "--e", big]
+    else:
+        data = json.loads(json.dumps(SL2_JSON))
+        data["brackets"][f"[{big},1]"] = {"0": "1"}
+        argv = ["check", write_json(tmp_path, data)]
+    code, _, err = run(capsys, argv)
+    assert code == EXIT_PARSE
+    assert "too many digits" in err and "Traceback" not in err
+
+
+@_needs_int_limit
+def test_results_over_the_digit_limit_are_validation_errors(capsys, tmp_path):
+    # valid inputs whose result or Jacobi residual cannot be printed in full
+    half = "1" * (_INT_LIMIT // 2 + 10)
+    code, _, err = run(capsys, ["volume", "seifert", "--chi", half, "--e", "1"])
+    assert code == EXIT_VALIDATION
+    assert "too many digits" in err
+    # [E, F] = cH and [H, F] = -cF leave the residual c^2 H on (H, E, F)
+    data = json.loads(json.dumps(SL2_JSON))
+    data["brackets"] = {"[0,2]": {"2": "-" + half}, "[1,2]": {"0": half}}
+    code, _, err = run(capsys, ["check", write_json(tmp_path, data)])
+    assert code == EXIT_VALIDATION
+    assert "Jacobi identity fails on basis triple (0,1,2)" in err
+
+
 # -- verify-paper -----------------------------------------------------
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_verify_paper_passes(capsys):
     code, out, _ = run(capsys, ["verify-paper", "--json"])
     assert code == EXIT_OK
+    assert _sha256(out) == "7311007bd3d232e0441e38b8bb1a9fbf3f9239100d62bc3be1c52bf4719ba18f"
     report = files.parse_report(out)
     assert report.get("all_passed") == "yes"
     assert report.get("row[betti-absolute]") == "pass"
@@ -448,6 +527,7 @@ def _failed_rows(report):
 def test_verify_paper_flipped_sign_fails(capsys):
     code, out, _ = run(capsys, ["verify-paper", "--json", "--mutate", "flip-coadjoint-sign"])
     assert code == EXIT_VERIFY_FAILED
+    assert _sha256(out) == "f2e82e18049734315bd1da6271cfaff531a4fc1b5e2c0fe5488d6d1d66a4eb47"
     report = files.parse_report(out)
     assert report.get("row[operator-identities]") == "FAIL"
     assert _failed_rows(report) == {"row[operator-identities]"}
@@ -461,6 +541,7 @@ def test_verify_paper_flipped_sign_fails(capsys):
 def test_verify_paper_omit_diagonal_fails(capsys):
     code, out, _ = run(capsys, ["verify-paper", "--json", "--mutate", "omit-diagonal"])
     assert code == EXIT_VERIFY_FAILED
+    assert _sha256(out) == "2d8990c35d9c7776e15b7f26ac6242bbe1b551cf856eaca617b18802ddb6f0a5"
     report = files.parse_report(out)
     assert report.get("row[extension-vanishing-3dim]") == "FAIL"
     assert _failed_rows(report) == {

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liecoh import files
 from liecoh.extensions import builtin
 from liecoh.liealg import (
     MAX_DIM,
@@ -37,6 +38,34 @@ def test_validate_sl2():
 def test_validate_abelian():
     g = validate(4, ("a", "b", "c", "d"), {})
     assert all(not any(g.bracket_basis(i, j)) for i in range(4) for j in range(4))
+
+
+def test_explicit_zero_brackets_are_not_stored():
+    heis = {(1, 2): (1, 0, 0)}
+    g = validate(3, ("x", "y", "z"), heis)
+    with_zeros = validate(3, ("x", "y", "z"), {**heis, (0, 1): (0, 0, 0), (0, 2): (0, 0, 0)})
+    assert with_zeros == g
+    assert hash(with_zeros) == hash(g)
+    assert files.algebra_digest(with_zeros) == files.algebra_digest(g)
+    stored = [row for b in with_zeros.brackets for row in b.sparse_rows]
+    assert sum(map(len, stored)) == 2  # [y, z] = x and [z, y] = -x
+    assert all(all(row.values()) for row in stored)
+
+
+_CATALOG = ["sl2", "so3", "sl2sl2", "heis3", "abelian:3", "sl2_so2_pair", "sl2R_ext",
+            "fivedim_ext:1", "fivedim_ext:-3/4"]
+
+
+@pytest.mark.parametrize("name", _CATALOG)
+def test_stored_brackets_are_antisymmetric(name):
+    g = builtin(name).algebra
+    assert len(g.brackets) == g.dim
+    for i in range(g.dim):
+        assert not g.brackets[i].sparse_rows[i]
+        for j in range(g.dim):
+            row = g.brackets[i].sparse_rows[j]
+            assert g.brackets[j].sparse_rows[i] == {c: -t for c, t in row.items()}
+            assert g.bracket_basis(i, j) == g.brackets[i].row(j)
 
 
 def test_validate_rejects_broken_sl2():
