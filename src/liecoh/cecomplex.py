@@ -246,6 +246,8 @@ def _lie_basis_matrix(level: CochainLevel, x: int) -> Matrix:
 
 def _combine_basis_matrices(parts: list, nrows: int, ncols: int) -> Matrix:
     """Sparse linear combination sum_i a_i M_i of same-shape matrices."""
+    if len(parts) == 1 and parts[0][0] == 1:
+        return parts[0][1]  # a cached basis matrix, shared: Matrix is immutable
     out: list[dict] = [{} for _ in range(nrows)]
     for a, m in parts:
         for acc, row in zip(out, m.sparse_rows):

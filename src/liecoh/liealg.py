@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Mapping, Sequence
 
 from .ratlin import (
@@ -245,33 +246,35 @@ def killing_form(g: LieAlgebra) -> Matrix:
 
 
 def killing_determinant(g: LieAlgebra) -> Fraction:
-    """Determinant of the Killing matrix (exact, via fraction-free expansion)."""
+    """Determinant of the Killing matrix (exact, by fraction-free elimination)."""
     m = killing_form(g)
     return _det([list(m.row(i)) for i in range(m.rows)])
 
 
 def _det(a: list[list[Fraction]]) -> Fraction:
+    """det(A) = det(D A) / D^n, with D the lcm of the denominators.
+
+    det(D A) comes from Bareiss elimination on the integer matrix D A:
+    every division below is exact, so no Fraction is built until the end.
+    """
     n = len(a)
-    det = Fraction(1)
-    for c in range(n):
-        p = None
-        for r in range(c, n):
-            if a[r][c]:
-                p = r
-                break
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = Fraction(1) / a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c]:
-                f = a[r][c] * inv
-                for cc in range(c, n):
-                    a[r][cc] -= f * a[c][cc]
-    return det
+    d = lcm(*(x.denominator for row in a for x in row))
+    m = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        if not m[c][c]:
+            p = next((r for r in range(c + 1, n) if m[r][c]), None)
+            if p is None:
+                return Fraction(0)
+            m[c], m[p] = m[p], m[c]
+            sign = -sign
+        pivot, pivot_row = m[c][c], m[c]
+        for row in m[c + 1 :]:
+            f = row[c]
+            for cc in range(c + 1, n):
+                row[cc] = (row[cc] * pivot - f * pivot_row[cc]) // prev
+        prev = pivot
+    return Fraction(sign * m[n - 1][n - 1], d**n) if n else Fraction(1)
 
 
 @dataclass(frozen=True)

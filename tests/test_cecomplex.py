@@ -1,10 +1,12 @@
 """Cochain levels, the differential, i_X/L_X, the degree -1 map, relatives."""
 
+import hashlib
 import random
 from fractions import Fraction as Q
 
 import pytest
 
+from liecoh import suite
 from liecoh.cecomplex import (
     Cochain,
     CochainLevel,
@@ -241,6 +243,48 @@ def test_randomized_identity_samples():
         g, module, k, x = random_identity_sample(rng)
         assert g.dim <= 5
         assert check_operator_identities(g, module, k, x) == []
+
+
+# sha256 of repr((checked, failures)) of the whole sweep: 557 checks with
+# 0 failures for the coadjoint action, 71 failures with its sign flipped
+_SWEEP_DIGESTS = {
+    "coadjoint": "0e2b0384954e6c3404775835ae31ad2bb3be112f417bed83a2f68f55b0481c99",
+    "flipped": "773f44d587ef928728a2fcee5ba2bf84552eaa78c22b353dddc1c9a1a155d7cb",
+}
+
+
+@pytest.mark.parametrize("factory", sorted(_SWEEP_DIGESTS))
+def test_operator_identity_sweep_is_pinned(factory):
+    coadjoint = {"coadjoint": None, "flipped": suite.flipped_coadjoint_module}[factory]
+    checked, failures = suite.run_operator_identity_suite(coadjoint)
+    assert (checked, len(failures)) == (557, 71 if coadjoint else 0)
+    digest = hashlib.sha256(repr((checked, failures)).encode()).hexdigest()
+    assert digest == _SWEEP_DIGESTS[factory]
+
+
+def test_coadjoint_only_sweep_finds_every_failure_of_the_sign_flip():
+    # the self-check reruns only these steps: under the flip they must
+    # fail exactly where the full sweep does, in the same order
+    _, full = suite.run_operator_identity_suite(suite.flipped_coadjoint_module)
+    restricted = [
+        label
+        for name in suite.IDENTITY_SUITE_BUILTINS
+        for _, labels in suite._builtin_sweep(
+            name, suite.flipped_coadjoint_module, coadjoint_only=True
+        )
+        for label in labels
+    ]
+    assert restricted == full
+    assert all(":coadjoint:" in label or ":j-" in label for label in full)
+
+
+def test_single_unit_vector_operators_are_the_cached_basis_matrices():
+    lvl = level("sl2", "adjoint", 2)
+    e1 = unit(3, 1)
+    assert lie_derivative_matrix(lvl, e1) is lie_derivative_matrix(lvl, e1)
+    assert interior_product_matrix(lvl, e1) is interior_product_matrix(lvl, e1)
+    doubled = lie_derivative_matrix(lvl, tuple(2 * c for c in e1))
+    assert doubled == lie_derivative_matrix(lvl, e1).scale(Q(2))
 
 
 def _reference_relative_subspace(level, h):

@@ -566,6 +566,24 @@ def test_self_check_fails_when_the_sign_flip_is_harmless(capsys, monkeypatch):
     )
 
 
+def test_self_check_sees_a_sign_flip_in_the_last_builtin_only(capsys, monkeypatch):
+    # the self-check stops at its first failure; it must not stop before one
+    last = builtin(suite.IDENTITY_SUITE_BUILTINS[-1]).algebra
+    flip = suite.flipped_coadjoint_module
+    monkeypatch.setattr(
+        suite,
+        "flipped_coadjoint_module",
+        lambda g: flip(g) if g == last else gmod.coadjoint_module(g),
+    )
+    code, out, _ = run(capsys, ["verify-paper", "--json"])
+    report = files.parse_report(out)
+    assert code == EXIT_OK
+    assert report.get("detail[mutation-sensitivity]") == (
+        "flip-coadjoint-sign breaks operator identities: yes; "
+        "omit-diagonal breaks vanishing: yes"
+    )
+
+
 def test_self_check_fails_when_omitting_the_diagonal_is_harmless(capsys, monkeypatch):
     intact_pairs = suite._extension_pairs
     monkeypatch.setattr(suite, "_extension_pairs", lambda omit_diagonal: intact_pairs(False))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecoh import files
+from liecoh import files, liealg
 from liecoh.extensions import builtin
 from liecoh.liealg import (
     MAX_DIM,
@@ -111,6 +111,74 @@ def test_killing_form_sl2():
     g = builtin("sl2").algebra
     assert killing_form(g) == Matrix.from_rows([[8, 0, 0], [0, 0, 4], [0, 4, 0]])
     assert killing_determinant(g) == Q(-128)
+
+
+def _reference_det(a):
+    """Fraction Gaussian elimination with row swaps, independent of liealg._det."""
+    a = [list(row) for row in a]
+    n = len(a)
+    det = Q(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if a[r][c]), None)
+        if p is None:
+            return Q(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            for cc in range(c, n):
+                a[r][cc] -= f * a[c][cc]
+    return det
+
+
+@pytest.mark.parametrize("name", _CATALOG)
+def test_killing_determinant_matches_gaussian_elimination(name):
+    g = builtin(name).algebra
+    b = killing_form(g)
+    assert killing_determinant(g) == _reference_det(b.entries)
+    # a random change of basis P gives the Killing matrix P^T B P, det(P)^2 det(B)
+    rng = random.Random(name)
+    p = [[Q(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(g.dim)] for _ in range(g.dim)]
+    if _reference_det(p):
+        h = change_of_basis(g, [tuple(row[j] for row in p) for j in range(g.dim)])
+        assert killing_determinant(h) == _reference_det(killing_form(h).entries)
+        assert killing_determinant(h) == _reference_det(p) ** 2 * killing_determinant(g)
+
+
+def test_det_on_random_rational_matrices():
+    rng = random.Random(7)
+    kinds = {"singular": 0, "swap": 0, "regular": 0}
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        a = [
+            [Q(rng.randint(-4, 4), rng.choice((1, 2, 3, 7))) if rng.random() < 0.6 else Q(0)
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        if n >= 2 and rng.random() < 0.3:  # a repeated row, combined: singular
+            a[rng.randrange(1, n)] = [2 * x for x in a[0]]
+        if n >= 2 and rng.random() < 0.3:  # a zero leading pivot forces a row swap
+            a[0][0] = Q(0)
+        want = _reference_det(a)
+        got = liealg._det([list(row) for row in a])
+        assert got == want, a
+        if not want:
+            kinds["singular"] += 1
+        elif n and not a[0][0]:
+            kinds["swap"] += 1
+        else:
+            kinds["regular"] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_det_small_cases():
+    assert liealg._det([]) == 1
+    assert liealg._det([[Q(-3, 4)]]) == Q(-3, 4)
+    assert liealg._det([[Q(0), Q(1)], [Q(1), Q(0)]]) == -1
+    assert liealg._det([[Q(0), Q(1)], [Q(0), Q(2)]]) == 0
+    assert liealg._det([[Q(1, 2), Q(1, 3)], [Q(1, 5), Q(1, 7)]]) == Q(1, 14) - Q(1, 15)
 
 
 def test_killing_form_abelian_and_heisenberg_vanish():
