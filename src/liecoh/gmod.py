@@ -2,9 +2,12 @@
 
 A module is one square matrix per algebra basis vector; the defining axiom
 ``action([x, y]) = action(x) action(y) - action(y) action(x)`` is checked
-exactly by every public constructor.  The coadjoint convention used
-throughout is the one where the action of x on a covector w is
-``w([. , x])``, whose matrix is ``-ad(x)^T``; all sign-sensitive operator
+exactly by :func:`make_module` and every constructor built on it.  The
+trivial, adjoint and coadjoint modules are built without it: zero matrices
+satisfy it, and for ad it is the Jacobi identity, which
+:func:`~liecoh.liealg.validate` has already checked.  The coadjoint
+convention used throughout is the one where the action of x on a covector w
+is ``w([. , x])``, whose matrix is ``-ad(x)^T``; all sign-sensitive operator
 identities in :mod:`liecoh.cecomplex` depend on this choice.
 """
 
@@ -17,7 +20,7 @@ from math import comb
 from typing import Sequence
 
 from .liealg import DimensionMismatch, LieAlgebra, unit
-from .ratlin import Matrix
+from .ratlin import Matrix, dense_vector
 
 class ModuleAxiomViolation(Exception):
     def __init__(self, i: int, j: int, residual: Matrix):
@@ -97,14 +100,23 @@ def trivial_module(g: LieAlgebra, n: int = 1) -> GModule:
 
 @lru_cache(maxsize=None)
 def adjoint_module(g: LieAlgebra) -> GModule:
-    """Matrices ad(e_i) = brackets[i]^T."""
-    return make_module(g, g.dim, tuple(b.transpose() for b in g.brackets))
+    """Matrices ad(e_i) = brackets[i]^T.
+
+    Built without the module-axiom check: for ad it is the Jacobi identity,
+    which every algebra from :func:`~liecoh.liealg.validate` satisfies (the
+    zero algebra trivially).  The test suite checks it on the catalog.
+    """
+    return GModule(g, g.dim, tuple(b.transpose() for b in g.brackets))
 
 
 @lru_cache(maxsize=None)
 def coadjoint_module(g: LieAlgebra) -> GModule:
-    """Action of x on covectors by w -> w([. , x]); matrices -ad(x)^T = -brackets[i]."""
-    return make_module(g, g.dim, tuple(-b for b in g.brackets))
+    """Action of x on covectors by w -> w([. , x]); matrices -ad(x)^T = -brackets[i].
+
+    Built without the module-axiom check: this is the dual of
+    :func:`adjoint_module`, and the dual of a module is a module.
+    """
+    return GModule(g, g.dim, tuple(-b for b in g.brackets))
 
 
 def dual_module(mod: GModule) -> GModule:
@@ -181,4 +193,4 @@ def invariant_vectors(mod: GModule) -> list[tuple[Fraction, ...]]:
     if mod.algebra.dim == 0:
         return [unit(mod.vdim, i) for i in range(mod.vdim)]
     stacked = Matrix.vstack(list(mod.actions))
-    return stacked.kernel_basis()
+    return [dense_vector(r, mod.vdim) for r in stacked.kernel_rows()]

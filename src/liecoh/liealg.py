@@ -6,8 +6,7 @@ j equal to ``[e_i, e_j]``.  That matrix is ad(e_i) transposed, so minus
 the coadjoint action of e_i.  :func:`validate` fills both ``[e_i, e_j]``
 and ``[e_j, e_i] = -[e_i, e_j]`` from data given for ``i < j`` only, so
 antisymmetry holds by construction and only the Jacobi identity needs
-checking.  Every reader takes the nonzero entries from the sparse rows;
-:meth:`LieAlgebra.bracket_basis` is a dense view.
+checking.  Every reader takes the nonzero entries from the sparse rows.
 """
 
 from __future__ import annotations
@@ -22,9 +21,8 @@ from .ratlin import (
     EchelonSpan,
     Matrix,
     _kernel_echelon,
+    _rref_rows,
     dense_vector,
-    echelon_basis,
-    span_rank,
     solve_columns,
     vector,
 )
@@ -78,10 +76,6 @@ class LieAlgebra:
     dim: int
     basis_names: tuple[str, ...]
     brackets: tuple[Matrix, ...]
-
-    def bracket_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
-        """Dense coefficient vector of [e_i, e_j]."""
-        return self.brackets[i].row(j)
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
         x = vector(x)
@@ -202,12 +196,10 @@ def subalgebra(ambient: LieAlgebra, vectors: Sequence[Sequence]) -> Subalgebra:
     for v in vecs:
         if len(v) != ambient.dim:
             raise DimensionMismatch("subalgebra vector has wrong length")
-    basis = echelon_basis(vecs)
-    if len(basis) != len(vecs):
-        raise SubalgebraNotClosed("candidate vectors are linearly dependent")
     span = EchelonSpan(ambient.dim)
-    for v in basis:
-        span.add(v)
+    if not all(span.add(v) for v in vecs):
+        raise SubalgebraNotClosed("candidate vectors are linearly dependent")
+    basis = _rref_rows(span)
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
             w = ambient.bracket(basis[a], basis[b])
@@ -215,7 +207,7 @@ def subalgebra(ambient: LieAlgebra, vectors: Sequence[Sequence]) -> Subalgebra:
                 raise SubalgebraNotClosed(
                     f"bracket of subalgebra vectors {a} and {b} leaves the span"
                 )
-    return Subalgebra(ambient, tuple(basis))
+    return Subalgebra(ambient, basis)
 
 
 def trivial_subalgebra(ambient: LieAlgebra) -> Subalgebra:
@@ -297,8 +289,7 @@ def center_of(g: LieAlgebra) -> Subalgebra:
 
 def derived_subalgebra(g: LieAlgebra) -> Subalgebra:
     rows = [r for i, b in enumerate(g.brackets) for r in b.sparse_rows[i + 1 :] if r]
-    red, pivots = Matrix._raw(len(rows), g.dim, rows).rref()
-    return Subalgebra(g, tuple(red.row(i) for i in range(len(pivots))))
+    return Subalgebra(g, _rref_rows(Matrix._raw(len(rows), g.dim, rows)._span()))
 
 
 def induced_algebra(g: LieAlgebra, basis: Sequence[Sequence], prefix: str = "d") -> LieAlgebra:
@@ -327,7 +318,7 @@ def structure_report(g: LieAlgebra) -> StructureReport:
     derived = derived_subalgebra(g)
     direct_sum = (
         center.dim + derived.dim == g.dim
-        and span_rank(list(center.vectors) + list(derived.vectors)) == g.dim
+        and Matrix.from_rows(center.vectors + derived.vectors).rank() == g.dim
     )
     reductive = False
     if direct_sum:

@@ -10,9 +10,8 @@ dict per row, and every operation (sums, products, transposes, stacking)
 works on that sparse form; cochain operators are almost entirely zeros.
 Vectors come in the same two forms: :meth:`Matrix.kernel_rows` and
 :class:`EchelonSpan` work on sparse ``{col: Fraction}`` dicts, so a caller
-can stay sparse from operator to span, while the dense tuples of
-:func:`vector`, :meth:`Matrix.kernel_basis` and :func:`echelon_basis` are
-views for callers that index coordinates.
+can stay sparse from operator to span, while :func:`vector` and
+:func:`dense_vector` give dense tuples for callers that index coordinates.
 
 There is one elimination loop, :meth:`EchelonSpan._residual`: it clears
 the denominators of a row and reduces it, as a sparse primitive integer row
@@ -67,8 +66,9 @@ class Matrix:
 
     ``sparse_rows[i]`` is a ``{col: Fraction}`` dict holding exactly the
     nonzero entries of row i; it must not be mutated.  Equality and the
-    (cached) hash depend only on the shape and these entries.  ``entries``
-    is a dense row-major view built on demand for display and tests.
+    (cached) hash depend only on the shape and these entries.  ``row``,
+    ``column`` and ``entries`` are dense views built on demand: display code
+    reads rows, while tests and the benchmark harness read ``entries``.
     """
 
     __slots__ = ("rows", "cols", "sparse_rows", "_hash")
@@ -145,10 +145,6 @@ class Matrix:
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(r.get(j, _ZERO) for r in self.sparse_rows)
 
-    def columns(self) -> list[tuple[Fraction, ...]]:
-        t = self.transpose()
-        return [t.row(j) for j in range(t.rows)]
-
     def transpose(self) -> "Matrix":
         out: list[dict] = [{} for _ in range(self.cols)]
         for i, r in enumerate(self.sparse_rows):
@@ -203,14 +199,6 @@ class Matrix:
             out.append(acc)
         return Matrix._raw(self.rows, other.cols, out)
 
-    def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
-        vec = vector(vec)
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(
-            sum((a * vec[j] for j, a in r.items() if vec[j]), _ZERO) for r in self.sparse_rows
-        )
-
     @classmethod
     def vstack(cls, blocks: Sequence["Matrix"]) -> "Matrix":
         blocks = list(blocks)
@@ -258,10 +246,6 @@ class Matrix:
                 if j != p:
                     basis[j][p] = Fraction(-num, pv)
         return list(basis.values())
-
-    def kernel_basis(self) -> list[tuple[Fraction, ...]]:
-        """Dense view of :meth:`kernel_rows`."""
-        return [dense_vector(v, self.cols) for v in self.kernel_rows()]
 
 
 def _int_row(row: dict) -> dict:
@@ -374,35 +358,33 @@ class EchelonSpan:
         return pivots, [red[p] for p in pivots]
 
 
+def _rref_rows(span: EchelonSpan) -> tuple[tuple[Fraction, ...], ...]:
+    """The canonical (RREF-row) basis of a span, as dense tuples."""
+    pivots, rows = span.reduced()
+    return tuple(
+        tuple(Fraction(r[j], r[p]) if j in r else _ZERO for j in range(span.dim))
+        for p, r in zip(pivots, rows)
+    )
+
+
 def _kernel_echelon(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
     """The canonical (RREF-row) basis of the kernel of m, as dense tuples."""
     ker = m.kernel_rows()
-    red, pivots = Matrix._raw(len(ker), m.cols, ker).rref()
-    return tuple(red.row(i) for i in range(len(pivots)))
-
-
-def span_rank(vectors: Sequence[Sequence]) -> int:
-    return Matrix.from_rows(vectors).rank()
-
-
-def echelon_basis(vectors: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
-    """Canonical (RREF-row) basis of the span of the given vectors."""
-    red, pivots = Matrix.from_rows(vectors).rref()
-    return [red.row(i) for i in range(len(pivots))]
+    return _rref_rows(Matrix._raw(len(ker), m.cols, ker)._span())
 
 
 def quotient_dim(big: Sequence[Sequence], small: Sequence[Sequence]) -> int:
     """dim(span(big)/span(small)), verifying span(small) <= span(big)."""
-    big = [vector(v) for v in big]
-    small = [vector(v) for v in small]
-    rank_big = span_rank(big)
-    if small:
-        rank_all = span_rank(list(big) + list(small))
-        if rank_all > rank_big:
-            raise SubspaceNotContained(
-                f"span of rank {span_rank(small)} is not inside the rank-{rank_big} span"
-            )
-    return rank_big - span_rank(small)
+    big, small = Matrix.from_rows(big), Matrix.from_rows(small)
+    if big.rows and small.rows and big.cols != small.cols:
+        raise ValueError("big and small vectors differ in length")
+    span = big._span()
+    rank_small = small.rank()
+    if not all(span.contains(r) for r in small.sparse_rows):
+        raise SubspaceNotContained(
+            f"span of rank {rank_small} is not inside the rank-{span.rank} span"
+        )
+    return span.rank - rank_small
 
 
 def solve_columns(a: Matrix, b: Matrix) -> Matrix | None:

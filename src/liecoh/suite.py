@@ -280,13 +280,9 @@ def _one_form_differential_agrees(g: LieAlgebra) -> bool:
     """Compare d on 1-forms against its direct structure-constant formula."""
     triv = gmod.trivial_module(g, 1)
     d1 = differential_matrix(CochainLevel(g, triv, 1))
-    pairs = tuple_basis(g.dim, 2)
-    ent = [[Fraction(0)] * g.dim for _ in pairs]
-    for r, (i, j) in enumerate(pairs):
-        w = g.bracket_basis(j, i)  # omega([e_j, e_i]) coefficient by coefficient
-        for l in range(g.dim):
-            ent[r][l] = w[l]
-    return d1 == Matrix.from_rows(ent)
+    # row (i, j) is omega -> omega([e_j, e_i]), coefficient by coefficient
+    rows = [g.brackets[j].sparse_rows[i] for i, j in tuple_basis(g.dim, 2)]
+    return d1 == Matrix._raw(len(rows), g.dim, rows)
 
 
 def _j_relation_failures(
@@ -413,17 +409,18 @@ def _killing_data() -> tuple[bool, str]:
     det = killing_determinant(g)
     three = killing_three_form(g)
     kappa = three.form.evaluate((0, 1, 2))[0]
-    closed = differential_matrix(three.form.level).apply(three.form.coords)
+    d = differential_matrix(three.form.level)
+    closed = (d * Matrix.from_columns([three.form.coords])).is_zero()
     ok = (
         b == want
         and det == Fraction(-128)
         and kappa == Fraction(8)
-        and not any(closed)
+        and closed
         and three.class_nonzero
     )
     return ok, (
         f"killing={[[str(x) for x in row] for row in map(b.row, range(b.rows))]} det={det} "
-        f"kappa(H,E,F)={kappa} closed={'yes' if not any(closed) else 'no'} "
+        f"kappa(H,E,F)={kappa} closed={'yes' if closed else 'no'} "
         f"class_nonzero={'yes' if three.class_nonzero else 'no'}"
     )
 

@@ -64,7 +64,7 @@ def test_load_algebra_from_file(tmp_path):
     g, h, name = files.load_algebra(write_json(tmp_path, SL2_JSON))
     assert name == "sl2-from-file"
     assert g.dim == 3 and h is None
-    assert g.bracket_basis(1, 2) == (Q(1), Q(0), Q(0))
+    assert g.brackets[1].row(2) == (Q(1), Q(0), Q(0))
 
 
 def test_save_load_round_trip_with_subalgebra(tmp_path):

@@ -4,7 +4,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from liecoh.extensions import builtin
+from dense import apply
+from liecoh.extensions import BUILTIN_NAMES, builtin
 from liecoh.gmod import (
     GModule,
     MixedAlgebras,
@@ -22,7 +23,7 @@ from liecoh.gmod import (
     module_from_spec,
     trivial_module,
 )
-from liecoh.liealg import unit
+from liecoh.liealg import change_of_basis, unit
 from liecoh.ratlin import Matrix
 
 
@@ -32,11 +33,32 @@ def test_trivial_module_is_valid():
     check_module_axiom(m)
 
 
-def test_adjoint_module_is_valid():
-    g = builtin("sl2").algebra
+# every catalog template, with extra parameters where they change the shape
+_CATALOG = [n.replace(":n", ":3").replace(":alpha", ":1") for n in BUILTIN_NAMES] + [
+    "abelian:0", "abelian:1", "fivedim_ext:-3/4",
+]
+
+
+def _rebased(g, c: Q):
+    """g in the basis f_j = e_j + c e_(j+1 mod dim)."""
+    cols = [tuple(Q(i == j) + (c if i == (j + 1) % g.dim else 0) for i in range(g.dim))
+            for j in range(g.dim)]
+    return change_of_basis(g, cols)
+
+
+@pytest.mark.parametrize("name,c", [(n, None) for n in _CATALOG] + [
+    ("sl2", "1/2"), ("heis3", "-2"), ("sl2R_ext", "3"), ("fivedim_ext:1", "1/3"),
+])
+def test_adjoint_module_is_valid(name, c):
+    # adjoint_module and coadjoint_module skip the axiom check; it holds here
+    g = builtin(name).algebra
+    if c is not None:
+        g = _rebased(g, Q(c))
     m = adjoint_module(g)
     check_module_axiom(m)
-    assert m.actions[0] == g.ad_matrix(unit(3, 0))
+    check_module_axiom(coadjoint_module(g))
+    for i in range(g.dim):
+        assert m.actions[i] == g.ad_matrix(unit(g.dim, i))
 
 
 def test_perturbed_adjoint_violates_axiom():
@@ -54,7 +76,7 @@ def test_coadjoint_action_on_sl2():
     co = coadjoint_module(g)
     # the action of H sends E* to -2 E*
     e_star = unit(3, 1)
-    assert co.actions[0].apply(e_star) == (Q(0), Q(-2), Q(0))
+    assert apply(co.actions[0], e_star) == (Q(0), Q(-2), Q(0))
     check_module_axiom(co)
 
 

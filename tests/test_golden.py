@@ -88,7 +88,7 @@ def test_abelian_betti_numbers_are_binomial(n):
 
 def _is_unimodular(g):
     # tr ad(e_i) = sum_j c_ij^j
-    return all(sum(g.bracket_basis(i, j)[j] for j in range(g.dim)) == 0 for i in range(g.dim))
+    return all(sum(g.brackets[i].row(j)[j] for j in range(g.dim)) == 0 for i in range(g.dim))
 
 
 UNIMODULAR = ("sl2", "so3", "sl2sl2", "heis3", "abelian:3", "sl2_so2_pair", "sl2R_ext",

@@ -30,14 +30,14 @@ SL2_BRACKETS = {(0, 1): (0, 2, 0), (0, 2): (0, 0, -2), (1, 2): (1, 0, 0)}
 
 def test_validate_sl2():
     g = validate(3, ("H", "E", "F"), SL2_BRACKETS)
-    assert g.bracket_basis(0, 1) == (Q(0), Q(2), Q(0))
-    assert g.bracket_basis(1, 0) == (Q(0), Q(-2), Q(0))
-    assert g.bracket_basis(2, 2) == (Q(0), Q(0), Q(0))
+    assert g.brackets[0].row(1) == (Q(0), Q(2), Q(0))
+    assert g.brackets[1].row(0) == (Q(0), Q(-2), Q(0))
+    assert g.brackets[2].row(2) == (Q(0), Q(0), Q(0))
 
 
 def test_validate_abelian():
     g = validate(4, ("a", "b", "c", "d"), {})
-    assert all(not any(g.bracket_basis(i, j)) for i in range(4) for j in range(4))
+    assert all(not any(g.brackets[i].row(j)) for i in range(4) for j in range(4))
 
 
 def test_explicit_zero_brackets_are_not_stored():
@@ -65,7 +65,6 @@ def test_stored_brackets_are_antisymmetric(name):
         for j in range(g.dim):
             row = g.brackets[i].sparse_rows[j]
             assert g.brackets[j].sparse_rows[i] == {c: -t for c, t in row.items()}
-            assert g.bracket_basis(i, j) == g.brackets[i].row(j)
 
 
 def test_validate_rejects_broken_sl2():
@@ -377,8 +376,8 @@ def _valid_tables(rng):
         if Matrix.from_columns(cols).rank() == g.dim:
             g = change_of_basis(g, cols)
         brackets = {
-            (i, j): g.bracket_basis(i, j)
-            for i in range(g.dim) for j in range(i + 1, g.dim) if any(g.bracket_basis(i, j))
+            (i, j): g.brackets[i].row(j)
+            for i in range(g.dim) for j in range(i + 1, g.dim) if any(g.brackets[i].row(j))
         }
         tables.append((g.dim, brackets))
     return tables
@@ -438,7 +437,7 @@ def test_validate_rejects_break_with_one_nonzero_inner_pair():
 
 def test_abelian_200_validates():
     g = builtin("abelian:200").algebra
-    assert g.dim == 200 and g.bracket_basis(17, 199) == (Q(0),) * 200
+    assert g.dim == 200 and g.brackets[17].row(199) == (Q(0),) * 200
 
 
 def test_validate_refuses_dimension_over_the_limit():
@@ -455,7 +454,7 @@ def _reference_ad_matrix(g, x):
     for j in range(g.dim):
         col = [Q(0)] * g.dim
         for i, a in enumerate(x):
-            for k, t in enumerate(g.bracket_basis(i, j)):
+            for k, t in enumerate(g.brackets[i].row(j)):
                 col[k] += a * t
         cols.append(col)
     return Matrix.from_columns(cols, rows=g.dim)
