@@ -101,9 +101,6 @@ class LieAlgebra:
                 total = total + b.scale(a)
         return total.transpose()
 
-    def name_of(self, i: int) -> str:
-        return self.basis_names[i]
-
 
 def check_dim(dim: int, where: str) -> None:
     """Reject an algebra before its bracket table is built if dim is too big."""
@@ -208,10 +205,6 @@ def subalgebra(ambient: LieAlgebra, vectors: Sequence[Sequence]) -> Subalgebra:
                     f"bracket of subalgebra vectors {a} and {b} leaves the span"
                 )
     return Subalgebra(ambient, basis)
-
-
-def trivial_subalgebra(ambient: LieAlgebra) -> Subalgebra:
-    return Subalgebra(ambient, ())
 
 
 @lru_cache(maxsize=None)

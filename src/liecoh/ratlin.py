@@ -12,6 +12,9 @@ Vectors come in the same two forms: :meth:`Matrix.kernel_rows` and
 :class:`EchelonSpan` work on sparse ``{col: Fraction}`` dicts, so a caller
 can stay sparse from operator to span, while :func:`vector` and
 :func:`dense_vector` give dense tuples for callers that index coordinates.
+:meth:`Matrix.kernel_basis`, :meth:`Matrix.apply`, :func:`span_rank` and
+:func:`echelon_basis` are one-line views on this API that the library no
+longer calls; they stay while ``perfbench/tracer.py`` traces them by name.
 
 There is one elimination loop, :meth:`EchelonSpan._residual`: it clears
 the denominators of a row and reduces it, as a sparse primitive integer row
@@ -30,8 +33,6 @@ from heapq import heapify, heappop, heappush
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
-
-Q = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -225,8 +226,7 @@ class Matrix:
 
     def rref(self) -> "tuple[Matrix, tuple[int, ...]]":
         """Reduced row echelon form (unique) and its pivot columns."""
-        pivots, rows = self._span().reduced()
-        out = [{j: Fraction(v, r[p]) for j, v in r.items()} for p, r in zip(pivots, rows)]
+        pivots, out = _rref(self._span())
         out.extend({} for _ in range(self.rows - len(out)))
         return Matrix._raw(self.rows, self.cols, out), tuple(pivots)
 
@@ -246,6 +246,14 @@ class Matrix:
                 if j != p:
                     basis[j][p] = Fraction(-num, pv)
         return list(basis.values())
+
+    def kernel_basis(self) -> list[tuple[Fraction, ...]]:
+        """Dense view of :meth:`kernel_rows`; kept for the tracer (module docstring)."""
+        return [dense_vector(v, self.cols) for v in self.kernel_rows()]
+
+    def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
+        """Dense ``self * vec`` by the sparse product; kept for the tracer."""
+        return (self * Matrix.from_columns([vec], self.cols)).column(0)
 
 
 def _int_row(row: dict) -> dict:
@@ -358,19 +366,31 @@ class EchelonSpan:
         return pivots, [red[p] for p in pivots]
 
 
+def _rref(span: EchelonSpan) -> tuple[list[int], list[dict]]:
+    """Pivot columns and RREF rows of a span: each reduced row over its pivot entry."""
+    pivots, rows = span.reduced()
+    return pivots, [{j: Fraction(v, r[p]) for j, v in r.items()} for p, r in zip(pivots, rows)]
+
+
 def _rref_rows(span: EchelonSpan) -> tuple[tuple[Fraction, ...], ...]:
     """The canonical (RREF-row) basis of a span, as dense tuples."""
-    pivots, rows = span.reduced()
-    return tuple(
-        tuple(Fraction(r[j], r[p]) if j in r else _ZERO for j in range(span.dim))
-        for p, r in zip(pivots, rows)
-    )
+    return tuple(dense_vector(r, span.dim) for r in _rref(span)[1])
 
 
 def _kernel_echelon(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
     """The canonical (RREF-row) basis of the kernel of m, as dense tuples."""
     ker = m.kernel_rows()
     return _rref_rows(Matrix._raw(len(ker), m.cols, ker)._span())
+
+
+def span_rank(vectors: Sequence[Sequence]) -> int:
+    """Rank of the span of the vectors; kept for the tracer (module docstring)."""
+    return Matrix.from_rows(vectors).rank()
+
+
+def echelon_basis(vectors: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
+    """Canonical (RREF-row) basis of the span of the vectors; kept for the tracer."""
+    return list(_rref_rows(Matrix.from_rows(vectors)._span()))
 
 
 def quotient_dim(big: Sequence[Sequence], small: Sequence[Sequence]) -> int:
