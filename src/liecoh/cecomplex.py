@@ -23,6 +23,12 @@ Conventions, fixed once and used by every operator here:
 A relative subspace is given by its canonical RREF basis inside the full
 space: the forms killed by every ``i_X`` and ``L_X`` with X in the
 subalgebra.
+
+Caching: ``tuple_basis``/``_tuple_index``, ``_pairs_by_target``, the
+differential, the degree -1 map and the relative subspaces are cached per
+level.  ``i_X`` and ``L_X`` are built from the coordinates of X on each
+call, in one pass over the level; ``suite._Operators`` memoises them for
+one identity sweep.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import gmod
-from .liealg import LieAlgebra, Subalgebra, unit
+from .liealg import DimensionMismatch, LieAlgebra, Subalgebra, unit
 from .ratlin import EchelonSpan, Matrix, _kernel_echelon, vector
 
 _ZERO = Fraction(0)
@@ -194,85 +200,65 @@ def _accumulate(row: dict, col: int, v) -> None:
     row[col] = row[col] + v if col in row else v
 
 
-def _interior_basis_matrix(level: CochainLevel, x: int) -> Matrix:
-    # the interior product is pure combinatorics: independent of brackets
-    # and of the module action, so cache on (dim, degree, vdim) only
-    return _interior_basis_core(level.algebra.dim, level.degree, level.vdim, x)
+def _coordinates(level: CochainLevel, x: Sequence) -> tuple[Fraction, ...]:
+    """X as an exact vector, checked against the dimension of the algebra."""
+    x = vector(x)
+    if len(x) != level.algebra.dim:
+        raise DimensionMismatch(
+            f"vector has {len(x)} coordinates, the algebra has dimension {level.algebra.dim}"
+        )
+    return x
 
 
-@lru_cache(maxsize=None)
-def _interior_basis_core(dim: int, k: int, vdim: int, x: int) -> Matrix:
-    out_index = _tuple_index(dim, k - 1)
-    out: list[dict] = [{} for _ in range(len(tuple_basis(dim, k - 1)) * vdim)]
-    for si, s in enumerate(tuple_basis(dim, k)):
-        if x in s:
-            q = s.index(x)
-            rest = s[:q] + s[q + 1 :]
-            sgn = _ONE if q % 2 == 0 else -_ONE
-            for m in range(vdim):
-                out[out_index[rest] * vdim + m][si * vdim + m] = sgn
-    return Matrix._raw(len(out), len(tuple_basis(dim, k)) * vdim, out)
-
-
-@lru_cache(maxsize=None)
-def _lie_basis_matrix(level: CochainLevel, x: int) -> Matrix:
-    """L_{e_x} on this level (degree-preserving)."""
-    g, mod, k = level.algebra, level.module, level.degree
-    dim, vdim = g.dim, mod.vdim
-    out_index = _tuple_index(dim, k)
-    out: list[dict] = [{} for _ in range(level.space_dim)]
-    # replacements[c] = [(t, coef)] with coef the c-coefficient of [e_t, e_x]
-    replacements: list[list] = [[] for _ in range(dim)]
-    for t, bmat in enumerate(g.brackets):
-        for c, coef in bmat.sparse_rows[x].items():
-            replacements[c].append((t, coef))
-    # action_cols[m] = {mm: coefficient}: the column action_x e_m
-    action_cols = mod.actions[x].transpose().sparse_rows
+def interior_product_matrix(level: CochainLevel, x: Sequence) -> Matrix:
+    """Matrix of i_X: degree k -> k-1, linear in X."""
+    x = _coordinates(level, x)
+    dim, vdim = level.algebra.dim, level.vdim
+    out_index = _tuple_index(dim, level.degree - 1)
+    out: list[dict] = [{} for _ in range(len(tuple_basis(dim, level.degree - 1)) * vdim)]
     for si, s in enumerate(level.tuples):
+        for q, sq in enumerate(s):
+            a = x[sq]
+            if not a:
+                continue
+            # each position q removes a different index, so every entry is set once
+            base = out_index[s[:q] + s[q + 1 :]] * vdim
+            sgn = a if q % 2 == 0 else -a
+            for m in range(vdim):
+                out[base + m][si * vdim + m] = sgn
+    return Matrix._raw(len(out), level.space_dim, out)
+
+
+def lie_derivative_matrix(level: CochainLevel, x: Sequence) -> Matrix:
+    """Matrix of L_X: degree k -> k, linear in X."""
+    x = _coordinates(level, x)
+    g, vdim = level.algebra, level.vdim
+    out_index = _tuple_index(g.dim, level.degree)
+    out: list[dict] = [{} for _ in range(level.space_dim)]
+    # replacements[c] = {t: coef} with coef the c-coefficient of [e_t, X]
+    replacements = (-g.ad_matrix(x)).sparse_rows
+    # action_cols[m] = {mm: coefficient}: the column (sum_i x_i action_i) e_m
+    action = sum(
+        (act.scale(a) for a, act in zip(x, level.module.actions) if a), Matrix.zero(vdim, vdim)
+    )
+    action_cols = action.transpose().sparse_rows
+    for si, s in enumerate(level.tuples):
+        # bracket part: s[q] replaced by each t, the same for every module index m
+        terms = []
+        for q, sq in enumerate(s):
+            rest = s[:q] + s[q + 1 :]
+            for t, coef in replacements[sq].items():
+                sign, tt = sort_with_sign(rest[:q] + (t,) + rest[q:])
+                if sign:
+                    terms.append((out_index[tt] * vdim, sign * coef))
         base = out_index[s] * vdim
         for m in range(vdim):
             col = si * vdim + m
             for mm, v in action_cols[m].items():
                 out[base + mm][col] = v
-            for q, sq in enumerate(s):
-                rest = s[:q] + s[q + 1 :]
-                for t, coef in replacements[sq]:
-                    sign, tt = sort_with_sign(rest[:q] + (t,) + rest[q:])
-                    if sign == 0:
-                        continue
-                    _accumulate(out[out_index[tt] * vdim + m], col, sign * coef)
+            for row, v in terms:
+                _accumulate(out[row + m], col, v)
     return Matrix._raw(len(out), level.space_dim, out)
-
-
-def _combine_basis_matrices(parts: list, nrows: int, ncols: int) -> Matrix:
-    """Sparse linear combination sum_i a_i M_i of same-shape matrices."""
-    if len(parts) == 1 and parts[0][0] == 1:
-        return parts[0][1]  # a cached basis matrix, shared: Matrix is immutable
-    out: list[dict] = [{} for _ in range(nrows)]
-    for a, m in parts:
-        for acc, row in zip(out, m.sparse_rows):
-            for c, v in row.items():
-                _accumulate(acc, c, a * v)
-    return Matrix._raw(nrows, ncols, out)
-
-
-def interior_product_matrix(level: CochainLevel, x: Sequence) -> Matrix:
-    """Matrix of i_X: degree k -> k-1, linear in X."""
-    x = vector(x)
-    nrows = len(tuple_basis(level.algebra.dim, level.degree - 1)) * level.vdim
-    parts = [(a, _interior_basis_matrix(level, i)) for i, a in enumerate(x) if a]
-    if not parts:
-        return Matrix.zero(nrows, level.space_dim)
-    return _combine_basis_matrices(parts, nrows, level.space_dim)
-
-
-def lie_derivative_matrix(level: CochainLevel, x: Sequence) -> Matrix:
-    """Matrix of L_X: degree k -> k, linear in X."""
-    x = vector(x)
-    parts = [(a, _lie_basis_matrix(level, i)) for i, a in enumerate(x) if a]
-    if not parts:
-        return Matrix.zero(level.space_dim, level.space_dim)
-    return _combine_basis_matrices(parts, level.space_dim, level.space_dim)
 
 
 def j_map_matrix(g: LieAlgebra, k: int) -> Matrix:
@@ -299,7 +285,7 @@ def _j_map_core(dim: int, k: int) -> Matrix:
 def wedge_one_form_matrix(level: CochainLevel, covector: Sequence) -> Matrix:
     """Left wedge with the 1-form sum_i covector[i] e_i^*: degree k -> k+1."""
     g, vdim = level.algebra, level.vdim
-    covector = vector(covector)
+    covector = _coordinates(level, covector)
     out_index = _tuple_index(g.dim, level.degree + 1)
     out: list[dict] = [{} for _ in range(len(tuple_basis(g.dim, level.degree + 1)) * vdim)]
     for si, s in enumerate(level.tuples):

@@ -285,22 +285,22 @@ def derived_subalgebra(g: LieAlgebra) -> Subalgebra:
     return Subalgebra(g, _rref_rows(Matrix._raw(len(rows), g.dim, rows)._span()))
 
 
-def induced_algebra(g: LieAlgebra, basis: Sequence[Sequence], prefix: str = "d") -> LieAlgebra:
-    """Re-express the brackets of a closed subspace in its own basis."""
+def induced_algebra(g: LieAlgebra, basis: Sequence[Sequence], names: Sequence[str]) -> LieAlgebra:
+    """Re-express the brackets of a closed subspace in its own basis, named ``names``.
+
+    One solve against the basis gives the coordinates of every bracket
+    [basis[a], basis[b]], a < b, one column per pair.
+    """
     basis = [vector(v) for v in basis]
     n = len(basis)
-    if n == 0:
-        return LieAlgebra(0, (), ())
-    bmat = Matrix.from_columns(basis, rows=g.dim)
-    brackets = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            w = g.bracket(basis[a], basis[b])
-            coeffs = solve_columns(bmat, Matrix.from_columns([w], rows=g.dim))
-            if coeffs is None:
-                raise SubalgebraNotClosed("subspace is not closed under the bracket")
-            brackets[(a, b)] = coeffs.column(0)
-    return validate(n, tuple(f"{prefix}{i}" for i in range(n)), brackets)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    coeffs = solve_columns(
+        Matrix.from_columns(basis, rows=g.dim),
+        Matrix.from_columns([g.bracket(basis[a], basis[b]) for a, b in pairs], rows=g.dim),
+    )
+    if coeffs is None:
+        raise SubalgebraNotClosed("subspace is not closed under the bracket")
+    return validate(n, names, {p: coeffs.column(j) for j, p in enumerate(pairs)})
 
 
 @lru_cache(maxsize=None)
@@ -315,7 +315,7 @@ def structure_report(g: LieAlgebra) -> StructureReport:
     )
     reductive = False
     if direct_sum:
-        derived_alg = induced_algebra(g, derived.vectors)
+        derived_alg = induced_algebra(g, derived.vectors, [f"d{i}" for i in range(derived.dim)])
         reductive = killing_form(derived_alg).rank() == derived_alg.dim
     return StructureReport(semisimple, center, derived, reductive)
 
@@ -325,15 +325,8 @@ def change_of_basis(g: LieAlgebra, columns: Sequence[Sequence], names=None) -> L
     cols = [vector(c) for c in columns]
     if len(cols) != g.dim:
         raise DimensionMismatch("change of basis needs dim many vectors")
-    p = Matrix.from_columns(cols, rows=g.dim)
-    if p.rank() != g.dim:
+    if Matrix.from_columns(cols, rows=g.dim).rank() != g.dim:
         raise DimensionMismatch("change of basis matrix is singular")
     if names is None:
         names = tuple(f"f{i}" for i in range(g.dim))
-    brackets = {}
-    for a in range(g.dim):
-        for b in range(a + 1, g.dim):
-            w = g.bracket(cols[a], cols[b])
-            coeffs = solve_columns(p, Matrix.from_columns([w], rows=g.dim))
-            brackets[(a, b)] = coeffs.column(0)
-    return validate(g.dim, names, brackets)
+    return induced_algebra(g, cols, names)

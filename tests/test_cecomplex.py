@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense import apply, echelon_basis, kernel_basis
 from liecoh import suite
@@ -24,7 +26,7 @@ from liecoh.cecomplex import (
 from liecoh.cohomology import killing_three_form
 from liecoh.extensions import BUILTIN_NAMES, builtin
 from liecoh.gmod import adjoint_module, coadjoint_module, trivial_module
-from liecoh.liealg import subalgebra, unit
+from liecoh.liealg import DimensionMismatch, subalgebra, unit
 from liecoh.cohomology import betti_sequence
 from liecoh.ratlin import Matrix
 from liecoh.suite import check_operator_identities, random_identity_sample
@@ -279,13 +281,47 @@ def test_coadjoint_only_sweep_finds_every_failure_of_the_sign_flip():
     assert all(":coadjoint:" in label or ":j-" in label for label in full)
 
 
-def test_single_unit_vector_operators_are_the_cached_basis_matrices():
+def test_doubling_a_unit_vector_doubles_its_lie_derivative():
     lvl = level("sl2", "adjoint", 2)
     e1 = unit(3, 1)
-    assert lie_derivative_matrix(lvl, e1) is lie_derivative_matrix(lvl, e1)
-    assert interior_product_matrix(lvl, e1) is interior_product_matrix(lvl, e1)
     doubled = lie_derivative_matrix(lvl, tuple(2 * c for c in e1))
     assert doubled == lie_derivative_matrix(lvl, e1).scale(Q(2))
+
+
+_coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+@st.composite
+def _operator_case(draw):
+    """A catalog level with a, b, X, Y; on some coordinates a*X + b*Y cancels."""
+    name = draw(st.sampled_from(_catalog_names()))
+    spec = draw(st.sampled_from(["trivial", "adjoint", "coadjoint"]))
+    lvl = level(name, spec, draw(st.integers(0, builtin(name).algebra.dim)))
+    n = lvl.algebra.dim
+    a, b = draw(_coefficient), draw(_coefficient.filter(bool))
+    x = draw(st.lists(_coefficient, min_size=n, max_size=n))
+    y = draw(st.lists(_coefficient, min_size=n, max_size=n))
+    cancel = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    y = [-a * xi / b if c else yi for xi, yi, c in zip(x, y, cancel)]
+    return lvl, a, b, x, y
+
+
+@given(_operator_case())
+@settings(max_examples=60, deadline=None)
+def test_interior_and_lie_derivative_are_linear_in_x(case):
+    lvl, a, b, x, y = case
+    combined = [a * xi + b * yi for xi, yi in zip(x, y)]
+    for op in (interior_product_matrix, lie_derivative_matrix):
+        assert op(lvl, combined) == op(lvl, x).scale(a) + op(lvl, y).scale(b), op.__name__
+
+
+@pytest.mark.parametrize("x", [(1,), (0, 0, 0, 1)], ids=["short", "long"])
+@pytest.mark.parametrize(
+    "op", [interior_product_matrix, lie_derivative_matrix, wedge_one_form_matrix]
+)
+def test_operators_reject_a_vector_of_the_wrong_length(op, x):
+    with pytest.raises(DimensionMismatch):
+        op(level("sl2", "adjoint", 2), x)
 
 
 def _reference_relative_subspace(level, h):

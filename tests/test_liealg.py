@@ -271,6 +271,26 @@ def test_change_of_basis_preserves_structure():
     assert killing_determinant(g2) == Q(-128)  # determinant of P is 1
 
 
+def test_change_of_basis_rejects_a_bad_basis_and_names_the_new_one():
+    g = builtin("sl2").algebra
+    with pytest.raises(DimensionMismatch, match="^change of basis needs dim many vectors$"):
+        change_of_basis(g, [(1, 0, 0), (0, 1, 0)])
+    with pytest.raises(DimensionMismatch, match="^change of basis matrix is singular$"):
+        change_of_basis(g, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    assert change_of_basis(g, [unit(3, i) for i in range(3)]).basis_names == ("f0", "f1", "f2")
+    renamed = change_of_basis(g, [unit(3, i) for i in range(3)], names=("h", "e", "f"))
+    assert renamed.basis_names == ("h", "e", "f")
+    assert renamed.brackets == g.brackets
+
+
+def test_induced_algebra_rejects_a_subspace_not_closed_under_the_bracket():
+    g = builtin("sl2").algebra
+    with pytest.raises(SubalgebraNotClosed, match="not closed under the bracket"):
+        liealg.induced_algebra(g, [unit(3, 1), unit(3, 2)], ("e", "f"))  # [E, F] = H
+    borel = liealg.induced_algebra(g, [unit(3, 0), unit(3, 1)], ("h", "e"))
+    assert borel.bracket(unit(2, 0), unit(2, 1)) == (Q(0), Q(2))
+
+
 # -- Jacobi validation against the dense triple loop ----------------------
 
 
