@@ -22,13 +22,17 @@ Conventions, fixed once and used by every operator here:
 
 A relative subspace is given by its canonical RREF basis inside the full
 space: the forms killed by every ``i_X`` and ``L_X`` with X in the
-subalgebra.
+subalgebra h.  It is computed on the quotient g/h, never on the full
+level: the forms killed by every ``i_X`` are wedges of the annihilator
+covectors of h, and ``L_X`` on them is the Lie derivative of g/h, so the
+only kernel taken is on C(n - dim h, k) * vdim coordinates.
 
 Caching: ``tuple_basis``/``_tuple_index``, ``_pairs_by_target``, the
 differential, the degree -1 map and the relative subspaces are cached per
 level.  ``i_X`` and ``L_X`` are built from the coordinates of X on each
 call, in one pass over the level; ``suite._Operators`` memoises them for
-one identity sweep.
+one identity sweep.  ``relative_subspace`` builds neither: it assembles
+only the quotient ``L_X``, through the same loop as ``L_X``.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ from itertools import combinations
 from typing import Sequence
 
 from . import gmod
-from .liealg import DimensionMismatch, LieAlgebra, Subalgebra, unit
-from .ratlin import EchelonSpan, Matrix, _kernel_echelon, vector
+from .liealg import DimensionMismatch, LieAlgebra, Subalgebra
+from .ratlin import EchelonSpan, Matrix, _rref_rows, vector
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -232,17 +236,29 @@ def interior_product_matrix(level: CochainLevel, x: Sequence) -> Matrix:
 def lie_derivative_matrix(level: CochainLevel, x: Sequence) -> Matrix:
     """Matrix of L_X: degree k -> k, linear in X."""
     x = _coordinates(level, x)
-    g, vdim = level.algebra, level.vdim
-    out_index = _tuple_index(g.dim, level.degree)
-    out: list[dict] = [{} for _ in range(level.space_dim)]
-    # replacements[c] = {t: coef} with coef the c-coefficient of [e_t, X]
-    replacements = (-g.ad_matrix(x)).sparse_rows
+    # row c of -ad(X) is {t: coef}, coef the c-coefficient of [e_t, X]
+    replacements = (-level.algebra.ad_matrix(x)).sparse_rows
+    return _lie_derivative_core(level.algebra.dim, level.degree, level.module, x, replacements)
+
+
+def _lie_derivative_core(
+    dim: int, k: int, module: gmod.GModule, x: Sequence, replacements: Sequence[dict]
+) -> Matrix:
+    """L_X on the k-cochains of a dim-dimensional space, with values in module.
+
+    The module part is sum_i x_i action_i; in the bracket part, an argument
+    e_c of the form is replaced by each e_t with coefficient replacements[c][t].
+    """
+    vdim = module.vdim
+    tuples = tuple_basis(dim, k)
+    out_index = _tuple_index(dim, k)
+    out: list[dict] = [{} for _ in range(len(tuples) * vdim)]
     # action_cols[m] = {mm: coefficient}: the column (sum_i x_i action_i) e_m
     action = sum(
-        (act.scale(a) for a, act in zip(x, level.module.actions) if a), Matrix.zero(vdim, vdim)
+        (act.scale(a) for a, act in zip(x, module.actions) if a), Matrix.zero(vdim, vdim)
     )
     action_cols = action.transpose().sparse_rows
-    for si, s in enumerate(level.tuples):
+    for si, s in enumerate(tuples):
         # bracket part: s[q] replaced by each t, the same for every module index m
         terms = []
         for q, sq in enumerate(s):
@@ -251,14 +267,14 @@ def lie_derivative_matrix(level: CochainLevel, x: Sequence) -> Matrix:
                 sign, tt = sort_with_sign(rest[:q] + (t,) + rest[q:])
                 if sign:
                     terms.append((out_index[tt] * vdim, sign * coef))
-        base = out_index[s] * vdim
+        base = si * vdim
         for m in range(vdim):
-            col = si * vdim + m
+            col = base + m
             for mm, v in action_cols[m].items():
                 out[base + mm][col] = v
             for row, v in terms:
                 _accumulate(out[row + m], col, v)
-    return Matrix._raw(len(out), level.space_dim, out)
+    return Matrix._raw(len(out), len(out), out)
 
 
 def j_map_matrix(g: LieAlgebra, k: int) -> Matrix:
@@ -303,16 +319,56 @@ def wedge_one_form_matrix(level: CochainLevel, covector: Sequence) -> Matrix:
 def relative_subspace(level: CochainLevel, h: Subalgebra) -> tuple:
     """Canonical echelon basis of the forms killed by i_X and L_X, X in h.
 
-    One kernel of all the operators stacked, re-echelonised so the output
-    is the unique RREF basis of the joint kernel.
+    h must be bracket-closed, as every ``Subalgebra`` built by
+    ``subalgebra``, ``center_of`` or ``derived_subalgebra`` is.  The work is
+    done on the quotient g/h:
+
+    * The forms killed by every i_X are the horizontal ones, spanned by
+      beta_T (x) e_m, where beta_T wedges the annihilator covectors
+      alpha_f of h (the kernel rows of the h.vectors matrix, one per free
+      column f) over an increasing tuple T of free columns.
+    * By [L_X, i_Y] = i_[X,Y], which needs only that h is closed and no
+      module axiom, L_X keeps horizontal forms horizontal and acts on their
+      beta coordinates as the Lie derivative of g/h: an argument e_c is
+      replaced by e_t with coefficient alpha_c([e_t, X]), c and t free.
+    * The kernel of these quotient operators, mapped back through the beta
+      rows and re-echelonised, is the unique RREF basis of the joint kernel.
     """
-    n = level.space_dim
-    if h.dim == 0:
-        return tuple(unit(n, i) for i in range(n))
-    ops = [
-        op(level, w) for w in h.vectors for op in (interior_product_matrix, lie_derivative_matrix)
-    ]
-    return _kernel_echelon(Matrix.vstack(ops))
+    g, k, vdim = level.algebra, level.degree, level.vdim
+    # alpha_f for each free column f; kernel_rows puts f after every pivot alpha_f touches
+    alphas = Matrix._raw(h.dim, g.dim, [dict(enumerate(v)) for v in h.vectors]).kernel_rows()
+    free = {max(a): c for c, a in enumerate(alphas)}
+    annihilator = Matrix._raw(len(alphas), g.dim, alphas)
+    quotient_tuples = tuple_basis(len(alphas), k)
+    quotient = []  # the quotient L_X, one block per basis vector X of h
+    for x in h.vectors:
+        # row c is {t: alpha_c([e_t, X])}; keep the free t, in quotient indices
+        brackets = (annihilator * -g.ad_matrix(x)).sparse_rows
+        replacements = [{free[t]: v for t, v in r.items() if t in free} for r in brackets]
+        quotient += _lie_derivative_core(len(alphas), k, level.module, x, replacements).sparse_rows
+    n_rel = len(quotient_tuples) * vdim
+    kernel = Matrix._raw(len(quotient), n_rel, quotient).kernel_rows()
+    # the horizontal forms beta_T (x) e_m, in the coordinates of the full level
+    index = _tuple_index(g.dim, k)
+    beta_rows = []
+    for t in quotient_tuples:
+        beta = {(): _ONE}
+        for c in reversed(t):
+            beta = _wedge(alphas[c], beta)
+        beta_rows += ({index[s] * vdim + m: v for s, v in beta.items()} for m in range(vdim))
+    forms = Matrix._raw(len(kernel), n_rel, kernel) * Matrix._raw(n_rel, level.space_dim, beta_rows)
+    return _rref_rows(forms._span())
+
+
+def _wedge(alpha: dict, form: dict) -> dict:
+    """alpha ^ form for a 1-form {index: coef} and a form {increasing tuple: coef}."""
+    out: dict = {}
+    for s, c in form.items():
+        for a, ca in alpha.items():
+            if a not in s:
+                pos, t = _insert(s, a)
+                _accumulate(out, t, ca * c if pos % 2 == 0 else -ca * c)
+    return out
 
 
 def relative_closure_holds(level: CochainLevel, h: Subalgebra) -> bool:

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense import apply, echelon_basis, kernel_basis
-from liecoh import suite
+from dense import apply, echelon_basis
+from liecoh import cecomplex, suite
 from liecoh.cecomplex import (
     Cochain,
     CochainLevel,
@@ -25,10 +25,10 @@ from liecoh.cecomplex import (
 )
 from liecoh.cohomology import killing_three_form
 from liecoh.extensions import BUILTIN_NAMES, builtin
-from liecoh.gmod import adjoint_module, coadjoint_module, trivial_module
-from liecoh.liealg import DimensionMismatch, subalgebra, unit
+from liecoh.gmod import adjoint_module, coadjoint_module, module_from_spec, trivial_module
+from liecoh.liealg import DimensionMismatch, change_of_basis, subalgebra, unit
 from liecoh.cohomology import betti_sequence
-from liecoh.ratlin import Matrix
+from liecoh.ratlin import Matrix, solve_columns
 from liecoh.suite import check_operator_identities, random_identity_sample
 
 
@@ -326,26 +326,75 @@ def test_operators_reject_a_vector_of_the_wrong_length(op, x):
 
 def _reference_relative_subspace(level, h):
     """Joint kernel of i_X and L_X, X in h, one operator at a time."""
-    n = level.space_dim
-    basis = [unit(n, i) for i in range(n)]  # spans the forms killed so far
+    basis = Matrix.identity(level.space_dim)  # its rows span the forms killed so far
     for w in h.vectors:
         for op in (interior_product_matrix(level, w), lie_derivative_matrix(level, w)):
-            if not basis:
-                return ()
-            b = Matrix.from_columns(basis, rows=n)
-            basis = [apply(b, v) for v in kernel_basis(op * b)]
-    return tuple(echelon_basis(basis))
+            kernel = (op * basis.transpose()).kernel_rows()
+            basis = Matrix._raw(len(kernel), basis.rows, kernel) * basis
+    return tuple(echelon_basis(basis.entries))
+
+
+# the flipped coadjoint action is not a module: the quotient method must not need the axiom
+_RELATIVE_SPECS = ("trivial", "adjoint", "coadjoint", "trivial:2", "dual:adjoint",
+                   "sum:trivial+adjoint", "flipped-coadjoint")
+
+
+def _assert_matches_reference(g, h):
+    # degrees -1 and n - dim h + 1 .. n have no relative forms; they must come out empty too
+    for spec in _RELATIVE_SPECS:
+        if spec == "flipped-coadjoint":
+            mod = suite.flipped_coadjoint_module(g)
+        else:
+            mod = module_from_spec(g, spec)
+        for k in range(-1, g.dim + 1):
+            lvl = CochainLevel(g, mod, k)
+            assert relative_subspace(lvl, h) == _reference_relative_subspace(lvl, h), (spec, k)
 
 
 @pytest.mark.parametrize("name", ["sl2_so2_pair", "sl2R_ext", "fivedim_ext:1"])
 def test_relative_subspace_matches_one_operator_at_a_time(name):
     entry = builtin(name)
-    g = entry.algebra
+    _assert_matches_reference(entry.algebra, entry.h)
+
+
+@pytest.mark.parametrize("name", ["sl2_so2_pair", "sl2R_ext", "fivedim_ext:1"])
+def test_relative_subspace_matches_after_a_change_of_basis(name):
+    # h is carried along, so its vectors are no longer unit vectors
+    entry = builtin(name)
+    n = entry.algebra.dim
+    cols = suite._random_invertible(random.Random(f"rebased {name}"), n)
+    g = change_of_basis(entry.algebra, [tuple(row[j] for row in cols) for j in range(n)])
+    # a vector v of h has new coordinates w with cols * w = v
+    w = solve_columns(Matrix.from_rows(cols), Matrix.from_columns(entry.h.vectors, rows=n))
+    h = subalgebra(g, [w.column(j) for j in range(w.cols)])
+    assert any(sum(map(bool, v)) > 1 for v in h.vectors)
+    _assert_matches_reference(g, h)
+
+
+def _relative_digest(name, relative):
+    """sha256 of every relative basis of a catalog pair, modules as in ``level``."""
+    entry = builtin(name)
+    lines = []
     for spec in ("trivial", "adjoint", "coadjoint"):
-        for k in range(g.dim + 1):
-            lvl = level(name, spec, k)
-            assert relative_subspace(lvl, entry.h) == _reference_relative_subspace(lvl, entry.h), (
-                spec, k)
+        for k in range(entry.algebra.dim + 1):
+            basis = relative(level(name, spec, k), entry.h)
+            lines.append(f"{spec} {k}: " + " | ".join(" ".join(map(str, v)) for v in basis))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_relative_subspace_builds_no_full_level_operator(monkeypatch):
+    # relative_subspace works on the quotient g/h only: it never assembles
+    # i_X or L_X on the full level, yet returns the bases pinned before
+    def refuse(*args):
+        raise AssertionError("full-level operator assembled")
+
+    monkeypatch.setattr(cecomplex, "interior_product_matrix", refuse)
+    monkeypatch.setattr(cecomplex, "lie_derivative_matrix", refuse)
+    uncached = cecomplex.relative_subspace.__wrapped__
+    assert _relative_digest("sl2_so2_pair", uncached) == (
+        "1dfcb80594bb173d2d8e86bcc5659b7d119132463e955dbf420f4a7b8255687f")
+    assert _relative_digest("fivedim_ext:1", uncached) == (
+        "7b25df8cc948b86fe5f688a396cf85ed123b0b104c5bafc5f3507435d012d120")
 
 
 def _catalog_names():

@@ -1,6 +1,7 @@
 """Betti numbers, distinguished classes, volume forms, duality reports."""
 
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,7 @@ from liecoh.cohomology import (
 )
 from liecoh.extensions import BUILTIN_NAMES, builtin
 from liecoh.gmod import adjoint_module, coadjoint_module, dual_module, trivial_module
+from liecoh.liealg import subalgebra, unit, validate
 from liecoh.ratlin import EchelonSpan, Matrix, SubspaceNotContained, quotient_dim
 
 
@@ -232,3 +234,42 @@ def test_containment_check_fires_on_a_non_module():
         with pytest.raises(SubspaceNotContained):
             cohomology(g, flipped, k)
     assert [cohomology(g, flipped, k).betti for k in (0, 3)] == [0, 0]
+
+
+# -- Cartan's theorem on the symmetric pairs (so(n,1), so(n)) --------------
+
+
+def _so_n1(n):
+    """so(n,1) from matrix units, rotations R_ij (i < j < n) first, then boosts B_i.
+
+    R_ij = E_ij - E_ji and B_i = E_in + E_ni preserve the form diag(1, .., 1, -1);
+    the pair's subalgebra so(n) is spanned by the rotations.
+    """
+    rotations = list(combinations(range(n), 2))
+    elems = [{(i, j): 1, (j, i): -1} for i, j in rotations]
+    elems += [{(i, n): 1, (n, i): 1} for i in range(n)]
+
+    def product(x, y):
+        out = {}
+        for (i, k), a in x.items():
+            for (k2, j), b in y.items():
+                if k == k2:
+                    out[(i, j)] = out.get((i, j), 0) + a * b
+        return out
+
+    def coordinates(m):
+        return [m.get(p, 0) for p in rotations] + [m.get((i, n), 0) for i in range(n)]
+
+    brackets = {}
+    for a, b in combinations(range(len(elems)), 2):
+        xy, yx = product(elems[a], elems[b]), product(elems[b], elems[a])
+        brackets[(a, b)] = coordinates({p: xy.get(p, 0) - yx.get(p, 0) for p in {*xy, *yx}})
+    g = validate(len(elems), [f"e{i}" for i in range(len(elems))], brackets)
+    return g, subalgebra(g, [unit(g.dim, i) for i in range(len(rotations))])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_relative_betti_of_so_n1_is_that_of_the_sphere(n):
+    # H*(so(n,1), so(n)) = H*(S^n), the compact dual (Cartan): 1 + t^n
+    g, h = _so_n1(n)
+    assert betti_sequence(g, trivial_module(g, 1), h) == (1,) + (0,) * (n - 1) + (1,)
