@@ -19,6 +19,8 @@ Conventions, fixed once and used by every operator here:
   relation ``L_X = delta i_X + i_X delta``.
 * The degree -1 map into coadjoint coefficients is
   ``(J w)(X_1..X_{k-1})(X) = w(X, X_1..X_{k-1})``.
+* The left wedge with a 1-form, degree k -> k+1, is the transpose of
+  ``i_X`` on degree k+1, X having the coordinates of the 1-form.
 
 A relative subspace is given by its canonical RREF basis inside the full
 space: the forms killed by every ``i_X`` and ``L_X`` with X in the
@@ -178,14 +180,13 @@ def differential_matrix(level: CochainLevel) -> Matrix:
                     if a in s_set:
                         continue
                     pos, t = _insert(s, a)
-                    sgn = 1 if pos % 2 == 0 else -1  # (-1)^(i+1), i = pos+1
                     base = out_index[t] * vdim
                     for mm, v in action_cols[a][m].items():
-                        _accumulate(out[base + mm], col, sgn * v)
+                        # (-1)^(i+1), i = pos+1
+                        _accumulate(out[base + mm], col, v if pos % 2 == 0 else -v)
             # bracket sum: the bracket of the pair must reproduce one index of s
             for q, sq in enumerate(s):
                 rest = s[:q] + s[q + 1 :]
-                eval_sign = 1 if q % 2 == 0 else -1  # sorting (sq, rest) into s
                 rest_set = set(rest)
                 for (a, b), coef in by_target[sq]:
                     if a in rest_set or b in rest_set:
@@ -195,8 +196,9 @@ def differential_matrix(level: CochainLevel) -> Matrix:
                     # 1-based positions of a and b inside t
                     i = t.index(a) + 1
                     j = t.index(b) + 1
-                    sgn = 1 if (i + j) % 2 == 0 else -1
-                    _accumulate(out[out_index[t] * vdim + m], col, sgn * eval_sign * coef)
+                    # (-1)^(i+j), times (-1)^q for sorting (sq, rest) into s
+                    v = coef if (i + j + q) % 2 == 0 else -coef
+                    _accumulate(out[out_index[t] * vdim + m], col, v)
     return Matrix._raw(len(out), level.space_dim, out)
 
 
@@ -299,20 +301,11 @@ def _j_map_core(dim: int, k: int) -> Matrix:
 
 
 def wedge_one_form_matrix(level: CochainLevel, covector: Sequence) -> Matrix:
-    """Left wedge with the 1-form sum_i covector[i] e_i^*: degree k -> k+1."""
-    g, vdim = level.algebra, level.vdim
-    covector = _coordinates(level, covector)
-    out_index = _tuple_index(g.dim, level.degree + 1)
-    out: list[dict] = [{} for _ in range(len(tuple_basis(g.dim, level.degree + 1)) * vdim)]
-    for si, s in enumerate(level.tuples):
-        for a, ca in enumerate(covector):
-            if not ca or a in s:
-                continue
-            pos, t = _insert(s, a)
-            sgn = ca if pos % 2 == 0 else -ca  # (-1)^(l+1), l = pos+1
-            for m in range(vdim):
-                out[out_index[t] * vdim + m][si * vdim + m] = sgn
-    return Matrix._raw(len(out), level.space_dim, out)
+    """Left wedge with the 1-form sum_i covector[i] e_i^*: degree k -> k+1.
+
+    Both it and i_X one degree up put +-covector[a] at (s with a inserted, s).
+    """
+    return interior_product_matrix(level.shifted(1), covector).transpose()
 
 
 @lru_cache(maxsize=None)

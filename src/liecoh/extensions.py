@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from . import gmod
+from . import files, gmod
 from .cohomology import DualityReport, cohomology, duality_report, invariant_volume_form
 from .liealg import (
     DimensionMismatch,
@@ -122,8 +122,6 @@ def central_extension(
 @dataclass(frozen=True)
 class Annotations:
     semisimple: bool | None = None
-    compact_h: bool | None = None
-    irreducible_modules: tuple[str, ...] = ()
     # (module spec, betti by degree); relative when the entry carries h
     expected_betti: tuple = ()
 
@@ -137,160 +135,97 @@ class CatalogEntry:
     pair: ExtensionPair | None = None
 
 
+_SL2_BRACKETS = {(0, 1): (0, 2, 0), (0, 2): (0, 0, -2), (1, 2): (1, 0, 0)}
+_SIMPLE_BETTI = (("trivial", (1, 0, 0, 1)), ("adjoint", (0, 0, 0, 0)))
+
+
 def _sl2() -> LieAlgebra:
-    return validate(
-        3,
-        ("H", "E", "F"),
-        {(0, 1): (0, 2, 0), (0, 2): (0, 0, -2), (1, 2): (1, 0, 0)},
-    )
-
-
-def _so3() -> LieAlgebra:
-    return validate(
-        3,
-        ("X", "Y", "Z"),
-        {(0, 1): (0, 0, 1), (0, 2): (0, -1, 0), (1, 2): (1, 0, 0)},
-    )
+    return validate(3, ("H", "E", "F"), _SL2_BRACKETS)
 
 
 def _sl2sl2() -> LieAlgebra:
-    brackets = {}
-    for off in (0, 3):
-        h, e, f = off, off + 1, off + 2
-        z = [_ZERO] * 6
-        for (i, j), vals in {
-            (h, e): {e: 2},
-            (h, f): {f: -2},
-            (e, f): {h: 1},
-        }.items():
-            row = list(z)
-            for t, c in vals.items():
-                row[t] = Fraction(c)
-            brackets[(i, j)] = tuple(row)
+    brackets = {(i, j): v + (0, 0, 0) for (i, j), v in _SL2_BRACKETS.items()}
+    brackets.update({(i + 3, j + 3): (0, 0, 0) + v for (i, j), v in _SL2_BRACKETS.items()})
     return validate(6, ("H1", "E1", "F1", "H2", "E2", "F2"), brackets)
 
 
-def _heis3() -> LieAlgebra:
-    return validate(3, ("X", "Y", "Z"), {(0, 1): (0, 0, 1)})
+def _sl2_so2_pair() -> tuple:
+    g = _sl2()
+    annotations = Annotations(semisimple=True, expected_betti=(("trivial", (1, 0, 1)),))
+    return g, subalgebra(g, [(0, 1, -1)]), annotations, None
 
 
-def _abelian(n: int) -> LieAlgebra:
-    return validate(n, tuple(f"a{i + 1}" for i in range(n)), {})
+def _pair_parts(pair: ExtensionPair) -> tuple:
+    return pair.algebra, pair.isotropy, Annotations(), pair
 
 
-BUILTIN_NAMES = (
-    "sl2",
-    "so3",
-    "sl2sl2",
-    "heis3",
-    "abelian:n",
-    "sl2_so2_pair",
-    "sl2R_ext",
-    "fivedim_ext:alpha",
-)
+def _abelian(count: str) -> tuple:
+    try:
+        n = files.parse_count(count)
+    except files.ParseError:
+        raise UnknownName(f"the dimension of abelian must be a count such as 3, not {count!r}")
+    check_dim(n, f"catalog algebra 'abelian:{count}'")
+    g = validate(n, tuple(f"a{i + 1}" for i in range(n)), {})
+    return g, None, Annotations(semisimple=(n == 0)), None
+
+
+def _fivedim_ext(slope: str) -> tuple:
+    try:
+        alpha = files.parse_rational(slope)
+    except files.ParseError:
+        alpha = None
+    if not alpha:
+        raise UnknownName(
+            f"the slope of fivedim_ext must be a nonzero rational such as 2 or 1/2, not {slope!r}; "
+            "irrational slopes are not supported by this exact engine"
+        )
+    k1 = (0, 1, -1, 0, 0, 0)
+    k2 = (0, 0, 0, 0, 1, -1)
+    return _pair_parts(central_extension(_sl2sl2(), None, [k1, k2], 1, [[1, alpha]]))
+
+
+# catalog name -> builder of (algebra, h, annotations, pair), in catalog order.
+# A family is keyed "<head>:<argument>"; its builder parses the text after the colon.
+_CATALOG = {
+    "sl2": lambda: (_sl2(), None, Annotations(semisimple=True, expected_betti=_SIMPLE_BETTI), None),
+    "so3": lambda: (
+        validate(3, ("X", "Y", "Z"), {(0, 1): (0, 0, 1), (0, 2): (0, -1, 0), (1, 2): (1, 0, 0)}),
+        None,
+        Annotations(semisimple=True, expected_betti=_SIMPLE_BETTI),
+        None,
+    ),
+    "sl2sl2": lambda: (
+        _sl2sl2(),
+        None,
+        Annotations(semisimple=True, expected_betti=(("trivial", (1, 0, 0, 2, 0, 0, 1)),)),
+        None,
+    ),
+    "heis3": lambda: (
+        validate(3, ("X", "Y", "Z"), {(0, 1): (0, 0, 1)}),
+        None,
+        Annotations(semisimple=False, expected_betti=(("trivial", (1, 2, 2, 1)),)),
+        None,
+    ),
+    "abelian:n": _abelian,
+    "sl2_so2_pair": _sl2_so2_pair,
+    "sl2R_ext": lambda: _pair_parts(central_extension(_sl2(), None, [(0, 1, -1)], 1, [[1]])),
+    "fivedim_ext:alpha": _fivedim_ext,
+}
+BUILTIN_NAMES = tuple(_CATALOG)
+_FAMILIES = {key.split(":", 1)[0]: build for key, build in _CATALOG.items() if ":" in key}
 
 
 @lru_cache(maxsize=None)
 def builtin(name: str) -> CatalogEntry:
     """Look up a built-in algebra or pair by its stable catalog name."""
-    if name == "sl2":
-        return CatalogEntry(
-            name,
-            _sl2(),
-            None,
-            Annotations(
-                semisimple=True,
-                irreducible_modules=("adjoint", "coadjoint"),
-                expected_betti=(("trivial", (1, 0, 0, 1)), ("adjoint", (0, 0, 0, 0))),
-            ),
-        )
-    if name == "so3":
-        return CatalogEntry(
-            name,
-            _so3(),
-            None,
-            Annotations(
-                semisimple=True,
-                irreducible_modules=("adjoint", "coadjoint"),
-                expected_betti=(("trivial", (1, 0, 0, 1)), ("adjoint", (0, 0, 0, 0))),
-            ),
-        )
-    if name == "sl2sl2":
-        return CatalogEntry(
-            name,
-            _sl2sl2(),
-            None,
-            Annotations(
-                semisimple=True,
-                expected_betti=(("trivial", (1, 0, 0, 2, 0, 0, 1)),),
-            ),
-        )
-    if name == "heis3":
-        return CatalogEntry(
-            name,
-            _heis3(),
-            None,
-            Annotations(semisimple=False, expected_betti=(("trivial", (1, 2, 2, 1)),)),
-        )
-    if name.startswith("abelian:"):
-        try:
-            n = int(name.split(":", 1)[1])
-        except ValueError:
-            raise UnknownName(f"bad abelian dimension in {name!r}")
-        if n < 0:
-            raise UnknownName("abelian dimension must be nonnegative")
-        check_dim(n, f"catalog algebra {name!r}")
-        return CatalogEntry(
-            name,
-            _abelian(n),
-            None,
-            Annotations(semisimple=(n == 0)),
-        )
-    if name == "sl2_so2_pair":
-        g = _sl2()
-        h = subalgebra(g, [(0, 1, -1)])
-        return CatalogEntry(
-            name,
-            g,
-            h,
-            Annotations(
-                semisimple=True,
-                compact_h=True,
-                expected_betti=(("trivial", (1, 0, 1)),),
-            ),
-        )
-    if name == "sl2R_ext":
-        pair = central_extension(_sl2(), None, [(0, 1, -1)], 1, [[1]])
-        return CatalogEntry(
-            name,
-            pair.algebra,
-            pair.isotropy,
-            Annotations(compact_h=True),
-            pair=pair,
-        )
-    if name.startswith("fivedim_ext:"):
-        alpha_text = name.split(":", 1)[1]
-        try:
-            alpha = rational(alpha_text)
-        except (ValueError, ZeroDivisionError, TypeError):
-            raise UnknownName(
-                f"the slope in {name!r} must be a nonzero rational such as 2 or 1/2; "
-                "irrational slopes are not supported by this exact engine"
-            )
-        if alpha == 0:
-            raise UnknownName("the slope of fivedim_ext must be nonzero")
-        g = _sl2sl2()
-        k1 = (0, 1, -1, 0, 0, 0)
-        k2 = (0, 0, 0, 0, 1, -1)
-        pair = central_extension(g, None, [k1, k2], 1, [[1, alpha]])
-        return CatalogEntry(
-            name,
-            pair.algebra,
-            pair.isotropy,
-            Annotations(compact_h=True),
-            pair=pair,
-        )
-    raise UnknownName(f"unknown catalog name {name!r}; known: {', '.join(BUILTIN_NAMES)}")
+    head, colon, argument = name.partition(":")
+    if colon and head in _FAMILIES:
+        parts = _FAMILIES[head](argument)
+    elif name in _CATALOG:
+        parts = _CATALOG[name]()
+    else:
+        raise UnknownName(f"unknown catalog name {name!r}; known: {', '.join(BUILTIN_NAMES)}")
+    return CatalogEntry(name, *parts)
 
 
 @dataclass(frozen=True)

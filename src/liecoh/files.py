@@ -58,6 +58,16 @@ def parse_rational(text) -> Fraction:
     raise ParseError(f"not an exact rational: {text!r} (use p/q or an integer string)")
 
 
+def parse_count(text: str) -> int:
+    """Parse a count written in ASCII digits; signs, underscores and spaces are rejected."""
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"not a count: {text!r} (use ASCII digits only)")
+    try:
+        return int(text)
+    except ValueError:  # over Python's limit on int string conversion
+        raise ParseError(f"count of {len(text)} characters has too many digits")
+
+
 def _is_count(x) -> bool:
     """A nonnegative JSON integer; true and false are not counts."""
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0

@@ -19,6 +19,7 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence
 
+from . import files
 from .liealg import DimensionMismatch, LieAlgebra, unit
 from .ratlin import Matrix, dense_vector
 
@@ -160,11 +161,9 @@ def module_from_spec(g: LieAlgebra, spec: str) -> GModule:
         return trivial_module(g, 1)
     if spec.startswith("trivial:"):
         try:
-            n = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise UnknownModuleSpec(f"bad trivial module rank in {spec!r}")
-        if n < 0:
-            raise UnknownModuleSpec(f"negative trivial module rank in {spec!r}")
+            n = files.parse_count(spec.split(":", 1)[1])
+        except files.ParseError:
+            raise UnknownModuleSpec(f"bad trivial module rank in {spec!r}; use a count such as 2")
         _check_level_dim(g, n, spec)
         return trivial_module(g, n)
     if spec in ("adjoint", "coadjoint"):

@@ -4,8 +4,10 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -182,10 +184,18 @@ def test_rational_round_trip(p, q):
 
 
 def test_every_builtin_name_is_recognised_as_catalog_name():
-    for name in BUILTIN_NAMES:
-        assert _looks_like_catalog_name(name), name
-        assert _looks_like_catalog_name(name.replace(":n", ":3").replace(":alpha", ":-3/4"))
+    examples = {"abelian:n": "abelian:3", "fivedim_ext:alpha": "fivedim_ext:-3/4"}
+    for key in BUILTIN_NAMES:
+        name = examples.get(key, key)
+        assert _looks_like_catalog_name(key) and _looks_like_catalog_name(name), key
+        assert builtin(name).name == name
     assert not _looks_like_catalog_name("sl2.json")
+
+
+def test_readme_catalog_table_lists_exactly_the_builtin_names():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| name | contents |", 1)[1].split("\n\n", 1)[0]
+    assert tuple(re.findall(r"^\| `([^`]+)` \|", table, re.MULTILINE)) == BUILTIN_NAMES
 
 
 def test_check_catalog_name(capsys):
@@ -595,9 +605,30 @@ def test_self_check_fails_when_omitting_the_diagonal_is_harmless(capsys, monkeyp
 
 # -- fuzzing ----------------------------------------------------------
 
+# arguments that int() or Fraction() take, but a count (ASCII digits) or a
+# rational of the algebra file format (integer or p/q) does not
+_MALFORMED_NAMES = [
+    "abelian:1_0", "abelian:+2", "abelian:\u0663", "abelian:" + "1" * 5000,
+    "fivedim_ext:0.5", "fivedim_ext:1e1", "fivedim_ext:1_0", "fivedim_ext:" + "1" * 5000,
+]
+_MALFORMED_SPECS = ["trivial:1_0", "trivial:+2", "trivial:\u0663", "trivial:" + "1" * 5000]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", name] for name in _MALFORMED_NAMES]
+    + [["cohomology", "sl2", "--coeffs", spec] for spec in _MALFORMED_SPECS],
+)
+def test_malformed_family_and_spec_arguments_exit_1(argv):
+    code, out, err = _run_uncaptured(argv)
+    assert code == EXIT_VALIDATION
+    assert out == "" and err.startswith("validation error: ") and "Traceback" not in err
+
+
 _FUZZ_NAMES = [n for n in BUILTIN_NAMES if ":" not in n] + [
     "abelian:0", "abelian:3", "abelian:x", "abelian:-1", "fivedim_ext:2",
     "fivedim_ext:-3/4", "fivedim_ext:0", "fivedim_ext:1/0", "nosuch", "missing.json",
+    *_MALFORMED_NAMES,
 ]
 _FUZZ_POSITIONAL = {
     "check": _FUZZ_NAMES,
@@ -614,7 +645,7 @@ _FUZZ_FLAGS = {
 # every module and algebra here has cochain levels of at most a few hundred
 _FUZZ_VALUES = {
     "--coeffs": ["trivial", "trivial:2", "trivial:-1", "adjoint", "coadjoint", "dual:adjoint",
-                 "sum:trivial+adjoint", "sum:trivial", "spinor", "x/y.json"],
+                 "sum:trivial+adjoint", "sum:trivial", "spinor", "x/y.json", *_MALFORMED_SPECS],
     "--degree": ["all", "0", "1", "2", "7", "-1", "x"],
     "--chi": ["-5/2", "3/2", "0", "1", "1/0", "x"],
     "--e": ["-5/2", "3/2", "0", "1/0", "x"],

@@ -83,6 +83,15 @@ def test_builtin_catalog_names():
         builtin("abelian:x")
 
 
+def test_unknown_name_message_lists_the_catalog_in_order():
+    with pytest.raises(UnknownName) as exc:
+        builtin("so17")
+    assert str(exc.value) == (
+        "unknown catalog name 'so17'; known: sl2, so3, sl2sl2, heis3, abelian:n, "
+        "sl2_so2_pair, sl2R_ext, fivedim_ext:alpha"
+    )
+
+
 def test_fivedim_slope_must_be_nonzero_rational():
     with pytest.raises(UnknownName):
         builtin("fivedim_ext:0")
