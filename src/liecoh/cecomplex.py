@@ -47,7 +47,7 @@ from typing import Sequence
 
 from . import gmod
 from .liealg import DimensionMismatch, LieAlgebra, Subalgebra
-from .ratlin import EchelonSpan, Matrix, _rref_rows, vector
+from .ratlin import Matrix, _linear_combination, _rref_rows, vector
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -238,8 +238,8 @@ def interior_product_matrix(level: CochainLevel, x: Sequence) -> Matrix:
 def lie_derivative_matrix(level: CochainLevel, x: Sequence) -> Matrix:
     """Matrix of L_X: degree k -> k, linear in X."""
     x = _coordinates(level, x)
-    # row c of -ad(X) is {t: coef}, coef the c-coefficient of [e_t, X]
-    replacements = (-level.algebra.ad_matrix(x)).sparse_rows
+    # row c of ad(-X) is {t: coef}, coef the c-coefficient of [e_t, X]
+    replacements = level.algebra.ad_matrix([-a for a in x]).sparse_rows
     return _lie_derivative_core(level.algebra.dim, level.degree, level.module, x, replacements)
 
 
@@ -256,10 +256,7 @@ def _lie_derivative_core(
     out_index = _tuple_index(dim, k)
     out: list[dict] = [{} for _ in range(len(tuples) * vdim)]
     # action_cols[m] = {mm: coefficient}: the column (sum_i x_i action_i) e_m
-    action = sum(
-        (act.scale(a) for a, act in zip(x, module.actions) if a), Matrix.zero(vdim, vdim)
-    )
-    action_cols = action.transpose().sparse_rows
+    action_cols = _linear_combination(zip(x, module.actions), vdim, vdim).transpose().sparse_rows
     for si, s in enumerate(tuples):
         # bracket part: s[q] replaced by each t, the same for every module index m
         terms = []
@@ -336,7 +333,7 @@ def relative_subspace(level: CochainLevel, h: Subalgebra) -> tuple:
     quotient = []  # the quotient L_X, one block per basis vector X of h
     for x in h.vectors:
         # row c is {t: alpha_c([e_t, X])}; keep the free t, in quotient indices
-        brackets = (annihilator * -g.ad_matrix(x)).sparse_rows
+        brackets = (annihilator * g.ad_matrix([-a for a in x])).sparse_rows
         replacements = [{free[t]: v for t, v in r.items() if t in free} for r in brackets]
         quotient += _lie_derivative_core(len(alphas), k, level.module, x, replacements).sparse_rows
     n_rel = len(quotient_tuples) * vdim
@@ -371,8 +368,5 @@ def relative_closure_holds(level: CochainLevel, h: Subalgebra) -> bool:
         return True
     # row i of the product is delta applied to the relative basis vector i
     images = Matrix.from_rows(sub_k) * differential_matrix(level).transpose()
-    nxt = level.shifted(1)
-    target = EchelonSpan(nxt.space_dim)
-    for v in relative_subspace(nxt, h):
-        target.add(v)
+    target = Matrix.from_rows(relative_subspace(level.shifted(1), h))._span()
     return all(target.contains(v) for v in images.sparse_rows if v)

@@ -123,9 +123,10 @@ def cmd_cohomology(args) -> int:
         degrees = list(range(top + 1))
     else:
         try:
-            k = int(args.degree)
-        except ValueError:
-            raise DegreeOutOfRange(f"degree must be an integer or 'all', got {args.degree!r}")
+            k = _integer(args.degree)
+        except argparse.ArgumentTypeError:
+            shown = files._brief(args.degree)
+            raise DegreeOutOfRange(f"degree must be an integer or 'all', got {shown}")
         if not (0 <= k <= top):
             raise DegreeOutOfRange(f"degree {k} out of range 0..{top}")
         degrees = [k]
@@ -187,6 +188,16 @@ def cmd_verify_paper(args) -> int:
     return EXIT_OK if result.passed else EXIT_VERIFY_FAILED
 
 
+def _integer(text: str) -> int:
+    """An integer in ASCII digits with an optional sign: the argparse type of --n."""
+    sign = text[:1]
+    try:
+        count = files.parse_count(text[1:] if sign in ("+", "-") else text)
+    except files.ParseError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {files._brief(text)}")
+    return -count if sign == "-" else count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liecoh",
@@ -217,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vol.add_argument("kind", choices=("seifert", "sl2tilde"))
     p_vol.add_argument("--chi", help="base orbifold Euler characteristic (rational)")
     p_vol.add_argument("--e", help="fibration Euler number (rational)")
-    p_vol.add_argument("--n", type=int, help="fiber degree (integer)")
+    p_vol.add_argument("--n", type=_integer, help="fiber degree (integer)")
     p_vol.add_argument("--json", action="store_true", help="machine-readable output")
     p_vol.set_defaults(func=cmd_volume)
 
@@ -231,26 +242,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _VALUE_FLAGS = ("--chi", "--e", "--n")
-_NEGATIVE_RATIONAL = r"^-\d+(/\d+)?$"
+_NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$", re.ASCII)
 
 
 def _normalize_argv(argv) -> list:
     """Glue negative rational values onto their flags so argparse accepts them."""
-    out = []
-    i = 0
-    argv = list(argv)
-    while i < len(argv):
-        tok = argv[i]
-        if (
-            tok in _VALUE_FLAGS
-            and i + 1 < len(argv)
-            and re.match(_NEGATIVE_RATIONAL, argv[i + 1])
-        ):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
+    out = list(argv)
+    # from the end, so a merge leaves the indices still to visit unchanged
+    for i in range(len(out) - 1, 0, -1):
+        if out[i - 1] in _VALUE_FLAGS and _NEGATIVE_RATIONAL.match(out[i]):
+            out[i - 1 : i + 1] = [f"{out[i - 1]}={out[i]}"]
     return out
 
 

@@ -25,7 +25,7 @@ from .cecomplex import (
     relative_subspace,
 )
 from .liealg import LieAlgebra, Subalgebra, killing_form, structure_report, unit
-from .ratlin import EchelonSpan, Matrix, SubspaceNotContained, dense_vector
+from .ratlin import Matrix, SubspaceNotContained, dense_vector
 
 
 class NotSemisimple(Exception):
@@ -66,20 +66,17 @@ def _cohomology_core(g, module, k, h) -> CohomologyResult:
 
     if h is None or h.dim == 0:
         cocycles = delta_k.kernel_rows()
-        coboundaries = delta_prev.transpose().sparse_rows
+        coboundaries = delta_prev.transpose()
     else:
         # rows of bt are the relative basis, so bt^T is the inclusion
         bt = _row_matrix(relative_subspace(level_k, h), level_k.space_dim)
         kernel = (delta_k * bt.transpose()).kernel_rows()
         cocycles = (Matrix._raw(len(kernel), bt.rows, kernel) * bt).sparse_rows
         bt_prev = _row_matrix(relative_subspace(level_prev, h), level_prev.space_dim)
-        coboundaries = (bt_prev * delta_prev.transpose()).sparse_rows
+        coboundaries = bt_prev * delta_prev.transpose()
 
     n = level_k.space_dim
-    span = EchelonSpan(n)
-    for v in coboundaries:
-        if v:
-            span.add(v)
+    span = coboundaries._span()
     rank_b = span.rank
     # the cocycles are independent (a kernel basis, or its image under the
     # injective inclusion), so |Z| - rank(B) is the quotient dimension
@@ -139,17 +136,11 @@ def killing_three_form(g: LieAlgebra) -> ThreeFormClass:
         if value:
             coords[idx] = value
     form = Cochain(level, dense_vector(coords, level.space_dim))
-    if any(
-        sum(a * coords[j] for j, a in r.items() if j in coords)
-        for r in differential_matrix(level).sparse_rows
-    ):
+    if not (differential_matrix(level) * Matrix.from_columns([form.coords])).is_zero():
         raise AssertionError("Killing 3-form is not closed; bracket data is corrupt")
-    span = EchelonSpan(level.space_dim)
-    for v in differential_matrix(level.shifted(-1)).transpose().sparse_rows:
-        if v:
-            span.add(v)
-    nonzero = span.add(coords) if coords else False
-    return ThreeFormClass(form, nonzero)
+    # the class is nonzero when the form is outside the span of the coboundaries
+    span = differential_matrix(level.shifted(-1)).transpose()._span()
+    return ThreeFormClass(form, span.add(coords))
 
 
 @dataclass(frozen=True)
@@ -164,8 +155,7 @@ def invariant_volume_form(g: LieAlgebra, h: Subalgebra | None) -> VolumeFormResu
     Dimension one is the algebraic counterpart of an invariant volume form
     on the corresponding homogeneous space existing uniquely up to scale.
     """
-    hdim = h.dim if h is not None else 0
-    top = g.dim - hdim
+    top = g.dim - (h.dim if h is not None else 0)
     level = CochainLevel(g, gmod.trivial_module(g, 1), top)
     if h is None or h.dim == 0:
         basis = [unit(level.space_dim, i) for i in range(level.space_dim)]
@@ -187,8 +177,7 @@ def duality_report(
 ) -> DualityReport:
     """Compare betti in degree k with the dual-coefficient betti in the
     complementary degree.  The equality is reported, never assumed."""
-    hdim = h.dim if h is not None else 0
-    top = g.dim - hdim
+    top = g.dim - (h.dim if h is not None else 0)
     if not (0 <= k <= top):
         raise ValueError(f"degree {k} out of range 0..{top}")
     left = cohomology(g, module, k, h).betti

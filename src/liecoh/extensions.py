@@ -70,9 +70,8 @@ def central_extension(
     ``r_i + sum_a mixing[a][i] c_a``.
     """
     r_vecs = [vector(v) for v in abelian_basis]
-    for v in r_vecs:
-        if len(v) != g.dim:
-            raise DimensionMismatch("abelian direction has wrong length")
+    if any(len(v) != g.dim for v in r_vecs):
+        raise DimensionMismatch("abelian direction has wrong length")
     for a in range(len(r_vecs)):
         for b in range(a + 1, len(r_vecs)):
             if any(g.bracket(r_vecs[a], r_vecs[b])):
@@ -102,13 +101,8 @@ def central_extension(
                 brackets[(i, j)] = dense_vector(row, dim_ext)
     extended = validate(dim_ext, names, brackets)
 
-    iso_vectors = []
-    if h is not None:
-        for hb in h.vectors:
-            iso_vectors.append(hb + (_ZERO,) * rank)
-    for i, r in enumerate(r_vecs):
-        tail = mix.column(i)
-        iso_vectors.append(r + tail)
+    iso_vectors = [hb + (_ZERO,) * rank for hb in (h.vectors if h is not None else ())]
+    iso_vectors += [r + mix.column(i) for i, r in enumerate(r_vecs)]
     isotropy = subalgebra(extended, iso_vectors)
     return ExtensionPair(
         algebra=extended,
@@ -163,8 +157,10 @@ def _abelian(count: str) -> tuple:
     try:
         n = files.parse_count(count)
     except files.ParseError:
-        raise UnknownName(f"the dimension of abelian must be a count such as 3, not {count!r}")
-    check_dim(n, f"catalog algebra 'abelian:{count}'")
+        raise UnknownName(
+            f"the dimension of abelian must be a count such as 3, not {files._brief(count)}"
+        )
+    check_dim(n, f"catalog algebra {files._brief('abelian:' + count)}")
     g = validate(n, tuple(f"a{i + 1}" for i in range(n)), {})
     return g, None, Annotations(semisimple=(n == 0)), None
 
@@ -176,7 +172,8 @@ def _fivedim_ext(slope: str) -> tuple:
         alpha = None
     if not alpha:
         raise UnknownName(
-            f"the slope of fivedim_ext must be a nonzero rational such as 2 or 1/2, not {slope!r}; "
+            "the slope of fivedim_ext must be a nonzero rational such as 2 or 1/2, "
+            f"not {files._brief(slope)}; "
             "irrational slopes are not supported by this exact engine"
         )
     k1 = (0, 1, -1, 0, 0, 0)
@@ -224,7 +221,9 @@ def builtin(name: str) -> CatalogEntry:
     elif name in _CATALOG:
         parts = _CATALOG[name]()
     else:
-        raise UnknownName(f"unknown catalog name {name!r}; known: {', '.join(BUILTIN_NAMES)}")
+        raise UnknownName(
+            f"unknown catalog name {files._brief(name)}; known: {', '.join(BUILTIN_NAMES)}"
+        )
     return CatalogEntry(name, *parts)
 
 

@@ -32,8 +32,10 @@ from .liealg import LieAlgebra, Subalgebra, check_dim, subalgebra, validate
 FORMAT_VERSION = 1
 REPORT_HEADER = "liecoh-report 1"
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-_BRACKET_KEY_RE = re.compile(r"^\[(\d+),(\d+)\]$")
+# re.ASCII: \d would also match every Unicode digit, which int() and Fraction() take
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
+_BRACKET_KEY_RE = re.compile(r"\[(\d+),(\d+)\]", re.ASCII)  # fullmatch: no trailing newline
+_BRIEF_LIMIT = 40
 
 
 class ParseError(Exception):
@@ -44,6 +46,15 @@ class ValueTooLong(Exception):
     """A computed rational has more digits than Python converts to text."""
 
 
+def _brief(value, show=repr) -> str:
+    """show(value) for messages, at most 40 characters: a long one is cut and given its length."""
+    text = show(value)
+    if len(text) <= _BRIEF_LIMIT:
+        return text
+    suffix = f"… ({len(str(value))} characters)"
+    return text[: _BRIEF_LIMIT - len(suffix)] + suffix
+
+
 def parse_rational(text) -> Fraction:
     """Parse an integer or "p/q" string; decimals and booleans are rejected."""
     if isinstance(text, int) and not isinstance(text, bool):
@@ -52,16 +63,16 @@ def parse_rational(text) -> Fraction:
         try:
             return Fraction(text.strip())
         except ZeroDivisionError:
-            raise ParseError(f"zero denominator in rational {text!r}")
+            raise ParseError(f"zero denominator in rational {_brief(text)}")
         except ValueError:  # over Python's limit on int string conversion
             raise ParseError(f"rational of {len(text)} characters has too many digits")
-    raise ParseError(f"not an exact rational: {text!r} (use p/q or an integer string)")
+    raise ParseError(f"not an exact rational: {_brief(text)} (use p/q or an integer string)")
 
 
 def parse_count(text: str) -> int:
     """Parse a count written in ASCII digits; signs, underscores and spaces are rejected."""
     if not (text.isascii() and text.isdigit()):
-        raise ParseError(f"not a count: {text!r} (use ASCII digits only)")
+        raise ParseError(f"not a count: {_brief(text)} (use ASCII digits only)")
     try:
         return int(text)
     except ValueError:  # over Python's limit on int string conversion
@@ -106,7 +117,7 @@ def load_algebra_dict(data: dict, where: str = "algebra file"):
         raise ParseError(f"{where}: brackets must be an object")
     brackets = {}
     for key, coeffs in brackets_raw.items():
-        m = _BRACKET_KEY_RE.match(key)
+        m = _BRACKET_KEY_RE.fullmatch(key)
         if not m:
             raise ParseError(f"{where}: bracket key {key!r} is not of the form [i,j]")
         try:
@@ -123,9 +134,9 @@ def load_algebra_dict(data: dict, where: str = "algebra file"):
         seen = set()
         for idx, val in coeffs.items():
             try:
-                t = int(idx)
-            except ValueError:
-                raise ParseError(f"{where}: brackets[{key!r}] index {idx!r} is not an integer")
+                t = parse_count(idx)
+            except ParseError:
+                raise ParseError(f"{where}: brackets[{key!r}] index {idx!r} is not a count")
             if not (0 <= t < dim):
                 raise ParseError(f"{where}: brackets[{key!r}] index {idx} out of range")
             if t in seen:
@@ -156,15 +167,18 @@ def load_algebra_dict(data: dict, where: str = "algebra file"):
 
 
 def _read_json(path):
+    shown = _brief(path, str)
     try:
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: line {exc.lineno} column {exc.colno}")
+        raise ParseError(f"{shown} is not valid JSON: line {exc.lineno} column {exc.colno}")
     # ValueError: a NUL or lone surrogate in the path, or a file that is not
     # UTF-8; RecursionError: JSON nested deeper than the parser's stack
     except (OSError, ValueError, RecursionError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
+        # an OSError names the path again: shorten it there too
+        name = getattr(exc, "filename", None)
+        raise ParseError(f"cannot read {shown}: {str(exc).replace(repr(name), _brief(name))}")
 
 
 def load_algebra(path):

@@ -14,14 +14,14 @@ identities in :mod:`liecoh.cecomplex` depend on this choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Sequence
 
 from . import files
-from .liealg import DimensionMismatch, LieAlgebra, unit
-from .ratlin import Matrix, dense_vector
+from .liealg import DimensionMismatch, LieAlgebra
+from .ratlin import Matrix, _linear_combination
+
 
 class ModuleAxiomViolation(Exception):
     def __init__(self, i: int, j: int, residual: Matrix):
@@ -54,7 +54,7 @@ def _check_level_dim(g: LieAlgebra, vdim: int, spec: str) -> None:
     level_dim = vdim * comb(g.dim, g.dim // 2)
     if level_dim > MAX_LEVEL_DIM:
         raise ModuleTooLarge(
-            f"module {spec!r} gives cochain levels of dimension {level_dim}, "
+            f"module {files._brief(spec)} gives cochain levels of dimension {level_dim}, "
             f"over the limit of {MAX_LEVEL_DIM}"
         )
 
@@ -72,9 +72,8 @@ def make_module(g: LieAlgebra, vdim: int, actions: Sequence[Matrix]) -> GModule:
     actions = tuple(actions)
     if len(actions) != g.dim:
         raise DimensionMismatch(f"{len(actions)} action matrices for a {g.dim}-dim algebra")
-    for m in actions:
-        if (m.rows, m.cols) != (vdim, vdim):
-            raise DimensionMismatch("action matrix is not vdim x vdim")
+    if any((m.rows, m.cols) != (vdim, vdim) for m in actions):
+        raise DimensionMismatch("action matrix is not vdim x vdim")
     mod = GModule(g, vdim, actions)
     check_module_axiom(mod)
     return mod
@@ -83,11 +82,11 @@ def make_module(g: LieAlgebra, vdim: int, actions: Sequence[Matrix]) -> GModule:
 def check_module_axiom(mod: GModule) -> None:
     """Raise ModuleAxiomViolation unless the bracket relation holds exactly."""
     g = mod.algebra
-    zero = Matrix.zero(mod.vdim, mod.vdim)
     for i, b in enumerate(g.brackets):
         for j in range(i + 1, g.dim):
             # the action of [e_i, e_j], from its nonzero structure constants
-            lhs = sum((mod.actions[c].scale(t) for c, t in b.sparse_rows[j].items()), zero)
+            terms = ((t, mod.actions[c]) for c, t in b.sparse_rows[j].items())
+            lhs = _linear_combination(terms, mod.vdim, mod.vdim)
             rhs = mod.actions[i] * mod.actions[j] - mod.actions[j] * mod.actions[i]
             residual = lhs - rhs
             if not residual.is_zero():
@@ -163,7 +162,9 @@ def module_from_spec(g: LieAlgebra, spec: str) -> GModule:
         try:
             n = files.parse_count(spec.split(":", 1)[1])
         except files.ParseError:
-            raise UnknownModuleSpec(f"bad trivial module rank in {spec!r}; use a count such as 2")
+            raise UnknownModuleSpec(
+                f"bad trivial module rank in {files._brief(spec)}; use a count such as 2"
+            )
         _check_level_dim(g, n, spec)
         return trivial_module(g, n)
     if spec in ("adjoint", "coadjoint"):
@@ -180,16 +181,9 @@ def module_from_spec(g: LieAlgebra, spec: str) -> GModule:
     if spec.startswith("sum:"):
         parts = spec.split(":", 1)[1].split("+")
         if len(parts) < 2:
-            raise UnknownModuleSpec(f"sum spec needs at least two summands: {spec!r}")
+            raise UnknownModuleSpec(f"sum spec needs at least two summands: {files._brief(spec)}")
         summands = [module_from_spec(g, p) for p in parts]
         _check_level_dim(g, sum(m.vdim for m in summands), spec)
         return direct_sum(summands)
-    raise UnknownModuleSpec(f"unknown module spec {spec!r}")
+    raise UnknownModuleSpec(f"unknown module spec {files._brief(spec)}")
 
-
-def invariant_vectors(mod: GModule) -> list[tuple[Fraction, ...]]:
-    """Basis of the joint kernel of all action matrices (the invariants)."""
-    if mod.algebra.dim == 0:
-        return [unit(mod.vdim, i) for i in range(mod.vdim)]
-    stacked = Matrix.vstack(list(mod.actions))
-    return [dense_vector(r, mod.vdim) for r in stacked.kernel_rows()]

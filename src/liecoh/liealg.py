@@ -21,6 +21,7 @@ from .ratlin import (
     EchelonSpan,
     Matrix,
     _kernel_echelon,
+    _linear_combination,
     _rref_rows,
     dense_vector,
     solve_columns,
@@ -78,28 +79,15 @@ class LieAlgebra:
     brackets: tuple[Matrix, ...]
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
-        x = vector(x)
-        y = vector(y)
-        out: dict[int, Fraction] = {}
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            rows = self.brackets[i].sparse_rows
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                c = a * b
-                for k, t in rows[j].items():
-                    out[k] = out[k] + c * t if k in out else c * t
-        return dense_vector(out, self.dim)
+        """[x, y] = sum_j y_j [x, e_j]; row j of sum_i x_i brackets[i] is [x, e_j]."""
+        terms = zip(vector(x), self.brackets, strict=True)
+        x_rows = _linear_combination(terms, self.dim, self.dim)
+        return (Matrix._raw(1, self.dim, [dict(enumerate(vector(y)))]) * x_rows).row(0)
 
     def ad_matrix(self, x: Sequence) -> Matrix:
         """Matrix of Y -> [x, Y] in the defining basis: (sum_i x_i brackets[i])^T."""
-        total = Matrix.zero(self.dim, self.dim)
-        for a, b in zip(vector(x), self.brackets):
-            if a:
-                total = total + b.scale(a)
-        return total.transpose()
+        terms = zip(vector(x), self.brackets, strict=True)
+        return _linear_combination(terms, self.dim, self.dim).transpose()
 
 
 def check_dim(dim: int, where: str) -> None:
@@ -190,9 +178,8 @@ class Subalgebra:
 def subalgebra(ambient: LieAlgebra, vectors: Sequence[Sequence]) -> Subalgebra:
     """Validate a subalgebra candidate: independent and closed under bracket."""
     vecs = [vector(v) for v in vectors]
-    for v in vecs:
-        if len(v) != ambient.dim:
-            raise DimensionMismatch("subalgebra vector has wrong length")
+    if any(len(v) != ambient.dim for v in vecs):
+        raise DimensionMismatch("subalgebra vector has wrong length")
     span = EchelonSpan(ambient.dim)
     if not all(span.add(v) for v in vecs):
         raise SubalgebraNotClosed("candidate vectors are linearly dependent")

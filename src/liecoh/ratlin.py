@@ -6,8 +6,10 @@ which is what makes dimension counts trustworthy: a Betti number computed
 here is a theorem about the input matrices, not an estimate.
 
 A :class:`Matrix` stores only its nonzero entries, one ``{col: Fraction}``
-dict per row, and every operation (sums, products, transposes, stacking)
-works on that sparse form; cochain operators are almost entirely zeros.
+dict per row, and every operation works on that sparse form; cochain
+operators are almost entirely zeros.  A linear combination sum c_i M_i,
+such as ad(X) or the action of X on a module, is one pass over the
+nonzeros of its terms (:func:`_linear_combination`).
 Vectors come in the same two forms: :meth:`Matrix.kernel_rows` and
 :class:`EchelonSpan` work on sparse ``{col: Fraction}`` dicts, so a caller
 can stay sparse from operator to span, while :func:`vector` and
@@ -46,9 +48,7 @@ def rational(x) -> Fraction:
     """Coerce an int, Fraction or "p/q" string to an exact Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -200,17 +200,6 @@ class Matrix:
             out.append(acc)
         return Matrix._raw(self.rows, other.cols, out)
 
-    @classmethod
-    def vstack(cls, blocks: Sequence["Matrix"]) -> "Matrix":
-        blocks = list(blocks)
-        if not blocks:
-            raise ValueError("vstack of no blocks")
-        cols = blocks[0].cols
-        if any(b.cols != cols for b in blocks):
-            raise ValueError("column mismatch in vstack")
-        rows = [r for b in blocks for r in b.sparse_rows]
-        return cls._raw(len(rows), cols, rows)
-
     # -- elimination-backed queries ------------------------------------
 
     def _span(self) -> "EchelonSpan":
@@ -254,6 +243,20 @@ class Matrix:
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
         """Dense ``self * vec`` by the sparse product; kept for the tracer."""
         return (self * Matrix.from_columns([vec], self.cols)).column(0)
+
+
+def _linear_combination(terms: Iterable, rows: int, cols: int) -> Matrix:
+    """sum c*M over rows x cols (c, M) pairs, one pass over nonzeros; c = 0 is skipped."""
+    out: list[dict] = [{} for _ in range(rows)]
+    for c, m in terms:
+        if not c:
+            continue
+        if (m.rows, m.cols) != (rows, cols):
+            raise ValueError("shape mismatch in linear combination")
+        for acc, r in zip(out, m.sparse_rows):
+            for j, x in r.items():
+                acc[j] = acc[j] + c * x if j in acc else c * x
+    return Matrix._raw(rows, cols, out)
 
 
 def _int_row(row: dict) -> dict:

@@ -52,7 +52,7 @@ from .liealg import (
     subalgebra,
     unit,
 )
-from .ratlin import Matrix, vector
+from .ratlin import Matrix, _linear_combination, vector
 
 MUTATIONS = ("flip-coadjoint-sign", "omit-diagonal")
 
@@ -255,13 +255,10 @@ def _level_failures(level: CochainLevel, ops: _Operators) -> list[str]:
 def _doubled_differential_holds(g: LieAlgebra, k: int) -> bool:
     """2 d = sum_i e^i wedge L_{e_i} on trivial k-cochains."""
     tlevel = CochainLevel(g, gmod.trivial_module(g, 1), k)
-    acc = None
-    for i in range(g.dim):
-        term = wedge_one_form_matrix(tlevel, unit(g.dim, i)) * lie_derivative_matrix(
-            tlevel, unit(g.dim, i)
-        )
-        acc = term if acc is None else acc + term
-    return acc is None or differential_matrix(tlevel).scale(Fraction(2)) == acc
+    d = differential_matrix(tlevel)
+    units = [unit(g.dim, i) for i in range(g.dim)]
+    prods = [wedge_one_form_matrix(tlevel, e) * lie_derivative_matrix(tlevel, e) for e in units]
+    return _linear_combination(((1, p) for p in prods), d.rows, d.cols) == d.scale(Fraction(2))
 
 
 def check_operator_identities(g: LieAlgebra, module: gmod.GModule, k: int, x) -> list[str]:
@@ -457,12 +454,8 @@ def _structure_classification() -> tuple[bool, str]:
 def _uniqueness_of_volume_forms() -> tuple[bool, str]:
     details = []
     ok = True
-    cases = [
-        ("sl2_so2_pair", extensions.builtin("sl2_so2_pair")),
-        ("sl2R_ext", extensions.builtin("sl2R_ext")),
-        ("fivedim_ext:1", extensions.builtin("fivedim_ext:1")),
-    ]
-    for name, entry in cases:
+    for name in ("sl2_so2_pair", "sl2R_ext", "fivedim_ext:1"):
+        entry = extensions.builtin(name)
         res = invariant_volume_form(entry.algebra, entry.h)
         details.append(f"{name}:dim={res.dim_top_relative}")
         ok = ok and res.dim_top_relative == 1

@@ -146,6 +146,25 @@ def test_json_booleans_are_not_rationals(capsys, tmp_path):
         assert "not an exact rational" in err
 
 
+# every number of the file format is ASCII: int() and Fraction() would take
+# these digits, the underscore and the surrounding space
+@pytest.mark.parametrize("mutilate", [
+    lambda b: b.update({"[\u0660,\u0661]": b.pop("[0,1]")}),
+    lambda b: b.update({"[0,1]": {"\u0661": "2"}}),
+    lambda b: b.update({"[0,2]": {" 2": "-2"}}),
+    lambda b: b.update({"[1,2]": {"0_0": "1"}}),
+    lambda b: b.update({"[0,1]": {"1": "\u0662"}}),
+    lambda b: b.update({"[0,1]\n": b.pop("[0,1]")}),
+], ids=["key-digits", "index-digits", "index-space", "index-underscore", "value-digits",
+        "key-newline"])
+def test_algebra_file_numbers_are_ascii(capsys, tmp_path, mutilate):
+    data = json.loads(json.dumps(SL2_JSON))
+    mutilate(data["brackets"])
+    code, out, err = _check_file(capsys, tmp_path, data)
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("parse error: ")
+
+
 @pytest.mark.parametrize("kind", ["nul-in-path", "surrogate-in-path", "not-utf8", "deeply-nested"])
 def test_unreadable_files_are_parse_errors(tmp_path, kind):
     if kind == "nul-in-path":
@@ -610,6 +629,7 @@ def test_self_check_fails_when_omitting_the_diagonal_is_harmless(capsys, monkeyp
 _MALFORMED_NAMES = [
     "abelian:1_0", "abelian:+2", "abelian:\u0663", "abelian:" + "1" * 5000,
     "fivedim_ext:0.5", "fivedim_ext:1e1", "fivedim_ext:1_0", "fivedim_ext:" + "1" * 5000,
+    "fivedim_ext:\u0663", "fivedim_ext:\u0663/\u0664",
 ]
 _MALFORMED_SPECS = ["trivial:1_0", "trivial:+2", "trivial:\u0663", "trivial:" + "1" * 5000]
 
@@ -623,6 +643,71 @@ def test_malformed_family_and_spec_arguments_exit_1(argv):
     code, out, err = _run_uncaptured(argv)
     assert code == EXIT_VALIDATION
     assert out == "" and err.startswith("validation error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["cohomology", "sl2", "--degree", "\u0662"], EXIT_VALIDATION),
+    (["cohomology", "sl2", "--degree", "0_1"], EXIT_VALIDATION),
+    (["volume", "sl2tilde", "--n", "\u0663", "--e", "1"], EXIT_PARSE),
+    (["volume", "sl2tilde", "--n", "1_0", "--e", "1"], EXIT_PARSE),
+    (["volume", "seifert", "--chi", "\u0663/\u0664", "--e", "1"], EXIT_PARSE),
+    (["volume", "seifert", "--chi", "1", "--e", "\u0662"], EXIT_PARSE),
+])
+def test_numbers_in_arguments_are_ascii(argv, code):
+    assert _run_uncaptured(argv)[0] == code
+
+
+def test_signed_fiber_degree_and_degree_still_parse(capsys):
+    for n in ("-2", "+2", "2"):
+        code, out, _ = run(capsys, ["volume", "sl2tilde", "--n", n, "--e", "3/2", "--json"])
+        assert code == EXIT_OK
+        assert files.parse_report(out).get("volume_pi2_coefficient") == "24"
+    code, _, err = run(capsys, ["cohomology", "sl2", "--degree", "-1"])
+    assert code == EXIT_VALIDATION and "degree -1 out of range 0..3" in err
+
+
+def test_parse_rational_takes_ascii_digits_only():
+    assert files.parse_rational("-3/4") == Q(-3, 4)
+    for text in ("\u0663/\u0664", "\u0663", "3/\u0664", "\uff13"):
+        with pytest.raises(files.ParseError):
+            files.parse_rational(text)
+
+
+_LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "sl2:" + _LONG], EXIT_VALIDATION),
+    (["check", "abelian:" + _LONG], EXIT_VALIDATION),
+    (["check", "fivedim_ext:" + _LONG], EXIT_VALIDATION),
+    (["cohomology", "sl2", "--coeffs", "spinor" + _LONG], EXIT_VALIDATION),
+    (["cohomology", "sl2", "--coeffs", "trivial:" + _LONG], EXIT_VALIDATION),
+    (["cohomology", "sl2", "--coeffs", "sum:" + _LONG], EXIT_VALIDATION),
+    (["cohomology", "abelian:16", "--coeffs", "sum:" + "+".join(["trivial"] * 625)],
+     EXIT_VALIDATION),
+    (["cohomology", "sl2", "--degree", _LONG], EXIT_VALIDATION),
+    (["volume", "seifert", "--chi", _LONG, "--e", "1"], EXIT_PARSE),
+    (["volume", "sl2tilde", "--n", _LONG, "--e", "1"], EXIT_PARSE),
+    (["check", _LONG + ".json"], EXIT_PARSE),
+    (["cohomology", "sl2", "--coeffs", "./" + _LONG], EXIT_PARSE),
+], ids=["catalog-name", "abelian", "fivedim_ext", "module-spec", "trivial-rank", "sum-spec",
+        "module-too-large", "degree", "rational", "fiber-degree", "algebra-path", "module-path"])
+def test_long_arguments_give_short_error_lines(argv, code):
+    got, out, err = _run_uncaptured(argv)
+    assert got == code and out == ""
+    assert "… (" in err and "characters)" in err
+    assert max(map(len, err.splitlines())) <= 200
+
+
+def test_brief_keeps_short_text_and_elides_long_text():
+    assert files._brief("so17") == "'so17'"
+    assert files._brief("a/b.json", str) == "a/b.json"
+    assert files._brief(_LONG) == "'" + "x" * 20 + "… (5000 characters)"
+    assert files._brief("y" * 40, str) == "y" * 40
+    for parse in (files.parse_count, files.parse_rational):
+        with pytest.raises(files.ParseError) as exc:
+            parse(_LONG)
+        assert len(str(exc.value)) <= 200 and "(5000 characters)" in str(exc.value)
 
 
 _FUZZ_NAMES = [n for n in BUILTIN_NAMES if ":" not in n] + [
@@ -646,10 +731,10 @@ _FUZZ_FLAGS = {
 _FUZZ_VALUES = {
     "--coeffs": ["trivial", "trivial:2", "trivial:-1", "adjoint", "coadjoint", "dual:adjoint",
                  "sum:trivial+adjoint", "sum:trivial", "spinor", "x/y.json", *_MALFORMED_SPECS],
-    "--degree": ["all", "0", "1", "2", "7", "-1", "x"],
-    "--chi": ["-5/2", "3/2", "0", "1", "1/0", "x"],
-    "--e": ["-5/2", "3/2", "0", "1/0", "x"],
-    "--n": ["1", "0", "-2", "x"],
+    "--degree": ["all", "0", "1", "2", "7", "-1", "x", "\u0662", "0_1", "+1", " 1"],
+    "--chi": ["-5/2", "3/2", "0", "1", "1/0", "x", "\u0663/\u0664", "-\u0663"],
+    "--e": ["-5/2", "3/2", "0", "1/0", "x", "\u0663/\u0664", "-\u0663"],
+    "--n": ["1", "0", "-2", "x", "\u0663", "1_0", "+2", "-\u0663"],
     "--mutate": [*suite.MUTATIONS, "x"],
 }
 

@@ -4,7 +4,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from dense import apply
+from dense import apply, kernel_basis
+from liecoh.cohomology import cohomology
 from liecoh.extensions import BUILTIN_NAMES, builtin
 from liecoh.gmod import (
     GModule,
@@ -18,7 +19,6 @@ from liecoh.gmod import (
     coadjoint_module,
     direct_sum,
     dual_module,
-    invariant_vectors,
     make_module,
     module_from_spec,
     trivial_module,
@@ -144,15 +144,35 @@ def test_module_spec_bounds_the_largest_cochain_level():
     assert module_from_spec(builtin("abelian:15").algebra, "trivial").vdim == 1
 
 
+def _invariants(g, mod):
+    # H^0(g, V) = V^g: the representatives of degree-0 cohomology
+    return [c.coords for c in cohomology(g, mod, 0).cocycle_representatives]
+
+
 def test_simple_adjoint_modules_have_no_invariants():
     for name in ("sl2", "so3"):
         g = builtin(name).algebra
-        assert invariant_vectors(adjoint_module(g)) == []
+        assert _invariants(g, adjoint_module(g)) == []
 
 
 def test_heisenberg_adjoint_has_central_invariant():
     g = builtin("heis3").algebra
-    assert invariant_vectors(adjoint_module(g)) == [(Q(0), Q(0), Q(1))]
+    assert _invariants(g, adjoint_module(g)) == [(Q(0), Q(0), Q(1))]
+
+
+_H0_NAMES = ["sl2", "so3", "sl2sl2", "heis3", "abelian:3", "sl2_so2_pair", "sl2R_ext",
+             "fivedim_ext:1", "fivedim_ext:-3/4"]
+_H0_SPECS = ["trivial", "trivial:2", "adjoint", "coadjoint", "dual:adjoint", "sum:trivial+adjoint"]
+
+
+@pytest.mark.parametrize("spec", _H0_SPECS)
+@pytest.mark.parametrize("name", _H0_NAMES)
+def test_degree_zero_cohomology_is_the_kernel_of_the_stacked_actions(name, spec):
+    g = builtin(name).algebra
+    mod = module_from_spec(g, spec)
+    # the canonical kernel basis of the actions stacked one above the other
+    stacked = Matrix.from_rows([row for m in mod.actions for row in m.entries])
+    assert _invariants(g, mod) == kernel_basis(stacked)
 
 
 def test_unvalidated_container_can_hold_nonmodules():

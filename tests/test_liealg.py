@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense import apply
 from liecoh import files, liealg
 from liecoh.extensions import builtin
 from liecoh.liealg import (
@@ -24,6 +25,7 @@ from liecoh.liealg import (
     validate,
 )
 from liecoh.ratlin import Matrix, vector
+from liecoh.suite import random_identity_sample
 
 SL2_BRACKETS = {(0, 1): (0, 2, 0), (0, 2): (0, 0, -2), (1, 2): (1, 0, 0)}
 
@@ -493,3 +495,42 @@ def test_ad_matrix_and_killing_form_match_dense_references(name):
     dense = [[sum((ads[i] * ads[j]).row(r)[r] for r in range(g.dim)) for j in range(g.dim)]
              for i in range(g.dim)]
     assert killing_form(g) == Matrix.from_rows(dense)
+
+
+def _reference_bracket(g, x, y):
+    # the triple loop over nonzero x_i, nonzero y_j and the stored [e_i, e_j]
+    out = [Q(0)] * g.dim
+    for i, a in enumerate(vector(x)):
+        for j, b in enumerate(vector(y)):
+            if a and b:
+                for k, t in g.brackets[i].sparse_rows[j].items():
+                    out[k] += a * b * t
+    return tuple(out)
+
+
+# catalog algebras, and algebras of the operator-identity samples: a catalog
+# algebra in a random basis, so with denser structure constants
+@pytest.mark.parametrize("name", _CATALOG + [f"sample:{n}" for n in range(12)])
+def test_bracket_matches_the_triple_loop_and_ad_applied_to_y(name):
+    if name.startswith("sample:"):
+        g = random_identity_sample(random.Random(name))[0]
+    else:
+        g = builtin(name).algebra
+    rng = random.Random(name)
+    vectors = [unit(g.dim, i) for i in range(g.dim)]
+    vectors += [tuple(Q(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.7 else Q(0)
+                      for _ in range(g.dim)) for _ in range(4)]
+    for x in vectors:
+        ad_x = g.ad_matrix(x)
+        for y in vectors:
+            expected = _reference_bracket(g, x, y)
+            assert g.bracket(x, y) == expected == apply(ad_x, y)
+
+
+def test_bracket_and_ad_matrix_reject_a_vector_of_the_wrong_length():
+    g = builtin("sl2").algebra
+    for x in ((1, 0), (1, 0, 0, 5)):
+        with pytest.raises(ValueError):
+            g.ad_matrix(x)
+        with pytest.raises(ValueError):
+            g.bracket(x, (0, 1, 0))

@@ -17,6 +17,7 @@ from liecoh.ratlin import (
     Matrix,
     SubspaceNotContained,
     _kernel_echelon,
+    _linear_combination,
     _rref_rows,
     quotient_dim,
     solve_columns,
@@ -306,6 +307,33 @@ def test_product_matches_transposed_product(data):
         tuple(sum((x * y for x, y in zip(a.row(i), b.column(j))), Q(0)) for j in range(b.cols))
         for i in range(a.rows)
     )
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_linear_combination_is_the_fold_of_scale_and_add(data):
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    mats = data.draw(st.lists(sparse_matrices(rows=rows, cols=cols), max_size=5))
+    terms = [(data.draw(sparse_rationals), m) for m in mats]
+    # a term and its negative cancel exactly, entry for entry
+    if terms and data.draw(st.booleans()):
+        c, m = data.draw(st.sampled_from(terms))
+        terms.append((-c, m))
+    expected = Matrix.zero(rows, cols)
+    for c, m in terms:
+        expected = expected + m.scale(c)
+    total = _linear_combination(terms, rows, cols)
+    assert total == expected and hash(total) == hash(expected)
+    assert _stores_no_zeros(total)
+
+
+def test_linear_combination_skips_zero_coefficients_and_checks_shapes():
+    m = Matrix.from_rows([[1, 2], [0, 3]])
+    assert _linear_combination([(0, Matrix.zero(3, 3))], 2, 2) == Matrix.zero(2, 2)
+    assert _linear_combination([(Q(1), m), (Q(-1), m)], 2, 2).sparse_rows == ({}, {})
+    assert _linear_combination([], 0, 4) == Matrix.zero(0, 4)
+    with pytest.raises(ValueError):
+        _linear_combination([(Q(1), m), (Q(1), Matrix.identity(3))], 2, 2)
 
 
 def test_product_cancellation_is_dropped():
