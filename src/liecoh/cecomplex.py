@@ -25,16 +25,22 @@ Conventions, fixed once and used by every operator here:
 A relative subspace is given by its canonical RREF basis inside the full
 space: the forms killed by every ``i_X`` and ``L_X`` with X in the
 subalgebra h.  It is computed on the quotient g/h, never on the full
-level: the forms killed by every ``i_X`` are wedges of the annihilator
-covectors of h, and ``L_X`` on them is the Lie derivative of g/h, so the
-only kernel taken is on C(n - dim h, k) * vdim coordinates.
+level: the forms killed by every ``i_X`` are wedges beta_T of the
+annihilator covectors of h, and ``L_X`` on them is the Lie derivative of
+g/h, so the only kernel taken is on C(n - dim h, k) * vdim coordinates.
+The differential of relative forms (``quotient_differential``) is the core
+of ``differential_matrix`` run on the same coordinates, which a relative
+form's entries at the all-free tuples give (``beta_coordinates``).
 
 Caching: ``tuple_basis``/``_tuple_index``, ``_pairs_by_target``, the
 differential, the degree -1 map and the relative subspaces are cached per
-level.  ``i_X`` and ``L_X`` are built from the coordinates of X on each
-call, in one pass over the level; ``suite._Operators`` memoises them for
-one identity sweep.  ``relative_subspace`` builds neither: it assembles
-only the quotient ``L_X``, through the same loop as ``L_X``.
+level, the data of g/h once per pair; the small quotient differential is
+rebuilt on each call, which costs less than the memory to keep it.
+``i_X`` and ``L_X`` are built from the coordinates of X on each call, in
+one pass over the level; ``suite._Operators`` memoises them for one
+identity sweep.  Relative work builds neither, nor the full-level
+differential, which only ``relative_closure_holds`` reads as an
+independent check.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from . import gmod
@@ -64,6 +71,17 @@ def tuple_basis(dim: int, k: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _tuple_index(dim: int, k: int) -> dict:
     return {t: i for i, t in enumerate(tuple_basis(dim, k))}
+
+
+def _rank(dim: int, t: tuple[int, ...]) -> int:
+    """Position of t in tuple_basis(dim, len(t)), without listing the tuples."""
+    # comb(dim - 1 - a, k - i) tuples after t first differ from it at t[i] = a
+    k = len(t)
+    rank = comb(dim, k) - 1
+    for a in t:
+        rank -= comb(dim - 1 - a, k)
+        k -= 1
+    return rank
 
 
 def sort_with_sign(t: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -107,7 +125,7 @@ class CochainLevel:
 
     @property
     def space_dim(self) -> int:
-        return len(self.tuples) * self.vdim
+        return comb(self.algebra.dim, self.degree) * self.vdim if self.degree >= 0 else 0
 
     def index(self, t: tuple[int, ...], m: int) -> int:
         return _tuple_index(self.algebra.dim, self.degree)[t] * self.vdim + m
@@ -160,16 +178,25 @@ def _pairs_by_target(g: LieAlgebra):
 @lru_cache(maxsize=None)
 def differential_matrix(level: CochainLevel) -> Matrix:
     """Exact matrix of the degree-raising differential on this level."""
-    g, mod, k = level.algebra, level.module, level.degree
-    dim, vdim = g.dim, mod.vdim
-    out_tuples = tuple_basis(dim, k + 1)
+    g, mod = level.algebra, level.module
+    return _differential_core(g.dim, level.degree, mod.vdim, _pairs_by_target(g), mod.actions)
+
+
+def _differential_core(
+    dim: int, k: int, vdim: int, by_target: Sequence, actions: Sequence[Matrix]
+) -> Matrix:
+    """delta on the k-cochains of a dim-dimensional space, with vdim-dimensional values.
+
+    by_target[c] lists the pairs ((a, b), coef), a < b, whose bracket has
+    e_c-coefficient coef; actions[a] is the action of e_a on the values.
+    """
     out_index = _tuple_index(dim, k + 1)
-    out: list[dict] = [{} for _ in range(len(out_tuples) * vdim)]
-    by_target = _pairs_by_target(g)
+    out: list[dict] = [{} for _ in range(len(out_index) * vdim)]
     # action_cols[a][m] = {mm: coefficient}: the column action_a e_m
-    action_cols = [act.transpose().sparse_rows for act in mod.actions]
-    trivial = all(m.is_zero() for m in mod.actions)
-    for si, s in enumerate(level.tuples):
+    action_cols = [act.transpose().sparse_rows for act in actions]
+    trivial = all(m.is_zero() for m in actions)
+    tuples = tuple_basis(dim, k)
+    for si, s in enumerate(tuples):
         s_set = set(s)
         for m in range(vdim):
             col = si * vdim + m
@@ -199,7 +226,7 @@ def differential_matrix(level: CochainLevel) -> Matrix:
                     # (-1)^(i+j), times (-1)^q for sorting (sq, rest) into s
                     v = coef if (i + j + q) % 2 == 0 else -coef
                     _accumulate(out[out_index[t] * vdim + m], col, v)
-    return Matrix._raw(len(out), level.space_dim, out)
+    return Matrix._raw(len(out), len(tuples) * vdim, out)
 
 
 def _accumulate(row: dict, col: int, v) -> None:
@@ -306,17 +333,44 @@ def wedge_one_form_matrix(level: CochainLevel, covector: Sequence) -> Matrix:
 
 
 @lru_cache(maxsize=None)
+def _quotient(g: LieAlgebra, h: Subalgebra) -> tuple:
+    """(alphas, free, by_target, replacements): the data of g/h every relative level shares.
+
+    The alpha_c are the kernel rows of the h.vectors matrix, ``free`` maps
+    the free column of each to c.  kernel_rows is canonical, so
+    alpha_c(e_f) = delta_cd for the free column f of alpha_d.  by_target[c]
+    lists ((a, b), alpha_c([e_fa, e_fb])) for the free columns fa, fb of
+    alpha_a, alpha_b, a < b; replacements[i][c] is {t: alpha_c([e_ft, X_i])}
+    for the basis vectors X_i of h.
+    """
+    alphas = Matrix._raw(h.dim, g.dim, [dict(enumerate(v)) for v in h.vectors]).kernel_rows()
+    # kernel_rows puts f after every pivot alpha_f touches
+    free = {max(a): c for c, a in enumerate(alphas)}
+    columns = list(free)
+    annihilator = Matrix._raw(len(alphas), g.dim, alphas)
+    pairs = list(combinations(range(len(alphas)), 2))
+    brackets = [g.brackets[columns[a]].sparse_rows[columns[b]] for a, b in pairs]
+    # row c of the product is {pair index: alpha_c of the pair's bracket}
+    images = annihilator * Matrix._raw(len(pairs), g.dim, brackets).transpose()
+    by_target = [[(pairs[p], coef) for p, coef in sorted(r.items())] for r in images.sparse_rows]
+    replacements = []
+    for x in h.vectors:
+        rows = (annihilator * g.ad_matrix([-a for a in x])).sparse_rows
+        replacements.append([{free[t]: v for t, v in r.items() if t in free} for r in rows])
+    return alphas, free, tuple(map(tuple, by_target)), tuple(replacements)
+
+
+@lru_cache(maxsize=None)
 def relative_subspace(level: CochainLevel, h: Subalgebra) -> tuple:
     """Canonical echelon basis of the forms killed by i_X and L_X, X in h.
 
     h must be bracket-closed, as every ``Subalgebra`` built by
     ``subalgebra``, ``center_of`` or ``derived_subalgebra`` is.  The work is
-    done on the quotient g/h:
+    done on the quotient g/h (``_quotient``):
 
     * The forms killed by every i_X are the horizontal ones, spanned by
       beta_T (x) e_m, where beta_T wedges the annihilator covectors
-      alpha_f of h (the kernel rows of the h.vectors matrix, one per free
-      column f) over an increasing tuple T of free columns.
+      alpha_c of h over an increasing tuple T of their indices c.
     * By [L_X, i_Y] = i_[X,Y], which needs only that h is closed and no
       module axiom, L_X keeps horizontal forms horizontal and acts on their
       beta coordinates as the Lie derivative of g/h: an argument e_c is
@@ -325,29 +379,51 @@ def relative_subspace(level: CochainLevel, h: Subalgebra) -> tuple:
       rows and re-echelonised, is the unique RREF basis of the joint kernel.
     """
     g, k, vdim = level.algebra, level.degree, level.vdim
-    # alpha_f for each free column f; kernel_rows puts f after every pivot alpha_f touches
-    alphas = Matrix._raw(h.dim, g.dim, [dict(enumerate(v)) for v in h.vectors]).kernel_rows()
-    free = {max(a): c for c, a in enumerate(alphas)}
-    annihilator = Matrix._raw(len(alphas), g.dim, alphas)
+    alphas, _, _, lie = _quotient(g, h)
     quotient_tuples = tuple_basis(len(alphas), k)
     quotient = []  # the quotient L_X, one block per basis vector X of h
-    for x in h.vectors:
-        # row c is {t: alpha_c([e_t, X])}; keep the free t, in quotient indices
-        brackets = (annihilator * g.ad_matrix([-a for a in x])).sparse_rows
-        replacements = [{free[t]: v for t, v in r.items() if t in free} for r in brackets]
+    for x, replacements in zip(h.vectors, lie):
         quotient += _lie_derivative_core(len(alphas), k, level.module, x, replacements).sparse_rows
     n_rel = len(quotient_tuples) * vdim
     kernel = Matrix._raw(len(quotient), n_rel, quotient).kernel_rows()
     # the horizontal forms beta_T (x) e_m, in the coordinates of the full level
-    index = _tuple_index(g.dim, k)
     beta_rows = []
     for t in quotient_tuples:
         beta = {(): _ONE}
         for c in reversed(t):
             beta = _wedge(alphas[c], beta)
-        beta_rows += ({index[s] * vdim + m: v for s, v in beta.items()} for m in range(vdim))
+        beta_rows += ({_rank(g.dim, s) * vdim + m: v for s, v in beta.items()} for m in range(vdim))
     forms = Matrix._raw(len(kernel), n_rel, kernel) * Matrix._raw(n_rel, level.space_dim, beta_rows)
     return _rref_rows(forms._span())
+
+
+def beta_coordinates(level: CochainLevel, h: Subalgebra, forms: Sequence) -> Matrix:
+    """The beta coordinates of horizontal forms, one row per dense form.
+
+    beta_T is 1 at the all-free tuple of T and 0 at every other all-free
+    tuple, so a horizontal form's beta_T coordinate is its entry there.
+    """
+    columns = list(_quotient(level.algebra, h)[1])
+    dim, vdim = level.algebra.dim, level.vdim
+    cols = [
+        _rank(dim, tuple(columns[c] for c in t)) * vdim + m
+        for t in tuple_basis(len(columns), level.degree)
+        for m in range(vdim)
+    ]
+    rows = [{j: v[col] for j, col in enumerate(cols)} for v in forms]
+    return Matrix._raw(len(forms), len(cols), rows)
+
+
+def quotient_differential(level: CochainLevel, h: Subalgebra) -> Matrix:
+    """delta on the beta coordinates of this level's relative forms, where delta f is relative.
+
+    A relative form does not see h, so it reads [e_fa, e_fb] as
+    sum_c alpha_c([e_fa, e_fb]) e_fc: the core runs on the brackets of g/h
+    and the actions of the free basis vectors e_f.
+    """
+    _, free, by_target, _ = _quotient(level.algebra, h)
+    actions = [level.module.actions[f] for f in free]
+    return _differential_core(len(free), level.degree, level.vdim, by_target, actions)
 
 
 def _wedge(alpha: dict, form: dict) -> dict:

@@ -10,6 +10,13 @@ representatives, so they are deterministic and safe to freeze in tests,
 and dim H = |Z| - rank(B) holds exactly when their number matches; any
 other count means B is not inside span(Z).  Only the returned
 representatives are made dense.
+
+Relative cocycles and coboundaries are taken in the beta coordinates of
+g/h (:mod:`liecoh.cecomplex`): with Q those of the relative basis bt, Z is
+K Q for the kernel rows K of delta_q Q^T, B is Q_{k-1} delta_q^T, and the
+representatives, rows of K bt, are full-level forms.  The map to beta
+coordinates is injective, so the greedy pass picks what it would pick on
+the full level.
 """
 
 from __future__ import annotations
@@ -21,7 +28,9 @@ from . import gmod
 from .cecomplex import (
     Cochain,
     CochainLevel,
+    beta_coordinates,
     differential_matrix,
+    quotient_differential,
     relative_subspace,
 )
 from .liealg import LieAlgebra, Subalgebra, killing_form, structure_report, unit
@@ -60,44 +69,40 @@ def cohomology(
 @lru_cache(maxsize=None)
 def _cohomology_core(g, module, k, h) -> CohomologyResult:
     level_k = CochainLevel(g, module, k)
-    level_prev = CochainLevel(g, module, k - 1)
-    delta_k = differential_matrix(level_k)
-    delta_prev = differential_matrix(level_prev)
-
-    if h is None or h.dim == 0:
-        cocycles = delta_k.kernel_rows()
-        coboundaries = delta_prev.transpose()
+    level_prev = level_k.shifted(-1)
+    relative = h is not None and h.dim > 0
+    if not relative:
+        cocycles = differential_matrix(level_k).kernel_rows()
+        coboundaries = differential_matrix(level_prev).transpose()
     else:
-        # rows of bt are the relative basis, so bt^T is the inclusion
-        bt = _row_matrix(relative_subspace(level_k, h), level_k.space_dim)
-        kernel = (delta_k * bt.transpose()).kernel_rows()
-        cocycles = (Matrix._raw(len(kernel), bt.rows, kernel) * bt).sparse_rows
-        bt_prev = _row_matrix(relative_subspace(level_prev, h), level_prev.space_dim)
-        coboundaries = bt_prev * delta_prev.transpose()
+        # beta coordinates: q has one row per vector of the relative basis bt
+        bt = relative_subspace(level_k, h)
+        q = beta_coordinates(level_k, h, bt)
+        kernel = (quotient_differential(level_k, h) * q.transpose()).kernel_rows()
+        cocycles = (Matrix._raw(len(kernel), q.rows, kernel) * q).sparse_rows
+        q_prev = beta_coordinates(level_prev, h, relative_subspace(level_prev, h))
+        coboundaries = q_prev * quotient_differential(level_prev, h).transpose()
 
     n = level_k.space_dim
     span = coboundaries._span()
     rank_b = span.rank
     # the cocycles are independent (a kernel basis, or its image under the
-    # injective inclusion), so |Z| - rank(B) is the quotient dimension
+    # injective map to beta coordinates), so |Z| - rank(B) is the quotient dimension
     betti = len(cocycles) - rank_b
-    reps = [Cochain(level_k, dense_vector(v, n)) for v in cocycles if span.add(v)]
-    if len(reps) != betti:
+    chosen = [i for i, v in enumerate(cocycles) if span.add(v)]
+    if len(chosen) != betti:
         # rank(Z + B) > rank(Z): some coboundary is not a cocycle
         raise SubspaceNotContained(
             f"span of rank {rank_b} is not inside the rank-{len(cocycles)} span"
         )
-    return CohomologyResult(
-        degree=k,
-        betti=betti,
-        cocycle_representatives=tuple(reps),
-        relative=h is not None and h.dim > 0,
-    )
-
-
-def _row_matrix(vectors, n: int) -> Matrix:
-    """The matrix whose rows are the given dense length-n Fraction vectors."""
-    return Matrix._raw(len(vectors), n, [dict(enumerate(v)) for v in vectors])
+    reps = [cocycles[i] for i in chosen]
+    if relative:
+        # the rows of K bt are the full-level forms with these beta coordinates
+        bt_rows = [{j: x for j, x in enumerate(v) if x} for v in bt]
+        picked = Matrix._raw(len(chosen), len(bt), [kernel[i] for i in chosen])
+        reps = (picked * Matrix._raw(len(bt), n, bt_rows)).sparse_rows
+    reps = tuple(Cochain(level_k, dense_vector(v, n)) for v in reps)
+    return CohomologyResult(k, betti, reps, relative)
 
 
 def betti_sequence(

@@ -95,6 +95,7 @@ def format_rational(q: Fraction) -> str:
 
 def load_algebra_dict(data: dict, where: str = "algebra file"):
     """Validate a parsed JSON object into (algebra, optional subalgebra, name)."""
+    where = _brief(where, str)
     if not isinstance(data, dict):
         raise ParseError(f"{where}: top level must be an object")
     if data.get("format") != FORMAT_VERSION:
@@ -117,35 +118,38 @@ def load_algebra_dict(data: dict, where: str = "algebra file"):
         raise ParseError(f"{where}: brackets must be an object")
     brackets = {}
     for key, coeffs in brackets_raw.items():
+        shown_key = _brief(key)
+        entry = f"{where}: brackets[{shown_key}]"
         m = _BRACKET_KEY_RE.fullmatch(key)
         if not m:
-            raise ParseError(f"{where}: bracket key {key!r} is not of the form [i,j]")
+            raise ParseError(f"{where}: bracket key {shown_key} is not of the form [i,j]")
         try:
             i, j = int(m.group(1)), int(m.group(2))
         except ValueError:  # over Python's limit on int string conversion
             raise ParseError(f"{where}: bracket key of {len(key)} characters has too many digits")
         if not (0 <= i < j < dim):
-            raise ParseError(f"{where}: bracket key {key!r} needs 0 <= i < j < dim")
+            raise ParseError(f"{where}: bracket key {shown_key} needs 0 <= i < j < dim")
         if (i, j) in brackets:
-            raise ParseError(f"{where}: bracket key {key!r} repeats the pair ({i},{j})")
+            raise ParseError(f"{where}: bracket key {shown_key} repeats the pair ({i},{j})")
         if not isinstance(coeffs, dict):
-            raise ParseError(f"{where}: brackets[{key!r}] must map indices to rationals")
+            raise ParseError(f"{entry} must map indices to rationals")
         vec = [Fraction(0)] * dim
         seen = set()
         for idx, val in coeffs.items():
+            shown_idx = _brief(idx)
             try:
                 t = parse_count(idx)
             except ParseError:
-                raise ParseError(f"{where}: brackets[{key!r}] index {idx!r} is not a count")
+                raise ParseError(f"{entry} index {shown_idx} is not a count")
             if not (0 <= t < dim):
-                raise ParseError(f"{where}: brackets[{key!r}] index {idx} out of range")
+                raise ParseError(f"{entry} index {_brief(idx, str)} out of range")
             if t in seen:
-                raise ParseError(f"{where}: brackets[{key!r}] index {idx!r} repeats index {t}")
+                raise ParseError(f"{entry} index {shown_idx} repeats index {t}")
             seen.add(t)
             try:
                 vec[t] = parse_rational(val)
             except ParseError as exc:
-                raise ParseError(f"{where}: brackets[{key!r}][{idx!r}]: {exc}")
+                raise ParseError(f"{entry}[{shown_idx}]: {exc}")
         brackets[(i, j)] = tuple(vec)
     g = validate(dim, names, brackets)
     h = None
@@ -229,7 +233,7 @@ def load_module(path, g: LieAlgebra):
     from .ratlin import Matrix
 
     data = _read_json(path)
-    where = str(path)
+    where = _brief(path, str)
     if not isinstance(data, dict) or data.get("format") != FORMAT_VERSION:
         raise ParseError(f"{where}: missing or unsupported format version")
     vdim = data.get("vdim")

@@ -93,7 +93,10 @@ class LieAlgebra:
 def check_dim(dim: int, where: str) -> None:
     """Reject an algebra before its bracket table is built if dim is too big."""
     if dim > MAX_DIM:
-        raise AlgebraTooLarge(f"{where} has dimension {dim}, over the limit of {MAX_DIM}")
+        from .files import _brief  # files imports this module
+
+        shown = _brief(dim, str)
+        raise AlgebraTooLarge(f"{where} has dimension {shown}, over the limit of {MAX_DIM}")
 
 
 def validate(dim: int, names: Sequence[str], brackets: Mapping) -> LieAlgebra:

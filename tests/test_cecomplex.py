@@ -1,6 +1,7 @@
 """Cochain levels, the differential, i_X/L_X, the degree -1 map, relatives."""
 
 import hashlib
+import importlib
 import random
 from fractions import Fraction as Q
 
@@ -28,8 +29,11 @@ from liecoh.extensions import BUILTIN_NAMES, builtin
 from liecoh.gmod import adjoint_module, coadjoint_module, module_from_spec, trivial_module
 from liecoh.liealg import DimensionMismatch, change_of_basis, subalgebra, unit
 from liecoh.cohomology import betti_sequence
-from liecoh.ratlin import Matrix, solve_columns
+from liecoh.ratlin import Matrix, dense_vector, solve_columns
 from liecoh.suite import check_operator_identities, random_identity_sample
+
+# the package's ``cohomology`` attribute is the function, not its module
+cohomology_module = importlib.import_module("liecoh.cohomology")
 
 
 def level(name, spec, k):
@@ -357,9 +361,9 @@ def test_relative_subspace_matches_one_operator_at_a_time(name):
     _assert_matches_reference(entry.algebra, entry.h)
 
 
-@pytest.mark.parametrize("name", ["sl2_so2_pair", "sl2R_ext", "fivedim_ext:1"])
-def test_relative_subspace_matches_after_a_change_of_basis(name):
-    # h is carried along, so its vectors are no longer unit vectors
+def _rebased(name):
+    """A catalog pair after a random change of basis; h is carried along, so
+    its vectors are no longer unit vectors."""
     entry = builtin(name)
     n = entry.algebra.dim
     cols = suite._random_invertible(random.Random(f"rebased {name}"), n)
@@ -368,7 +372,12 @@ def test_relative_subspace_matches_after_a_change_of_basis(name):
     w = solve_columns(Matrix.from_rows(cols), Matrix.from_columns(entry.h.vectors, rows=n))
     h = subalgebra(g, [w.column(j) for j in range(w.cols)])
     assert any(sum(map(bool, v)) > 1 for v in h.vectors)
-    _assert_matches_reference(g, h)
+    return g, h
+
+
+@pytest.mark.parametrize("name", ["sl2_so2_pair", "sl2R_ext", "fivedim_ext:1"])
+def test_relative_subspace_matches_after_a_change_of_basis(name):
+    _assert_matches_reference(*_rebased(name))
 
 
 def _relative_digest(name, relative):
@@ -395,10 +404,93 @@ def test_relative_subspace_builds_no_full_level_operator(monkeypatch):
         "1dfcb80594bb173d2d8e86bcc5659b7d119132463e955dbf420f4a7b8255687f")
     assert _relative_digest("fivedim_ext:1", uncached) == (
         "7b25df8cc948b86fe5f688a396cf85ed123b0b104c5bafc5f3507435d012d120")
+    # relative cohomology works on beta coordinates: it never assembles the
+    # full-level differential, yet gives the Betti numbers and representatives
+    # of the full-level differential on the relative basis
+    cases = [(name, spec, k) for name in _COHOMOLOGY_PAIRS
+             for spec in ("trivial", "adjoint", "coadjoint")
+             for k in range(builtin(name).algebra.dim + 1)]
+    expected = [_full_level_relative_cohomology(level(*case), builtin(case[0]).h) for case in cases]
+    monkeypatch.setattr(cecomplex, "differential_matrix", refuse)
+    monkeypatch.setattr(cohomology_module, "differential_matrix", refuse)
+    # uncached, so no result computed before the patch can stand in
+    monkeypatch.setattr(cohomology_module, "relative_subspace", uncached)
+    for case, want in zip(cases, expected):
+        lvl = level(*case)
+        got = cohomology_module._cohomology_core.__wrapped__(
+            lvl.algebra, lvl.module, lvl.degree, builtin(case[0]).h)
+        assert (got.betti, [c.coords for c in got.cocycle_representatives]) == want, case
+
+
+_COHOMOLOGY_PAIRS = ("sl2_so2_pair", "fivedim_ext:1", "fivedim_ext:2", "fivedim_ext:-3/4",
+                     "fivedim_ext:5/2")
+
+
+def _row_matrix(vectors, n):
+    return Matrix._raw(len(vectors), n, [dict(enumerate(v)) for v in vectors])
+
+
+def _full_level_relative_cohomology(lvl, h):
+    """(betti, representatives) from the full-level differential on the relative basis bt.
+
+    The cocycles are the kernel of delta_k bt^T mapped back through bt, the
+    coboundaries are delta of the degree k - 1 basis, and the cocycles that
+    enlarge the span of the coboundaries are the representatives.
+    """
+    prev = lvl.shifted(-1)
+    bt = _row_matrix(relative_subspace(lvl, h), lvl.space_dim)
+    kernel = (differential_matrix(lvl) * bt.transpose()).kernel_rows()
+    cocycles = (Matrix._raw(len(kernel), bt.rows, kernel) * bt).sparse_rows
+    bt_prev = _row_matrix(relative_subspace(prev, h), prev.space_dim)
+    span = (bt_prev * differential_matrix(prev).transpose())._span()
+    betti = len(cocycles) - span.rank
+    return betti, [dense_vector(v, lvl.space_dim) for v in cocycles if span.add(v)]
 
 
 def _catalog_names():
     return [n.replace(":n", ":3").replace(":alpha", ":1") for n in BUILTIN_NAMES]
+
+
+def _minor(rows):
+    """Determinant by expansion along the first row."""
+    if not rows:
+        return Q(1)
+    return sum((-1) ** j * a * _minor([r[:j] + r[j + 1 :] for r in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
+
+
+def _beta_rows(lvl, h):
+    """beta_T (x) e_m on the full level, T over the k-tuples of annihilator rows.
+
+    The annihilator rows alpha_c are the canonical kernel basis of the
+    h.vectors matrix; beta_T at a tuple s is the minor of the rows T at the
+    columns s.
+    """
+    dim, k = lvl.algebra.dim, lvl.degree
+    alphas = [dense_vector(a, dim) for a in Matrix.from_rows(h.vectors).kernel_rows()]
+    rows = []
+    for t in tuple_basis(len(alphas), k):
+        beta = [_minor([[alphas[c][j] for j in s] for c in t]) for s in tuple_basis(dim, k)]
+        rows += [{si * lvl.vdim + m: v for si, v in enumerate(beta)} for m in range(lvl.vdim)]
+    return Matrix._raw(len(rows), lvl.space_dim, rows)
+
+
+@pytest.mark.parametrize("pair", [
+    *(n for n in _catalog_names() if builtin(n).h is not None),
+    "fivedim_ext:2", "fivedim_ext:-3/4", "fivedim_ext:5/2",
+    "rebased sl2R_ext", "rebased fivedim_ext:1",
+])
+def test_beta_coordinates_are_the_entries_at_the_all_free_tuples(pair):
+    # the entries of a relative form at the all-free tuples are its beta
+    # coordinates q: q times the beta rows gives the form back exactly
+    name = pair.removeprefix("rebased ")
+    g, h = _rebased(name) if name != pair else (builtin(name).algebra, builtin(name).h)
+    for spec in ("trivial", "adjoint", "coadjoint"):
+        for k in range(-1, g.dim + 1):
+            lvl = CochainLevel(g, module_from_spec(g, spec), k)
+            bt = relative_subspace(lvl, h)
+            q = cecomplex.beta_coordinates(lvl, h, bt)
+            assert q * _beta_rows(lvl, h) == _row_matrix(bt, lvl.space_dim), (spec, k)
 
 
 def _alternating_sum(xs):

@@ -690,9 +690,15 @@ _LONG = "x" * 5000
     (["volume", "sl2tilde", "--n", _LONG, "--e", "1"], EXIT_PARSE),
     (["check", _LONG + ".json"], EXIT_PARSE),
     (["cohomology", "sl2", "--coeffs", "./" + _LONG], EXIT_PARSE),
+    (["check", "abelian:" + "1" * 4000], EXIT_VALIDATION),
+    (["check", {**SL2_JSON, "brackets": {_LONG: {"1": "2"}}}], EXIT_PARSE),
+    (["check", {**SL2_JSON, "brackets": {"[0,1]": {_LONG: "2"}}}], EXIT_PARSE),
 ], ids=["catalog-name", "abelian", "fivedim_ext", "module-spec", "trivial-rank", "sum-spec",
-        "module-too-large", "degree", "rational", "fiber-degree", "algebra-path", "module-path"])
-def test_long_arguments_give_short_error_lines(argv, code):
+        "module-too-large", "degree", "rational", "fiber-degree", "algebra-path", "module-path",
+        "abelian-dimension", "bracket-key", "coefficient-index"])
+def test_long_arguments_give_short_error_lines(argv, code, tmp_path):
+    # an algebra given as a dict is written to a file and passed by its path
+    argv = [write_json(tmp_path, a) if isinstance(a, dict) else a for a in argv]
     got, out, err = _run_uncaptured(argv)
     assert got == code and out == ""
     assert "… (" in err and "characters)" in err

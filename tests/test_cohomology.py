@@ -268,7 +268,7 @@ def _so_n1(n):
     return g, subalgebra(g, [unit(g.dim, i) for i in range(len(rotations))])
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_relative_betti_of_so_n1_is_that_of_the_sphere(n):
     # H*(so(n,1), so(n)) = H*(S^n), the compact dual (Cartan): 1 + t^n
     g, h = _so_n1(n)
