@@ -32,15 +32,27 @@ The differential of relative forms (``quotient_differential``) is the core
 of ``differential_matrix`` run on the same coordinates, which a relative
 form's entries at the all-free tuples give (``beta_coordinates``).
 
+The absolute complex is graded by weight when the basis has a Cartan
+part: basis vectors e_h whose bracket matrix and module action are both
+diagonal (``weight_grading``).  A cell (T, m) has the weight
+mu_m - sum_{t in T} alpha_t, its eigenvalue under L_{e_h}; by the module
+axiom delta keeps weights, so it is block-diagonal.
+``graded_differential`` is the core run on the weight-zero cells only,
+which a walk over T with a running weight lists in the order of the full
+level (``weight_zero_cells``).  The grading is used only when some
+alpha_a is nonzero and the module axiom holds, checked once per module;
+without the axiom delta need not keep weights.
+
 Caching: ``tuple_basis``/``_tuple_index``, ``_pairs_by_target``, the
-differential, the degree -1 map and the relative subspaces are cached per
-level, the data of g/h once per pair; the small quotient differential is
-rebuilt on each call, which costs less than the memory to keep it.
+differential, the graded differential and its cells, the degree -1 map
+and the relative subspaces are cached per level, the weights once per
+module and the data of g/h once per pair; the small quotient differential
+is rebuilt on each call, which costs less than the memory to keep it.
 ``i_X`` and ``L_X`` are built from the coordinates of X on each call, in
 one pass over the level; ``suite._Operators`` memoises them for one
 identity sweep.  Relative work builds neither, nor the full-level
 differential, which only ``relative_closure_holds`` reads as an
-independent check.
+independent check; graded absolute work builds no full-level operator.
 """
 
 from __future__ import annotations
@@ -49,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from . import gmod
@@ -183,50 +195,166 @@ def differential_matrix(level: CochainLevel) -> Matrix:
 
 
 def _differential_core(
-    dim: int, k: int, vdim: int, by_target: Sequence, actions: Sequence[Matrix]
+    dim: int, k: int, vdim: int, by_target: Sequence, actions: Sequence[Matrix], cells=None
 ) -> Matrix:
     """delta on the k-cochains of a dim-dimensional space, with vdim-dimensional values.
 
     by_target[c] lists the pairs ((a, b), coef), a < b, whose bracket has
     e_c-coefficient coef; actions[a] is the action of e_a on the values.
+    cells, when given, is (sources, targets): the columns are the cells
+    (s, m) for each (s, ms) of sources and m in ms, in that order, and the
+    row of a (k+1)-cell (t, m) is targets[t] * vdim + m.  By default the
+    cells are every cell of both levels, in the flat order.
     """
-    out_index = _tuple_index(dim, k + 1)
+    if cells is None:
+        cells = ((s, range(vdim)) for s in tuple_basis(dim, k)), _tuple_index(dim, k + 1)
+    sources, out_index = cells
     out: list[dict] = [{} for _ in range(len(out_index) * vdim)]
     # action_cols[a][m] = {mm: coefficient}: the column action_a e_m
     action_cols = [act.transpose().sparse_rows for act in actions]
     trivial = all(m.is_zero() for m in actions)
-    tuples = tuple_basis(dim, k)
-    for si, s in enumerate(tuples):
-        s_set = set(s)
-        for m in range(vdim):
-            col = si * vdim + m
-            # module-action sum: T = s with one extra index a, removed at
-            # 1-based position i, contributing (-1)^(i+1) action_a e_m
-            if not trivial:
-                for a in range(dim):
-                    if a in s_set:
-                        continue
+    col = 0
+    for s, ms in sources:
+        # module-action sum: T = s with one extra index a, removed at
+        # 1-based position i, contributing (-1)^(i+1) action_a e_m; a t
+        # outside targets has no cell that a source cell reaches
+        inserts = []
+        if not trivial:
+            for a in range(dim):
+                if a not in s:
                     pos, t = _insert(s, a)
-                    base = out_index[t] * vdim
-                    for mm, v in action_cols[a][m].items():
+                    if t in out_index:
                         # (-1)^(i+1), i = pos+1
-                        _accumulate(out[base + mm], col, v if pos % 2 == 0 else -v)
-            # bracket sum: the bracket of the pair must reproduce one index of s
-            for q, sq in enumerate(s):
-                rest = s[:q] + s[q + 1 :]
-                rest_set = set(rest)
-                for (a, b), coef in by_target[sq]:
-                    if a in rest_set or b in rest_set:
-                        continue
-                    _, t1 = _insert(rest, a)
-                    _, t = _insert(t1, b)
-                    # 1-based positions of a and b inside t
-                    i = t.index(a) + 1
-                    j = t.index(b) + 1
-                    # (-1)^(i+j), times (-1)^q for sorting (sq, rest) into s
-                    v = coef if (i + j + q) % 2 == 0 else -coef
-                    _accumulate(out[out_index[t] * vdim + m], col, v)
-    return Matrix._raw(len(out), len(tuples) * vdim, out)
+                        inserts.append((action_cols[a], out_index[t] * vdim, pos % 2 == 0))
+        # bracket sum: the bracket of the pair must reproduce one index of s;
+        # (row of t without m, value), the same for every m
+        terms = []
+        for q, sq in enumerate(s):
+            rest = s[:q] + s[q + 1 :]
+            rest_set = set(rest)
+            for (a, b), coef in by_target[sq]:
+                if a in rest_set or b in rest_set:
+                    continue
+                _, t1 = _insert(rest, a)
+                _, t = _insert(t1, b)
+                # 1-based positions of a and b inside t
+                i = t.index(a) + 1
+                j = t.index(b) + 1
+                # (-1)^(i+j), times (-1)^q for sorting (sq, rest) into s
+                terms.append((out_index[t] * vdim, coef if (i + j + q) % 2 == 0 else -coef))
+        for m in ms:
+            for column, base, even in inserts:
+                for mm, v in column[m].items():
+                    _accumulate(out[base + mm], col, v if even else -v)
+            for row, v in terms:
+                _accumulate(out[row + m], col, v)
+            col += 1
+    return Matrix._raw(len(out), col, out)
+
+
+@lru_cache(maxsize=None)
+def weight_grading(module: gmod.GModule) -> tuple | None:
+    """(weights of the basis indices, weights of the module basis), or None.
+
+    The Cartan part H is the basis vectors e_h whose bracket matrix and
+    module action are both diagonal: alpha_a(h) is the e_a-coefficient of
+    [e_h, e_a], mu_m(h) the e_m-coefficient of e_h . e_m.  The weights are
+    packed into integers, one balanced digit per h after clearing its
+    denominators, with digits wide enough that every sum and difference met
+    below compares equal exactly when the weight vectors do.  None, for the
+    full level, when H is empty, every alpha_a is zero, or the module axiom
+    fails.
+    """
+    g = module.algebra
+    cartan = [
+        h for h in range(g.dim) if _is_diagonal(g.brackets[h]) and _is_diagonal(module.actions[h])
+    ]
+    alphas = [[g.brackets[h].sparse_rows[a].get(a, _ZERO) for h in cartan] for a in range(g.dim)]
+    if not any(map(any, alphas)):
+        return None
+    try:
+        gmod.check_module_axiom(module)
+    except gmod.ModuleAxiomViolation:
+        return None
+    mus = [[module.actions[h].sparse_rows[m].get(m, _ZERO) for h in cartan]
+           for m in range(module.vdim)]
+    weights, module_weights = [0] * g.dim, [0] * module.vdim
+    radix = 1
+    for i in range(len(cartan)):
+        den = lcm(*(w[i].denominator for w in alphas + mus))
+        alpha = [int(w[i] * den) for w in alphas]
+        mu = [int(w[i] * den) for w in mus]
+        for a, x in enumerate(alpha):
+            weights[a] += x * radix
+        for m, x in enumerate(mu):
+            module_weights[m] += x * radix
+        # |a sum of alphas minus a mu| <= width in this digit
+        width = sum(map(abs, alpha)) + max(map(abs, mu), default=0)
+        radix *= 2 * width + 1
+    return tuple(weights), tuple(module_weights)
+
+
+def _is_diagonal(m: Matrix) -> bool:
+    return all(r.keys() <= {i} for i, r in enumerate(m.sparse_rows))
+
+
+@lru_cache(maxsize=None)
+def weight_zero_cells(level: CochainLevel) -> tuple:
+    """The cells (T, m) of weight zero, sum over t in T of alpha_t = mu_m, grouped by T.
+
+    Each group is (T, the module indices m), in the flat order of the full
+    level.  A lexicographic walk over T keeps the running weight of its
+    prefix and descends only where the remaining indices can still reach a
+    module weight, so the work grows with the cells listed, not with the
+    level.  Needs ``weight_grading(level.module)``.
+    """
+    weights, module_weights = weight_grading(level.module)
+    dim, k = len(weights), level.degree
+    if not 0 <= k <= dim:
+        return ()
+    by_weight: dict = {}
+    for m, w in enumerate(module_weights):
+        by_weight.setdefault(w, []).append(m)
+    # need[i][r]: the prefix weights that r indices from i.. can complete to a module weight
+    need = [[set(by_weight)] + [set() for _ in range(k)] for _ in range(dim + 1)]
+    for i in range(dim - 1, -1, -1):
+        for r in range(1, k + 1):
+            need[i][r] = need[i + 1][r] | {w - weights[i] for w in need[i + 1][r - 1]}
+    out = []
+
+    def walk(start: int, prefix: tuple, weight: int, r: int) -> None:
+        if not r:
+            out.append((prefix, tuple(by_weight[weight])))
+            return
+        for a in range(start, dim - r + 1):
+            if weight + weights[a] in need[a + 1][r - 1]:
+                walk(a + 1, prefix + (a,), weight + weights[a], r - 1)
+
+    if 0 in need[0][k]:
+        walk(0, (), 0, k)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def graded_differential(level: CochainLevel) -> Matrix:
+    """delta from the weight-zero cells of this level to those of the next.
+
+    Columns and rows are the cells of ``weight_zero_cells``, in order.  The
+    core runs on those source cells only; by the module axiom delta keeps
+    weights, so every cell it reaches has weight zero.
+    """
+    g, vdim, actions = level.algebra, level.vdim, level.module.actions
+    targets = weight_zero_cells(level.shifted(1))
+    cells = weight_zero_cells(level), {t: j for j, (t, _) in enumerate(targets)}
+    core = _differential_core(g.dim, level.degree, vdim, _pairs_by_target(g), actions, cells)
+    rows = [core.sparse_rows[j * vdim + m] for j, (_, ms) in enumerate(targets) for m in ms]
+    return Matrix._raw(len(rows), core.cols, rows)
+
+
+def weight_zero_positions(level: CochainLevel) -> list[int]:
+    """The flat index in the full level of each weight-zero cell, in order."""
+    dim, vdim = level.algebra.dim, level.vdim
+    return [_rank(dim, t) * vdim + m for t, ms in weight_zero_cells(level) for m in ms]
 
 
 def _accumulate(row: dict, col: int, v) -> None:

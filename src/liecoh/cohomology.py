@@ -11,6 +11,18 @@ and dim H = |Z| - rank(B) holds exactly when their number matches; any
 other count means B is not inside span(Z).  Only the returned
 representatives are made dense.
 
+When the module has a weight grading (:mod:`liecoh.cecomplex`), absolute
+cocycles and coboundaries are taken on the weight-zero cells only, and the
+output is the same as on the full level.  delta is block-diagonal by
+weight, and the RREF of a block-diagonal matrix is the union of the RREFs
+of its blocks, so the kernel rows of the weight-zero block are the
+canonical kernel rows at weight zero, in the same order.  For a weight
+lambda != 0, L_H = delta i_H + i_H delta puts every cocycle of weight
+lambda in B, and delta^2 = 0 (the module axiom) puts B of weight lambda
+in Z: the greedy pass never picks a cocycle of nonzero weight, and
+dim H = |Z_0| - rank(B_0).  The representatives are mapped back to their
+positions in the full level.
+
 Relative cocycles and coboundaries are taken in the beta coordinates of
 g/h (:mod:`liecoh.cecomplex`): with Q those of the relative basis bt, Z is
 K Q for the kernel rows K of delta_q Q^T, B is Q_{k-1} delta_q^T, and the
@@ -30,8 +42,11 @@ from .cecomplex import (
     CochainLevel,
     beta_coordinates,
     differential_matrix,
+    graded_differential,
     quotient_differential,
     relative_subspace,
+    weight_grading,
+    weight_zero_positions,
 )
 from .liealg import LieAlgebra, Subalgebra, killing_form, structure_report, unit
 from .ratlin import Matrix, SubspaceNotContained, dense_vector
@@ -71,7 +86,12 @@ def _cohomology_core(g, module, k, h) -> CohomologyResult:
     level_k = CochainLevel(g, module, k)
     level_prev = level_k.shifted(-1)
     relative = h is not None and h.dim > 0
-    if not relative:
+    graded = not relative and weight_grading(module) is not None
+    if graded:
+        # only the weight-zero cells, numbered in the order of the full level
+        cocycles = graded_differential(level_k).kernel_rows()
+        coboundaries = graded_differential(level_prev).transpose()
+    elif not relative:
         cocycles = differential_matrix(level_k).kernel_rows()
         coboundaries = differential_matrix(level_prev).transpose()
     else:
@@ -96,7 +116,10 @@ def _cohomology_core(g, module, k, h) -> CohomologyResult:
             f"span of rank {rank_b} is not inside the rank-{len(cocycles)} span"
         )
     reps = [cocycles[i] for i in chosen]
-    if relative:
+    if graded:
+        positions = weight_zero_positions(level_k)
+        reps = [{positions[j]: x for j, x in v.items()} for v in reps]
+    elif relative:
         # the rows of K bt are the full-level forms with these beta coordinates
         bt_rows = [{j: x for j, x in enumerate(v) if x} for v in bt]
         picked = Matrix._raw(len(chosen), len(bt), [kernel[i] for i in chosen])
