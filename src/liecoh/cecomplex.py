@@ -43,6 +43,11 @@ level (``weight_zero_cells``).  The grading is used only when some
 alpha_a is nonzero and the module axiom holds, checked once per module;
 without the axiom delta need not keep weights.
 
+Every operator is assembled as integer rows over one common denominator
+(:class:`~liecoh.ratlin.Matrix`): the structure constants, the module
+actions and the coordinates of X are put over it once per call, so the
+assembly and the identity checks on its output build no Fraction.
+
 Caching: ``tuple_basis``/``_tuple_index``, ``_pairs_by_target``, the
 differential, the graded differential and its cells, the degree -1 map
 and the relative subspaces are cached per level, the weights once per
@@ -66,7 +71,7 @@ from typing import Sequence
 
 from . import gmod
 from .liealg import DimensionMismatch, LieAlgebra, Subalgebra
-from .ratlin import Matrix, _linear_combination, _rref_rows, vector
+from .ratlin import Matrix, _linear_combination, _rref_rows, _scaled, vector
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -182,8 +187,8 @@ def _pairs_by_target(g: LieAlgebra):
     out: list[list] = [[] for _ in range(g.dim)]
     for a, bmat in enumerate(g.brackets):
         for b in range(a + 1, g.dim):
-            for c, coef in bmat.sparse_rows[b].items():
-                out[c].append(((a, b), coef))
+            for c, coef in bmat.int_rows[b].items():
+                out[c].append(((a, b), Fraction(coef, bmat.den)))
     return tuple(tuple(row) for row in out)
 
 
@@ -201,17 +206,20 @@ def _differential_core(
 
     by_target[c] lists the pairs ((a, b), coef), a < b, whose bracket has
     e_c-coefficient coef; actions[a] is the action of e_a on the values.
-    cells, when given, is (sources, targets): the columns are the cells
-    (s, m) for each (s, ms) of sources and m in ms, in that order, and the
-    row of a (k+1)-cell (t, m) is targets[t] * vdim + m.  By default the
-    cells are every cell of both levels, in the flat order.
+    Both are put over one common denominator once, and the matrix is
+    assembled from integers.  cells, when given, is (sources, targets): the
+    columns are the cells (s, m) for each (s, ms) of sources and m in ms, in
+    that order, and the row of a (k+1)-cell (t, m) is targets[t] * vdim + m.
+    By default the cells are every cell of both levels, in the flat order.
     """
     if cells is None:
         cells = ((s, range(vdim)) for s in tuple_basis(dim, k)), _tuple_index(dim, k + 1)
     sources, out_index = cells
     out: list[dict] = [{} for _ in range(len(out_index) * vdim)]
-    # action_cols[a][m] = {mm: coefficient}: the column action_a e_m
-    action_cols = [act.transpose().sparse_rows for act in actions]
+    den = lcm(*(c.denominator for row in by_target for _, c in row), *(a.den for a in actions))
+    by_target = [[(p, c.numerator * (den // c.denominator)) for p, c in row] for row in by_target]
+    # action_cols[a][m] = {mm: den * coefficient}: the column action_a e_m
+    action_cols = [[_scaled(c, den // a.den) for c in a.transpose().int_rows] for a in actions]
     trivial = all(m.is_zero() for m in actions)
     col = 0
     for s, ms in sources:
@@ -249,7 +257,7 @@ def _differential_core(
             for row, v in terms:
                 _accumulate(out[row + m], col, v)
             col += 1
-    return Matrix._raw(len(out), col, out)
+    return Matrix._from_ints(len(out), col, out, den)
 
 
 @lru_cache(maxsize=None)
@@ -269,15 +277,15 @@ def weight_grading(module: gmod.GModule) -> tuple | None:
     cartan = [
         h for h in range(g.dim) if _is_diagonal(g.brackets[h]) and _is_diagonal(module.actions[h])
     ]
-    alphas = [[g.brackets[h].sparse_rows[a].get(a, _ZERO) for h in cartan] for a in range(g.dim)]
+    alphas = [[_diagonal_entry(g.brackets[h], a) for h in cartan] for a in range(g.dim)]
     if not any(map(any, alphas)):
         return None
-    try:
-        gmod.check_module_axiom(module)
-    except gmod.ModuleAxiomViolation:
-        return None
-    mus = [[module.actions[h].sparse_rows[m].get(m, _ZERO) for h in cartan]
-           for m in range(module.vdim)]
+    if not module.axiom_holds:
+        try:
+            gmod.check_module_axiom(module)
+        except gmod.ModuleAxiomViolation:
+            return None
+    mus = [[_diagonal_entry(module.actions[h], m) for h in cartan] for m in range(module.vdim)]
     weights, module_weights = [0] * g.dim, [0] * module.vdim
     radix = 1
     for i in range(len(cartan)):
@@ -295,7 +303,11 @@ def weight_grading(module: gmod.GModule) -> tuple | None:
 
 
 def _is_diagonal(m: Matrix) -> bool:
-    return all(r.keys() <= {i} for i, r in enumerate(m.sparse_rows))
+    return all(r.keys() <= {i} for i, r in enumerate(m.int_rows))
+
+
+def _diagonal_entry(m: Matrix, i: int) -> Fraction:
+    return Fraction(m.int_rows[i].get(i, 0), m.den)
 
 
 @lru_cache(maxsize=None)
@@ -347,8 +359,8 @@ def graded_differential(level: CochainLevel) -> Matrix:
     targets = weight_zero_cells(level.shifted(1))
     cells = weight_zero_cells(level), {t: j for j, (t, _) in enumerate(targets)}
     core = _differential_core(g.dim, level.degree, vdim, _pairs_by_target(g), actions, cells)
-    rows = [core.sparse_rows[j * vdim + m] for j, (_, ms) in enumerate(targets) for m in ms]
-    return Matrix._raw(len(rows), core.cols, rows)
+    rows = ((core, j * vdim + m) for j, (_, ms) in enumerate(targets) for m in ms)
+    return Matrix._stack(core.cols, rows)
 
 
 def weight_zero_positions(level: CochainLevel) -> list[int]:
@@ -374,6 +386,8 @@ def _coordinates(level: CochainLevel, x: Sequence) -> tuple[Fraction, ...]:
 def interior_product_matrix(level: CochainLevel, x: Sequence) -> Matrix:
     """Matrix of i_X: degree k -> k-1, linear in X."""
     x = _coordinates(level, x)
+    den = lcm(*(a.denominator for a in x))
+    x = [a.numerator * (den // a.denominator) for a in x]
     dim, vdim = level.algebra.dim, level.vdim
     out_index = _tuple_index(dim, level.degree - 1)
     out: list[dict] = [{} for _ in range(len(tuple_basis(dim, level.degree - 1)) * vdim)]
@@ -387,37 +401,41 @@ def interior_product_matrix(level: CochainLevel, x: Sequence) -> Matrix:
             sgn = a if q % 2 == 0 else -a
             for m in range(vdim):
                 out[base + m][si * vdim + m] = sgn
-    return Matrix._raw(len(out), level.space_dim, out)
+    return Matrix._new(len(out), level.space_dim, out, den)
 
 
 def lie_derivative_matrix(level: CochainLevel, x: Sequence) -> Matrix:
     """Matrix of L_X: degree k -> k, linear in X."""
     x = _coordinates(level, x)
     # row c of ad(-X) is {t: coef}, coef the c-coefficient of [e_t, X]
-    replacements = level.algebra.ad_matrix([-a for a in x]).sparse_rows
+    replacements = level.algebra.ad_matrix([-a for a in x])
     return _lie_derivative_core(level.algebra.dim, level.degree, level.module, x, replacements)
 
 
 def _lie_derivative_core(
-    dim: int, k: int, module: gmod.GModule, x: Sequence, replacements: Sequence[dict]
+    dim: int, k: int, module: gmod.GModule, x: Sequence, replacements: Matrix
 ) -> Matrix:
     """L_X on the k-cochains of a dim-dimensional space, with values in module.
 
     The module part is sum_i x_i action_i; in the bracket part, an argument
-    e_c of the form is replaced by each e_t with coefficient replacements[c][t].
+    e_c of the form is replaced by each e_t with coefficient
+    replacements[c, t].  Both are put over one common denominator.
     """
     vdim = module.vdim
     tuples = tuple_basis(dim, k)
     out_index = _tuple_index(dim, k)
     out: list[dict] = [{} for _ in range(len(tuples) * vdim)]
-    # action_cols[m] = {mm: coefficient}: the column (sum_i x_i action_i) e_m
-    action_cols = _linear_combination(zip(x, module.actions), vdim, vdim).transpose().sparse_rows
+    action = _linear_combination(zip(x, module.actions), vdim, vdim)
+    den = lcm(action.den, replacements.den)
+    # action_cols[m] = {mm: den * coefficient}: the column (sum_i x_i action_i) e_m
+    action_cols = [_scaled(c, den // action.den) for c in action.transpose().int_rows]
+    replacement_rows = [_scaled(r, den // replacements.den) for r in replacements.int_rows]
     for si, s in enumerate(tuples):
         # bracket part: s[q] replaced by each t, the same for every module index m
         terms = []
         for q, sq in enumerate(s):
             rest = s[:q] + s[q + 1 :]
-            for t, coef in replacements[sq].items():
+            for t, coef in replacement_rows[sq].items():
                 sign, tt = sort_with_sign(rest[:q] + (t,) + rest[q:])
                 if sign:
                     terms.append((out_index[tt] * vdim, sign * coef))
@@ -428,7 +446,7 @@ def _lie_derivative_core(
                 out[base + mm][col] = v
             for row, v in terms:
                 _accumulate(out[row + m], col, v)
-    return Matrix._raw(len(out), len(out), out)
+    return Matrix._from_ints(len(out), len(out), out, den)
 
 
 def j_map_matrix(g: LieAlgebra, k: int) -> Matrix:
@@ -448,8 +466,8 @@ def _j_map_core(dim: int, k: int) -> Matrix:
     for si, s in enumerate(tuple_basis(dim, k)):
         for q, sq in enumerate(s):
             rest = s[:q] + s[q + 1 :]
-            out[out_index[rest] * dim + sq][si] = _ONE if q % 2 == 0 else -_ONE
-    return Matrix._raw(len(out), len(tuple_basis(dim, k)), out)
+            out[out_index[rest] * dim + sq][si] = 1 if q % 2 == 0 else -1
+    return Matrix._new(len(out), len(tuple_basis(dim, k)), out, 1)
 
 
 def wedge_one_form_matrix(level: CochainLevel, covector: Sequence) -> Matrix:
@@ -468,8 +486,8 @@ def _quotient(g: LieAlgebra, h: Subalgebra) -> tuple:
     the free column of each to c.  kernel_rows is canonical, so
     alpha_c(e_f) = delta_cd for the free column f of alpha_d.  by_target[c]
     lists ((a, b), alpha_c([e_fa, e_fb])) for the free columns fa, fb of
-    alpha_a, alpha_b, a < b; replacements[i][c] is {t: alpha_c([e_ft, X_i])}
-    for the basis vectors X_i of h.
+    alpha_a, alpha_b, a < b; replacements[i] is the matrix with entry
+    alpha_c([e_ft, X_i]) at (c, t), for the basis vectors X_i of h.
     """
     alphas = Matrix._raw(h.dim, g.dim, [dict(enumerate(v)) for v in h.vectors]).kernel_rows()
     # kernel_rows puts f after every pivot alpha_f touches
@@ -477,14 +495,18 @@ def _quotient(g: LieAlgebra, h: Subalgebra) -> tuple:
     columns = list(free)
     annihilator = Matrix._raw(len(alphas), g.dim, alphas)
     pairs = list(combinations(range(len(alphas)), 2))
-    brackets = [g.brackets[columns[a]].sparse_rows[columns[b]] for a, b in pairs]
+    brackets = Matrix._stack(g.dim, ((g.brackets[columns[a]], columns[b]) for a, b in pairs))
     # row c of the product is {pair index: alpha_c of the pair's bracket}
-    images = annihilator * Matrix._raw(len(pairs), g.dim, brackets).transpose()
-    by_target = [[(pairs[p], coef) for p, coef in sorted(r.items())] for r in images.sparse_rows]
+    images = annihilator * brackets.transpose()
+    by_target = [
+        [(pairs[p], Fraction(coef, images.den)) for p, coef in sorted(r.items())]
+        for r in images.int_rows
+    ]
     replacements = []
     for x in h.vectors:
-        rows = (annihilator * g.ad_matrix([-a for a in x])).sparse_rows
-        replacements.append([{free[t]: v for t, v in r.items() if t in free} for r in rows])
+        rows = annihilator * g.ad_matrix([-a for a in x])
+        quotient_rows = [{free[t]: v for t, v in r.items() if t in free} for r in rows.int_rows]
+        replacements.append(Matrix._from_ints(len(alphas), len(alphas), quotient_rows, rows.den))
     return alphas, free, tuple(map(tuple, by_target)), tuple(replacements)
 
 
@@ -509,11 +531,12 @@ def relative_subspace(level: CochainLevel, h: Subalgebra) -> tuple:
     g, k, vdim = level.algebra, level.degree, level.vdim
     alphas, _, _, lie = _quotient(g, h)
     quotient_tuples = tuple_basis(len(alphas), k)
-    quotient = []  # the quotient L_X, one block per basis vector X of h
-    for x, replacements in zip(h.vectors, lie):
-        quotient += _lie_derivative_core(len(alphas), k, level.module, x, replacements).sparse_rows
+    # the quotient L_X, one block per basis vector X of h
+    blocks = [
+        _lie_derivative_core(len(alphas), k, level.module, x, r) for x, r in zip(h.vectors, lie)
+    ]
     n_rel = len(quotient_tuples) * vdim
-    kernel = Matrix._raw(len(quotient), n_rel, quotient).kernel_rows()
+    kernel = Matrix._stack(n_rel, ((b, i) for b in blocks for i in range(b.rows))).kernel_rows()
     # the horizontal forms beta_T (x) e_m, in the coordinates of the full level
     beta_rows = []
     for t in quotient_tuples:
@@ -573,4 +596,4 @@ def relative_closure_holds(level: CochainLevel, h: Subalgebra) -> bool:
     # row i of the product is delta applied to the relative basis vector i
     images = Matrix.from_rows(sub_k) * differential_matrix(level).transpose()
     target = Matrix.from_rows(relative_subspace(level.shifted(1), h))._span()
-    return all(target.contains(v) for v in images.sparse_rows if v)
+    return all(target.contains(v) for v in images.int_rows if v)

@@ -2,14 +2,15 @@
 
 Dimensions are kernel/image ranks of exact matrices, so every number here
 is an integer fact, not an approximation.  Cocycles and coboundaries stay
-sparse ``{col: Fraction}`` rows from the operator matrices to one
-:class:`~liecoh.ratlin.EchelonSpan` pass per degree: the coboundaries are
-added first, which gives rank(B), and the canonical cocycle basis Z is
-then added greedily.  The cocycles that enlarge the span are the
-representatives, so they are deterministic and safe to freeze in tests,
-and dim H = |Z| - rank(B) holds exactly when their number matches; any
-other count means B is not inside span(Z).  Only the returned
-representatives are made dense.
+sparse rows from the operator matrices to one
+:class:`~liecoh.ratlin.EchelonSpan` pass per degree (the coboundaries as
+the operators' integer rows, the cocycles as kernel rows): the
+coboundaries are added first, which gives rank(B), and the canonical
+cocycle basis Z is then added greedily.  The cocycles that enlarge the
+span are the representatives, so they are deterministic and safe to
+freeze in tests, and dim H = |Z| - rank(B) holds exactly when their
+number matches; any other count means B is not inside span(Z).  Only
+the returned representatives are made dense.
 
 When the module has a weight grading (:mod:`liecoh.cecomplex`), absolute
 cocycles and coboundaries are taken on the weight-zero cells only, and the
@@ -34,6 +35,7 @@ the full level.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache
 
 from . import gmod
@@ -99,7 +101,7 @@ def _cohomology_core(g, module, k, h) -> CohomologyResult:
         bt = relative_subspace(level_k, h)
         q = beta_coordinates(level_k, h, bt)
         kernel = (quotient_differential(level_k, h) * q.transpose()).kernel_rows()
-        cocycles = (Matrix._raw(len(kernel), q.rows, kernel) * q).sparse_rows
+        cocycles = (Matrix._raw(len(kernel), q.rows, kernel) * q).int_rows
         q_prev = beta_coordinates(level_prev, h, relative_subspace(level_prev, h))
         coboundaries = q_prev * quotient_differential(level_prev, h).transpose()
 
@@ -159,8 +161,8 @@ def killing_three_form(g: LieAlgebra) -> ThreeFormClass:
     level = CochainLevel(g, gmod.trivial_module(g, 1), 3)
     coords = {}
     for idx, (i, j, k) in enumerate(level.tuples):
-        bk = b.column(k)
-        value = sum(bk[t] * c for t, c in g.brackets[i].sparse_rows[j].items())
+        bk, bracket = b.column(k), g.brackets[i]
+        value = Fraction(sum(bk[t] * c for t, c in bracket.int_rows[j].items()), bracket.den)
         if value:
             coords[idx] = value
     form = Cochain(level, dense_vector(coords, level.space_dim))

@@ -95,8 +95,9 @@ def central_extension(
     names = g.basis_names + tuple(f"c{a + 1}" for a in range(rank))
     brackets = {}
     for i, b in enumerate(g.brackets):
+        rows = b.sparse_rows
         for j in range(i + 1, g.dim):
-            row = b.sparse_rows[j]
+            row = rows[j]
             if row:
                 brackets[(i, j)] = dense_vector(row, dim_ext)
     extended = validate(dim_ext, names, brackets)

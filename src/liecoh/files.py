@@ -193,8 +193,9 @@ def load_algebra(path):
 def algebra_to_dict(g: LieAlgebra, h: Subalgebra | None = None, name: str = "unnamed") -> dict:
     brackets = {}
     for i, b in enumerate(g.brackets):
+        rows = b.sparse_rows
         for j in range(i + 1, g.dim):
-            row = b.sparse_rows[j]
+            row = rows[j]
             if row:
                 brackets[f"[{i},{j}]"] = {str(t): format_rational(c) for t, c in row.items()}
     data = {

@@ -5,7 +5,9 @@ A module is one square matrix per algebra basis vector; the defining axiom
 exactly by :func:`make_module` and every constructor built on it.  The
 trivial, adjoint and coadjoint modules are built without it: zero matrices
 satisfy it, and for ad it is the Jacobi identity, which
-:func:`~liecoh.liealg.validate` has already checked.  The coadjoint
+:func:`~liecoh.liealg.validate` has already checked.  All of these record
+that the axiom holds (``GModule.axiom_holds``); a bare ``GModule(...)``
+does not, so code that needs the axiom checks it first.  The coadjoint
 convention used throughout is the one where the action of x on a covector w
 is ``w([. , x])``, whose matrix is ``-ad(x)^T``; all sign-sensitive operator
 identities in :mod:`liecoh.cecomplex` depend on this choice.
@@ -13,9 +15,10 @@ identities in :mod:`liecoh.cecomplex` depend on this choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from . import files
@@ -61,11 +64,16 @@ def _check_level_dim(g: LieAlgebra, vdim: int, spec: str) -> None:
 
 @dataclass(frozen=True)
 class GModule:
-    """Plain data container; use the constructors below to get validation."""
+    """Plain data container; use the constructors below to get validation.
+
+    ``axiom_holds`` is True when the constructor checked the module axiom
+    or it holds by construction; it takes no part in equality or hashing.
+    """
 
     algebra: LieAlgebra
     vdim: int
     actions: tuple[Matrix, ...]
+    axiom_holds: bool = field(default=False, compare=False, repr=False)
 
 
 def make_module(g: LieAlgebra, vdim: int, actions: Sequence[Matrix]) -> GModule:
@@ -74,9 +82,8 @@ def make_module(g: LieAlgebra, vdim: int, actions: Sequence[Matrix]) -> GModule:
         raise DimensionMismatch(f"{len(actions)} action matrices for a {g.dim}-dim algebra")
     if any((m.rows, m.cols) != (vdim, vdim) for m in actions):
         raise DimensionMismatch("action matrix is not vdim x vdim")
-    mod = GModule(g, vdim, actions)
-    check_module_axiom(mod)
-    return mod
+    check_module_axiom(GModule(g, vdim, actions))
+    return GModule(g, vdim, actions, axiom_holds=True)
 
 
 def check_module_axiom(mod: GModule) -> None:
@@ -84,18 +91,18 @@ def check_module_axiom(mod: GModule) -> None:
     g = mod.algebra
     for i, b in enumerate(g.brackets):
         for j in range(i + 1, g.dim):
-            # the action of [e_i, e_j], from its nonzero structure constants
-            terms = ((t, mod.actions[c]) for c, t in b.sparse_rows[j].items())
+            # b.den times the action of [e_i, e_j], from its nonzero structure constants
+            terms = ((t, mod.actions[c]) for c, t in b.int_rows[j].items())
             lhs = _linear_combination(terms, mod.vdim, mod.vdim)
             rhs = mod.actions[i] * mod.actions[j] - mod.actions[j] * mod.actions[i]
-            residual = lhs - rhs
+            residual = lhs - rhs.scale(b.den)
             if not residual.is_zero():
-                raise ModuleAxiomViolation(i, j, residual)
+                raise ModuleAxiomViolation(i, j, residual.scale(Fraction(1, b.den)))
 
 
 @lru_cache(maxsize=None)
 def trivial_module(g: LieAlgebra, n: int = 1) -> GModule:
-    return GModule(g, n, tuple(Matrix.zero(n, n) for _ in range(g.dim)))
+    return GModule(g, n, tuple(Matrix.zero(n, n) for _ in range(g.dim)), axiom_holds=True)
 
 
 @lru_cache(maxsize=None)
@@ -106,7 +113,7 @@ def adjoint_module(g: LieAlgebra) -> GModule:
     which every algebra from :func:`~liecoh.liealg.validate` satisfies (the
     zero algebra trivially).  The test suite checks it on the catalog.
     """
-    return GModule(g, g.dim, tuple(b.transpose() for b in g.brackets))
+    return GModule(g, g.dim, tuple(b.transpose() for b in g.brackets), axiom_holds=True)
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +123,7 @@ def coadjoint_module(g: LieAlgebra) -> GModule:
     Built without the module-axiom check: this is the dual of
     :func:`adjoint_module`, and the dual of a module is a module.
     """
-    return GModule(g, g.dim, tuple(-b for b in g.brackets))
+    return GModule(g, g.dim, tuple(-b for b in g.brackets), axiom_holds=True)
 
 
 def dual_module(mod: GModule) -> GModule:
@@ -136,13 +143,15 @@ def direct_sum(mods: Sequence[GModule]) -> GModule:
     offsets = [sum(m.vdim for m in mods[:i]) for i in range(len(mods))]
     actions = []
     for i in range(g.dim):
-        # block-diagonal: row r of summand m becomes row off + r, shifted right by off
+        # block-diagonal: row r of summand m becomes row off + r, shifted right by off,
+        # over the common denominator of the summands
+        den = lcm(*(m.actions[i].den for m in mods))
         rows = [
-            {off + c: x for c, x in row.items()}
+            {off + c: x * (den // m.actions[i].den) for c, x in row.items()}
             for m, off in zip(mods, offsets)
-            for row in m.actions[i].sparse_rows
+            for row in m.actions[i].int_rows
         ]
-        actions.append(Matrix._raw(vdim, vdim, rows))
+        actions.append(Matrix._from_ints(vdim, vdim, rows, den))
     return make_module(g, vdim, tuple(actions))
 
 

@@ -6,7 +6,8 @@ j equal to ``[e_i, e_j]``.  That matrix is ad(e_i) transposed, so minus
 the coadjoint action of e_i.  :func:`validate` fills both ``[e_i, e_j]``
 and ``[e_j, e_i] = -[e_i, e_j]`` from data given for ``i < j`` only, so
 antisymmetry holds by construction and only the Jacobi identity needs
-checking.  Every reader takes the nonzero entries from the sparse rows.
+checking.  Every reader takes the nonzero entries from the sparse integer
+rows (``Matrix.int_rows``) and their common denominator.
 """
 
 from __future__ import annotations
@@ -130,10 +131,8 @@ def validate(dim: int, names: Sequence[str], brackets: Mapping) -> LieAlgebra:
         if nz:
             rows[i][j] = nz
             rows[j][i] = {c: -t for c, t in nz.items()}
-    g = LieAlgebra(
-        dim, names, tuple(Matrix._raw(dim, dim, [r.get(j, {}) for j in range(dim)]) for r in rows)
-    )
-    table = [b.sparse_rows for b in g.brackets]
+    table = [[r.get(j, {}) for j in range(dim)] for r in rows]
+    g = LieAlgebra(dim, names, tuple(Matrix._raw(dim, dim, t) for t in table))
     for i in range(dim):
         for j in range(i + 1, dim):
             if table[i][j]:
@@ -202,21 +201,20 @@ def killing_form(g: LieAlgebra) -> Matrix:
     """Symmetric matrix B(e_i, e_j) = trace(ad(e_i) ad(e_j)).
 
     ad(e_i) is brackets[i] transposed, and trace(A^T B^T) = trace(B A), so
-    each entry is trace(brackets[i] brackets[j]).
+    each entry is trace(brackets[i] brackets[j]), summed over the integer
+    rows and divided by the two denominators.
     """
-    nonzero = [[(r, row) for r, row in enumerate(b.sparse_rows) if row] for b in g.brackets]
+    nonzero = [[(r, row) for r, row in enumerate(b.int_rows) if row] for b in g.brackets]
     ent: list[dict] = [{} for _ in range(g.dim)]
     for i in range(g.dim):
         for j in range(i, g.dim):
             # sum over r, s of brackets[i][r][s] brackets[j][s][r], from nonzeros only
-            brows = g.brackets[j].sparse_rows
+            brows = g.brackets[j].int_rows
             t = sum(
-                (x * brows[s][r] for r, row in nonzero[i] for s, x in row.items() if r in brows[s]),
-                _ZERO,
+                x * brows[s][r] for r, row in nonzero[i] for s, x in row.items() if r in brows[s]
             )
             if t:
-                ent[i][j] = t
-                ent[j][i] = t
+                ent[i][j] = ent[j][i] = Fraction(t, g.brackets[i].den * g.brackets[j].den)
     return Matrix._raw(g.dim, g.dim, ent)
 
 
@@ -266,13 +264,14 @@ def center_of(g: LieAlgebra) -> Subalgebra:
     x is central when [e_j, x] = 0 for every j, that is when x lies in the
     kernel of every ad(e_j) = brackets[j]^T; only their nonzero rows matter.
     """
-    rows = [r for b in g.brackets for r in b.transpose().sparse_rows if r]
-    return Subalgebra(g, _kernel_echelon(Matrix._raw(len(rows), g.dim, rows)))
+    ads = [b.transpose() for b in g.brackets]
+    rows = Matrix._stack(g.dim, ((a, r) for a in ads for r in range(g.dim) if a.int_rows[r]))
+    return Subalgebra(g, _kernel_echelon(rows))
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subalgebra:
-    rows = [r for i, b in enumerate(g.brackets) for r in b.sparse_rows[i + 1 :] if r]
-    return Subalgebra(g, _rref_rows(Matrix._raw(len(rows), g.dim, rows)._span()))
+    rows = ((b, j) for i, b in enumerate(g.brackets) for j in range(i + 1, g.dim) if b.int_rows[j])
+    return Subalgebra(g, _rref_rows(Matrix._stack(g.dim, rows)._span()))
 
 
 def induced_algebra(g: LieAlgebra, basis: Sequence[Sequence], names: Sequence[str]) -> LieAlgebra:

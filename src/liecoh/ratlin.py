@@ -1,26 +1,34 @@
 """Exact linear algebra over the rationals.
 
-Every scalar is a :class:`fractions.Fraction`; there is no floating point
-and no tolerance anywhere.  Ranks, kernels and echelon forms are exact,
-which is what makes dimension counts trustworthy: a Betti number computed
-here is a theorem about the input matrices, not an estimate.
+There is no floating point and no tolerance anywhere.  Ranks, kernels and
+echelon forms are exact, which is what makes dimension counts trustworthy:
+a Betti number computed here is a theorem about the input matrices, not an
+estimate.
 
-A :class:`Matrix` stores only its nonzero entries, one ``{col: Fraction}``
-dict per row, and every operation works on that sparse form; cochain
-operators are almost entirely zeros.  A linear combination sum c_i M_i,
-such as ad(X) or the action of X on a module, is one pass over the
-nonzeros of its terms (:func:`_linear_combination`).
-Vectors come in the same two forms: :meth:`Matrix.kernel_rows` and
-:class:`EchelonSpan` work on sparse ``{col: Fraction}`` dicts, so a caller
-can stay sparse from operator to span, while :func:`vector` and
-:func:`dense_vector` give dense tuples for callers that index coordinates.
+A :class:`Matrix` is an integer matrix over one common denominator: a
+positive int ``den`` and one ``{col: int}`` dict per row holding only the
+nonzero entries (``int_rows``), kept in lowest terms, so equal matrices are
+stored alike.  Products, sums, differences, scaling, transposes and linear
+combinations sum c_i M_i (such as ad(X) or the action of X on a module,
+:func:`_linear_combination`) are integer passes over the nonzeros: no
+Fraction is built, and the operator cores of :mod:`liecoh.cecomplex` emit
+integer rows directly.  Cochain operators are almost entirely zeros.
+Fractions appear only at the edges: :attr:`Matrix.sparse_rows`, a
+``{col: Fraction}`` view built on each read, and the dense views ``row``,
+``column`` and ``entries``, for reports and tests.
+Vectors come in two forms: :meth:`Matrix.kernel_rows` and
+:class:`EchelonSpan` work on sparse ``{col: Fraction}`` dicts (the span
+also takes integer rows as they are), so a caller can stay sparse from
+operator to span, while :func:`vector` and :func:`dense_vector` give dense
+tuples for callers that index coordinates.
 :meth:`Matrix.kernel_basis`, :meth:`Matrix.apply`, :func:`span_rank` and
 :func:`echelon_basis` are one-line views on this API that the library no
 longer calls; they stay while ``perfbench/tracer.py`` traces them by name.
 
-There is one elimination loop, :meth:`EchelonSpan._residual`: it clears
-the denominators of a row and reduces it, as a sparse primitive integer row
-(gcd-stripped after every combination), against the rows already stored.
+There is one elimination loop, :meth:`EchelonSpan._residual`: it reduces a
+sparse primitive integer row (gcd-stripped after every combination)
+against the rows already stored; a matrix hands it its integer rows, and a
+Fraction row has its denominators cleared first.
 A matrix is eliminated by one forward pass over its rows in input order;
 :meth:`Matrix.rank` stops there, while :meth:`Matrix.rref`,
 :meth:`Matrix.kernel_rows` and :func:`solve_columns` add a
@@ -62,39 +70,92 @@ def dense_vector(row: dict, n: int) -> tuple[Fraction, ...]:
     return tuple(row.get(j, _ZERO) for j in range(n))
 
 
-class Matrix:
-    """Immutable sparse matrix of Fractions.
+def _scaled(row: dict, f: int) -> dict:
+    """f times an integer row; the row itself when f is 1."""
+    return row if f == 1 else {j: f * v for j, v in row.items()}
 
-    ``sparse_rows[i]`` is a ``{col: Fraction}`` dict holding exactly the
-    nonzero entries of row i; it must not be mutated.  Equality and the
-    (cached) hash depend only on the shape and these entries.  ``row``,
-    ``column`` and ``entries`` are dense views built on demand: display code
-    reads rows, while tests and the benchmark harness read ``entries``.
+
+def _lowest_terms(int_rows: Sequence[dict], den: int) -> tuple[Sequence[dict], int]:
+    """(rows, den) divided by gcd(den, every entry); den is 1 when there are no entries."""
+    if den == 1:
+        return int_rows, 1
+    g = den
+    for r in int_rows:
+        for v in r.values():
+            g = gcd(g, v)
+            if g == 1:
+                return int_rows, den
+    return [{j: v // g for j, v in r.items()} for r in int_rows], den // g
+
+
+class Matrix:
+    """Immutable sparse matrix over Q: integer rows over one common denominator.
+
+    ``int_rows[i]`` is a ``{col: int}`` dict holding exactly the nonzero
+    entries of row i times ``den``, a positive int; gcd(den, every entry)
+    is 1, and den is 1 for the zero matrix.  The rows must not be mutated.
+    Equality and the (cached) hash depend only on the shape, ``den`` and
+    these rows, so equal values compare and hash equal whatever their
+    history.  ``sparse_rows`` (``{col: Fraction}``), ``row``, ``column`` and
+    ``entries`` are views built on each read: display code reads rows,
+    while tests and the benchmark harness read ``entries``.
     """
 
-    __slots__ = ("rows", "cols", "sparse_rows", "_hash")
+    __slots__ = ("rows", "cols", "den", "int_rows", "_hash")
 
     def __init__(self, rows: int, cols: int, entries):
         entries = [tuple(rational(x) for x in row) for row in entries]
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError(f"entries do not form a {rows}x{cols} matrix")
-        self._set(rows, cols, tuple({j: x for j, x in enumerate(r) if x} for r in entries))
+        m = Matrix._raw(rows, cols, [dict(enumerate(r)) for r in entries])
+        self._set(rows, cols, m.den, m.int_rows)
 
-    def _set(self, rows: int, cols: int, sparse_rows: tuple) -> None:
+    def _set(self, rows: int, cols: int, den: int, int_rows: Sequence[dict]) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "sparse_rows", sparse_rows)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "int_rows", tuple(int_rows))
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def _raw(cls, rows: int, cols: int, sparse_rows) -> "Matrix":
-        """Internal constructor from {col: Fraction} row dicts; zeros are dropped."""
+    def _new(cls, rows: int, cols: int, int_rows: Sequence[dict], den: int) -> "Matrix":
+        """Internal constructor from zero-free integer rows over den, put in lowest terms."""
         m = object.__new__(cls)
-        m._set(rows, cols, tuple({j: x for j, x in r.items() if x} for r in sparse_rows))
+        int_rows, den = _lowest_terms(int_rows, den)
+        m._set(rows, cols, den, int_rows)
         return m
+
+    @classmethod
+    def _from_ints(cls, rows: int, cols: int, int_rows: Sequence[dict], den: int) -> "Matrix":
+        """Constructor from {col: int} rows over den, such as an operator core's; drops zeros."""
+        return cls._new(rows, cols, [{j: v for j, v in r.items() if v} for r in int_rows], den)
+
+    @classmethod
+    def _raw(cls, rows: int, cols: int, sparse_rows) -> "Matrix":
+        """Constructor from {col: Fraction or int} row dicts; zeros are dropped.
+
+        den is the lcm of the denominators, which is already lowest terms:
+        a prime dividing it divides some denominator to its full power, and
+        that entry's scaled numerator is prime to it.
+        """
+        sparse_rows = [{j: x for j, x in r.items() if x} for r in sparse_rows]
+        den = lcm(*(x.denominator for r in sparse_rows for x in r.values()))
+        m = object.__new__(cls)
+        m._set(rows, cols, den, [
+            {j: x.numerator * (den // x.denominator) for j, x in r.items()} for r in sparse_rows
+        ])
+        return m
+
+    @classmethod
+    def _stack(cls, cols: int, picks: Iterable) -> "Matrix":
+        """The matrix whose rows are row i of m, for each (m, i) of picks, over one denominator."""
+        picks = list(picks)
+        den = lcm(*(m.den for m, _ in picks))
+        rows = [_scaled(m.int_rows[i], den // m.den) for m, i in picks]
+        return cls._new(len(rows), cols, rows, den)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -113,11 +174,17 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls._raw(rows, cols, [{}] * rows)
+        return cls._new(rows, cols, [{} for _ in range(rows)], 1)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._raw(n, n, [{i: _ONE} for i in range(n)])
+        return cls._new(n, n, [{i: 1} for i in range(n)], 1)
+
+    @property
+    def sparse_rows(self) -> tuple[dict, ...]:
+        """``{col: Fraction}`` view of the nonzero entries, one dict per row."""
+        den = self.den
+        return tuple({j: Fraction(v, den) for j, v in r.items()} for r in self.int_rows)
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -128,50 +195,45 @@ class Matrix:
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.sparse_rows == other.sparse_rows
+            and self.den == other.den
+            and self.int_rows == other.int_rows
         )
 
     def __hash__(self):
         if self._hash is None:
-            rows = tuple(frozenset(r.items()) for r in self.sparse_rows)
-            object.__setattr__(self, "_hash", hash((self.rows, self.cols, rows)))
+            rows = tuple(frozenset(r.items()) for r in self.int_rows)
+            object.__setattr__(self, "_hash", hash((self.rows, self.cols, self.den, rows)))
         return self._hash
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return dense_vector(self.sparse_rows[i], self.cols)
+        r, den = self.int_rows[i], self.den
+        return tuple(Fraction(r[j], den) if j in r else _ZERO for j in range(self.cols))
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r.get(j, _ZERO) for r in self.sparse_rows)
+        den = self.den
+        return tuple(Fraction(r[j], den) if j in r else _ZERO for r in self.int_rows)
 
     def transpose(self) -> "Matrix":
         out: list[dict] = [{} for _ in range(self.cols)]
-        for i, r in enumerate(self.sparse_rows):
+        for i, r in enumerate(self.int_rows):
             for j, x in r.items():
                 out[j][i] = x
-        return Matrix._raw(self.cols, self.rows, out)
+        return Matrix._new(self.cols, self.rows, out, self.den)
 
     def is_zero(self) -> bool:
-        return not any(self.sparse_rows)
+        return not any(self.int_rows)
 
     def __neg__(self) -> "Matrix":
-        return self.scale(-_ONE)
+        return self.scale(-1)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix addition")
-        out = []
-        for ra, rb in zip(self.sparse_rows, other.sparse_rows):
-            acc = dict(ra)
-            for j, x in rb.items():
-                acc[j] = acc[j] + x if j in acc else x
-            out.append(acc)
-        return Matrix._raw(self.rows, self.cols, out)
+        return _linear_combination(((1, self), (1, other)), self.rows, self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        return _linear_combination(((1, self), (-1, other)), self.rows, self.cols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -181,31 +243,36 @@ class Matrix:
     def __rmul__(self, other):
         return self.scale(rational(other))
 
-    def scale(self, c: Fraction) -> "Matrix":
-        return Matrix._raw(
-            self.rows, self.cols, [{j: c * x for j, x in r.items()} for r in self.sparse_rows]
-        )
+    def scale(self, c) -> "Matrix":
+        """c times the matrix, for an int or Fraction c."""
+        if c == 1:
+            return self
+        if not c:
+            return Matrix.zero(self.rows, self.cols)
+        p = c.numerator
+        rows = [{j: p * x for j, x in r.items()} for r in self.int_rows]
+        return Matrix._new(self.rows, self.cols, rows, self.den * c.denominator)
 
     def _matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        ob = other.sparse_rows
+        ob = other.int_rows
         out = []
-        for r in self.sparse_rows:
+        for r in self.int_rows:
             # row i of the product: sum over k of a_ik * (row k of other)
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, int] = {}
             for k, a in r.items():
                 for j, b in ob[k].items():
                     acc[j] = acc[j] + a * b if j in acc else a * b
-            out.append(acc)
-        return Matrix._raw(self.rows, other.cols, out)
+            out.append({j: v for j, v in acc.items() if v})
+        return Matrix._new(self.rows, other.cols, out, self.den * other.den)
 
     # -- elimination-backed queries ------------------------------------
 
     def _span(self) -> "EchelonSpan":
-        """The forward pass: every nonzero row added in input order."""
+        """The forward pass: every nonzero integer row added in input order."""
         span = EchelonSpan(self.cols)
-        for r in self.sparse_rows:
+        for r in self.int_rows:
             if r:
                 span.add(r)
         return span
@@ -246,38 +313,47 @@ class Matrix:
 
 
 def _linear_combination(terms: Iterable, rows: int, cols: int) -> Matrix:
-    """sum c*M over rows x cols (c, M) pairs, one pass over nonzeros; c = 0 is skipped."""
+    """sum c*M over rows x cols (c, M) pairs, c an int or Fraction; c = 0 is skipped.
+
+    Each M enters over the common denominator den, the lcm of the
+    c.denominator * M.den, with the integer factor
+    c.numerator * den / (c.denominator * M.den): one pass over the nonzeros.
+    """
+    terms = [(c, m) for c, m in terms if c]
+    if any((m.rows, m.cols) != (rows, cols) for _, m in terms):
+        raise ValueError("shape mismatch in linear combination")
+    den = lcm(*(c.denominator * m.den for c, m in terms))
     out: list[dict] = [{} for _ in range(rows)]
     for c, m in terms:
-        if not c:
-            continue
-        if (m.rows, m.cols) != (rows, cols):
-            raise ValueError("shape mismatch in linear combination")
-        for acc, r in zip(out, m.sparse_rows):
+        f = c.numerator * (den // (c.denominator * m.den))
+        for acc, r in zip(out, m.int_rows):
             for j, x in r.items():
-                acc[j] = acc[j] + c * x if j in acc else c * x
-    return Matrix._raw(rows, cols, out)
+                acc[j] = acc[j] + f * x if j in acc else f * x
+    return Matrix._from_ints(rows, cols, out, den)
 
 
 def _int_row(row: dict) -> dict:
-    """The primitive integer row proportional to a {col: rational} row."""
-    den = lcm(*(x.denominator for x in row.values()))
-    out = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
-    _strip_gcd(out)
-    return out
+    """The primitive integer row proportional to a {col: int or Fraction} row.
+
+    An integer row, such as a row of ``Matrix.int_rows``, is only
+    gcd-stripped; it is never mutated.
+    """
+    if not all(type(x) is int for x in row.values()):
+        den = lcm(*(x.denominator for x in row.values()))
+        row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    return _strip_gcd(row)
 
 
-def _strip_gcd(row: dict) -> None:
-    if not row:
-        return
+def _strip_gcd(row: dict) -> dict:
+    """row divided by the gcd of its entries: row itself when that is 1."""
     g = 0
     for v in row.values():
         g = gcd(g, v)
         if g == 1:
-            return
+            return row
     if g > 1:
-        for k in row:
-            row[k] //= g
+        return {k: v // g for k, v in row.items()}
+    return row
 
 
 def _combine(row: dict, prow: dict, a: int, b: int) -> dict:
@@ -289,8 +365,7 @@ def _combine(row: dict, prow: dict, a: int, b: int) -> dict:
             out[c] = w
         else:
             out.pop(c, None)
-    _strip_gcd(out)
-    return out
+    return _strip_gcd(out)
 
 
 class EchelonSpan:
@@ -313,8 +388,9 @@ class EchelonSpan:
     def _residual(self, vec: Sequence | dict) -> dict:
         """Primitive integer residual of vec after reduction against the span.
 
-        vec is a dense sequence or a sparse {col: Fraction} dict that holds
-        only nonzero entries, such as a row of ``Matrix.sparse_rows``.
+        vec is a dense sequence or a sparse dict that holds only nonzero
+        entries: {col: Fraction}, or {col: int} such as a row of
+        ``Matrix.int_rows``, whose scale does not matter.
         """
         if not isinstance(vec, dict):
             vec = {j: q for j, q in enumerate(vector(vec)) if q}
@@ -403,7 +479,7 @@ def quotient_dim(big: Sequence[Sequence], small: Sequence[Sequence]) -> int:
         raise ValueError("big and small vectors differ in length")
     span = big._span()
     rank_small = small.rank()
-    if not all(span.contains(r) for r in small.sparse_rows):
+    if not all(span.contains(r) for r in small.int_rows):
         raise SubspaceNotContained(
             f"span of rank {rank_small} is not inside the rank-{span.rank} span"
         )
@@ -419,11 +495,13 @@ def solve_columns(a: Matrix, b: Matrix) -> Matrix | None:
     if a.rows != b.rows:
         raise ValueError("row mismatch in solve")
     n = a.cols
-    aug = Matrix._raw(
-        a.rows,
-        n + b.cols,
-        [{**ra, **{n + j: x for j, x in rb.items()}} for ra, rb in zip(a.sparse_rows, b.sparse_rows)],
-    )
+    # [a | b] over the common denominator den: den a X = den b has the same solutions
+    den = lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    aug = Matrix._new(a.rows, n + b.cols, [
+        {**_scaled(ra, fa), **{n + j: fb * x for j, x in rb.items()}}
+        for ra, rb in zip(a.int_rows, b.int_rows)
+    ], den)
     pivots, rows = aug._span().reduced()
     if any(p >= n for p in pivots):
         return None

@@ -258,7 +258,7 @@ def _doubled_differential_holds(g: LieAlgebra, k: int) -> bool:
     d = differential_matrix(tlevel)
     units = [unit(g.dim, i) for i in range(g.dim)]
     prods = [wedge_one_form_matrix(tlevel, e) * lie_derivative_matrix(tlevel, e) for e in units]
-    return _linear_combination(((1, p) for p in prods), d.rows, d.cols) == d.scale(Fraction(2))
+    return _linear_combination(((1, p) for p in prods), d.rows, d.cols) == d.scale(2)
 
 
 def check_operator_identities(g: LieAlgebra, module: gmod.GModule, k: int, x) -> list[str]:
@@ -278,8 +278,7 @@ def _one_form_differential_agrees(g: LieAlgebra) -> bool:
     triv = gmod.trivial_module(g, 1)
     d1 = differential_matrix(CochainLevel(g, triv, 1))
     # row (i, j) is omega -> omega([e_j, e_i]), coefficient by coefficient
-    rows = [g.brackets[j].sparse_rows[i] for i, j in tuple_basis(g.dim, 2)]
-    return d1 == Matrix._raw(len(rows), g.dim, rows)
+    return d1 == Matrix._stack(g.dim, ((g.brackets[j], i) for i, j in tuple_basis(g.dim, 2)))
 
 
 def _j_relation_failures(

@@ -269,6 +269,29 @@ def test_operator_identity_sweep_is_pinned(factory):
     assert digest == _SWEEP_DIGESTS[factory]
 
 
+@pytest.mark.parametrize("name", ["sl2", "sl2sl2", "fivedim_ext:1"])
+def test_identity_sweep_reads_integer_rows_only(name, monkeypatch):
+    # square-zero, Cartan and the degree -1 relations run on int_rows: the
+    # {col: Fraction} view is for reports and tests, never for the sweep
+    g = builtin(name).algebra
+    modules = (trivial_module(g, 1), adjoint_module(g), coadjoint_module(g))
+
+    def refuse(self):
+        raise AssertionError("Fraction view of a matrix read")
+
+    monkeypatch.setattr(Matrix, "sparse_rows", property(refuse))
+    # uncached, so no operator built before the patch can stand in
+    monkeypatch.setattr(suite, "differential_matrix", differential_matrix.__wrapped__)
+    monkeypatch.setattr(cecomplex, "_pairs_by_target", cecomplex._pairs_by_target.__wrapped__)
+    monkeypatch.setattr(cecomplex, "_j_map_core", cecomplex._j_map_core.__wrapped__)
+    # mixed denominators in X, so the operators' common denominators are not 1
+    ops = suite._Operators(tuple(Q((-1) ** i * (i + 1), 2 + i % 2) for i in range(g.dim)))
+    for k in range(g.dim + 1):
+        for mod in modules:
+            assert suite._level_failures(CochainLevel(g, mod, k), ops) == [], (mod, k)
+        assert suite._j_relation_failures(g, k, ops, coadjoint=modules[2]) == [], k
+
+
 def test_coadjoint_only_sweep_finds_every_failure_of_the_sign_flip():
     # the self-check reruns only these steps: under the flip they must
     # fail exactly where the full sweep does, in the same order

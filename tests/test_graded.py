@@ -8,12 +8,16 @@ sl4 with Chevalley-Eilenberg.
 """
 
 import importlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
-from liecoh import cecomplex
+from liecoh import cecomplex, gmod, suite
 from liecoh.cecomplex import (
     CochainLevel,
     differential_matrix,
@@ -33,6 +37,8 @@ from liecoh.gmod import (
 )
 from liecoh.liealg import change_of_basis, unit, validate
 from liecoh.ratlin import SubspaceNotContained, dense_vector
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the package's ``cohomology`` attribute is the function, not its module
 cohomology_module = importlib.import_module("liecoh.cohomology")
@@ -240,6 +246,38 @@ def test_gate_refuses_a_weight_compatible_non_module():
         with pytest.raises(SubspaceNotContained):
             _full_level_cohomology(CochainLevel(g, mod, k))
     assert [cohomology(g, mod, k).betti for k in (0, 3)] == [0, 0]
+
+
+def test_grading_checks_the_axiom_only_where_no_constructor_did(monkeypatch):
+    g = builtin("sl2").algebra
+    vouched = [trivial_module(g, 1), adjoint_module(g), coadjoint_module(g),
+               module_from_spec(g, "dual:adjoint"), module_from_spec(g, "sum:trivial+adjoint")]
+    checked = []
+    real = gmod.check_module_axiom
+    monkeypatch.setattr(gmod, "check_module_axiom", lambda mod: checked.append(mod) or real(mod))
+    grading = weight_grading.__wrapped__  # uncached
+    assert all(grading(mod) is not None for mod in vouched) and checked == []
+    # a bare GModule carries no such record: checked, and refused when it is no module
+    bare = GModule(g, g.dim, adjoint_module(g).actions)
+    assert grading(bare) == grading(adjoint_module(g)) and checked == [bare]
+    for mod in (_doubled_e(g), suite.flipped_coadjoint_module(g)):
+        assert grading(mod) is None and checked[-1] is mod
+
+
+def test_one_suite_run_checks_the_module_axiom_82_times():
+    # a fresh interpreter, so every cache starts cold as in one verify-paper run;
+    # weight_grading leaves out the trivial and adjoint modules of sl2, which
+    # make_module never checked and which hold the axiom by construction
+    code = (
+        "from liecoh import gmod, suite\n"
+        "calls, real = [], gmod.check_module_axiom\n"
+        "gmod.check_module_axiom = lambda mod: calls.append(mod) or real(mod)\n"
+        "print(len(calls) if suite.run_suite().passed else 'failed', end='')\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(_SRC)},
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "82"
 
 
 @pytest.mark.parametrize("name", ["so3", "heis3", "abelian:3", "abelian:0"])

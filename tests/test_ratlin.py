@@ -1,11 +1,13 @@
 """Exact linear algebra: ranks, kernels, quotients, and their invariants."""
 
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense
 from dense import apply, columns, echelon_basis, kernel_basis
 from liecoh.cecomplex import CochainLevel, differential_matrix
 from liecoh.extensions import builtin
@@ -385,3 +387,63 @@ def test_echelon_span_takes_dicts_and_dense_rows_alike(m):
     for r in m.kernel_rows():
         v = tuple(r.get(j, Q(0)) for j in range(m.cols))
         assert from_dicts.contains(r) == from_dense.contains(v)
+
+
+# -- the integer representation against the dense Fraction reference -----
+
+
+@st.composite
+def mixed_matrices(draw, rows, cols):
+    """rows x cols matrices, 0 x n and n x 0 included, with mixed denominators and zero rows."""
+    row = st.one_of(
+        st.just([Q(0)] * cols), st.lists(sparse_rationals, min_size=cols, max_size=cols)
+    )
+    return Matrix(rows, cols, draw(st.lists(row, min_size=rows, max_size=rows)))
+
+
+def _reference(m):
+    return m.rows, m.cols, m.entries
+
+
+def _canonical(m):
+    """den > 0, lowest terms (den 1 when zero), no stored zeros, and a reduced Fraction view."""
+    values = [v for r in m.int_rows for v in r.values()]
+    assert type(m.den) is int and m.den > 0
+    assert all(type(v) is int and v for v in values)
+    assert gcd(m.den, *values) == 1
+    view = m.sparse_rows
+    assert all(type(x) is Q and x for r in view for x in r.values())
+    assert all(gcd(x.numerator, x.denominator) == 1 for r in view for x in r.values())
+    assert view == tuple({j: Q(v, m.den) for j, v in r.items()} for r in m.int_rows)
+    return True
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_rows_match_the_dense_fraction_reference(data):
+    rows, inner, cols = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a = data.draw(mixed_matrices(rows, inner))
+    b = data.draw(mixed_matrices(rows, inner))
+    c = data.draw(mixed_matrices(inner, cols))
+    p = data.draw(rationals.filter(bool))
+    ra, rb, rc = map(_reference, (a, b, c))
+    coeffs = data.draw(st.lists(st.one_of(sparse_rationals, st.integers(-3, 3)), max_size=4))
+    mats = [data.draw(mixed_matrices(rows, inner)) for _ in coeffs]
+    cases = [
+        (a * c, dense.product(ra, rc)),
+        (a + b, dense.combination([(1, ra), (1, rb)], rows, inner)),
+        (a - b, dense.combination([(1, ra), (-1, rb)], rows, inner)),
+        (-a, dense.combination([(-1, ra)], rows, inner)),
+        (a.scale(0), dense.combination([], rows, inner)),
+        (a.scale(p), dense.combination([(p, ra)], rows, inner)),
+        (a.transpose(), dense.transpose(ra)),
+        (
+            _linear_combination(zip(coeffs, mats), rows, inner),
+            dense.combination([(x, _reference(m)) for x, m in zip(coeffs, mats)], rows, inner),
+        ),
+    ]
+    for got, want in cases:
+        assert _reference(got) == want and _canonical(got)
+    for same in ((a * 2) * Q(1, 2), (a + b) - b, a.scale(p).scale(1 / p)):
+        assert same == a and hash(same) == hash(a)
+    assert a.scale(0) == Matrix.zero(rows, inner) and a.scale(0).den == 1
