@@ -22,10 +22,11 @@ Conventions, fixed once and used by every operator here:
 * The left wedge with a 1-form, degree k -> k+1, is the transpose of
   ``i_X`` on degree k+1, X having the coordinates of the 1-form.
 
-A relative subspace is given by its canonical RREF basis inside the full
-space: the forms killed by every ``i_X`` and ``L_X`` with X in the
-subalgebra h.  It is computed on the quotient g/h, never on the full
-level: the forms killed by every ``i_X`` are wedges beta_T of the
+The relative basis (``relative_basis``) is the canonical RREF basis, as a
+Matrix, of the forms killed by every ``i_X`` and ``L_X`` with X in the
+subalgebra h; ``relative_subspace`` is its dense public view, which the
+library does not read.  It is computed on the quotient g/h, never on the
+full level: the forms killed by every ``i_X`` are wedges beta_T of the
 annihilator covectors of h, and ``L_X`` on them is the Lie derivative of
 g/h, so the only kernel taken is on C(n - dim h, k) * vdim coordinates.
 The differential of relative forms (``quotient_differential``) is the core
@@ -49,10 +50,11 @@ actions and the coordinates of X are put over it once per call, so the
 assembly and the identity checks on its output build no Fraction.
 
 Caching: ``tuple_basis``/``_tuple_index``, ``_pairs_by_target``, the
-differential, the graded differential and its cells, the degree -1 map
-and the relative subspaces are cached per level, the weights once per
-module and the data of g/h once per pair; the small quotient differential
-is rebuilt on each call, which costs less than the memory to keep it.
+differential, the graded differential and its cells, the degree -1 map,
+the relative bases and their dense views are cached per level, the
+weights once per module and the data of g/h (the annihilator as the
+``kernel`` Matrix) once per pair; the small quotient differential is
+rebuilt on each call, which costs less than the memory to keep it.
 ``i_X`` and ``L_X`` are built from the coordinates of X on each call, in
 one pass over the level; ``suite._Operators`` memoises them for one
 identity sweep.  Relative work builds neither, nor the full-level
@@ -71,7 +73,7 @@ from typing import Sequence
 
 from . import gmod
 from .liealg import DimensionMismatch, LieAlgebra, Subalgebra
-from .ratlin import Matrix, _linear_combination, _rref_rows, _scaled, vector
+from .ratlin import Matrix, _linear_combination, _rref, _scaled, vector
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -480,21 +482,21 @@ def wedge_one_form_matrix(level: CochainLevel, covector: Sequence) -> Matrix:
 
 @lru_cache(maxsize=None)
 def _quotient(g: LieAlgebra, h: Subalgebra) -> tuple:
-    """(alphas, free, by_target, replacements): the data of g/h every relative level shares.
+    """(annihilator, free, by_target, replacements): the data of g/h every relative level shares.
 
-    The alpha_c are the kernel rows of the h.vectors matrix, ``free`` maps
-    the free column of each to c.  kernel_rows is canonical, so
-    alpha_c(e_f) = delta_cd for the free column f of alpha_d.  by_target[c]
-    lists ((a, b), alpha_c([e_fa, e_fb])) for the free columns fa, fb of
-    alpha_a, alpha_b, a < b; replacements[i] is the matrix with entry
-    alpha_c([e_ft, X_i]) at (c, t), for the basis vectors X_i of h.
+    Row c of ``annihilator`` is alpha_c, the c-th row of the kernel of the
+    h.vectors matrix, and ``free`` maps the free column of alpha_c to c.
+    The kernel basis is canonical, so alpha_c(e_f) = delta_cd for the free
+    column f of alpha_d.  by_target[c] lists ((a, b), alpha_c([e_fa, e_fb]))
+    for the free columns fa, fb of alpha_a, alpha_b, a < b; replacements[i]
+    is the matrix with entry alpha_c([e_ft, X_i]) at (c, t), for the basis
+    vectors X_i of h.
     """
-    alphas = Matrix._raw(h.dim, g.dim, [dict(enumerate(v)) for v in h.vectors]).kernel_rows()
-    # kernel_rows puts f after every pivot alpha_f touches
-    free = {max(a): c for c, a in enumerate(alphas)}
+    annihilator = Matrix(h.dim, g.dim, h.vectors).kernel()
+    # the kernel puts f after every pivot alpha_f touches
+    free = {max(a): c for c, a in enumerate(annihilator.int_rows)}
     columns = list(free)
-    annihilator = Matrix._raw(len(alphas), g.dim, alphas)
-    pairs = list(combinations(range(len(alphas)), 2))
+    pairs = list(combinations(range(annihilator.rows), 2))
     brackets = Matrix._stack(g.dim, ((g.brackets[columns[a]], columns[b]) for a, b in pairs))
     # row c of the product is {pair index: alpha_c of the pair's bracket}
     images = annihilator * brackets.transpose()
@@ -506,13 +508,13 @@ def _quotient(g: LieAlgebra, h: Subalgebra) -> tuple:
     for x in h.vectors:
         rows = annihilator * g.ad_matrix([-a for a in x])
         quotient_rows = [{free[t]: v for t, v in r.items() if t in free} for r in rows.int_rows]
-        replacements.append(Matrix._from_ints(len(alphas), len(alphas), quotient_rows, rows.den))
-    return alphas, free, tuple(map(tuple, by_target)), tuple(replacements)
+        replacements.append(Matrix._from_ints(len(free), len(free), quotient_rows, rows.den))
+    return annihilator, free, tuple(map(tuple, by_target)), tuple(replacements)
 
 
 @lru_cache(maxsize=None)
-def relative_subspace(level: CochainLevel, h: Subalgebra) -> tuple:
-    """Canonical echelon basis of the forms killed by i_X and L_X, X in h.
+def relative_basis(level: CochainLevel, h: Subalgebra) -> Matrix:
+    """The canonical (RREF) basis of the forms killed by i_X and L_X, X in h.
 
     h must be bracket-closed, as every ``Subalgebra`` built by
     ``subalgebra``, ``center_of`` or ``derived_subalgebra`` is.  The work is
@@ -529,27 +531,34 @@ def relative_subspace(level: CochainLevel, h: Subalgebra) -> tuple:
       rows and re-echelonised, is the unique RREF basis of the joint kernel.
     """
     g, k, vdim = level.algebra, level.degree, level.vdim
-    alphas, _, _, lie = _quotient(g, h)
-    quotient_tuples = tuple_basis(len(alphas), k)
+    annihilator, free, _, lie = _quotient(g, h)
+    quotient_tuples = tuple_basis(len(free), k)
     # the quotient L_X, one block per basis vector X of h
     blocks = [
-        _lie_derivative_core(len(alphas), k, level.module, x, r) for x, r in zip(h.vectors, lie)
+        _lie_derivative_core(len(free), k, level.module, x, r) for x, r in zip(h.vectors, lie)
     ]
     n_rel = len(quotient_tuples) * vdim
-    kernel = Matrix._stack(n_rel, ((b, i) for b in blocks for i in range(b.rows))).kernel_rows()
-    # the horizontal forms beta_T (x) e_m, in the coordinates of the full level
+    kernel = Matrix._stack(n_rel, ((b, i) for b in blocks for i in range(b.rows))).kernel()
+    # the horizontal forms beta_T (x) e_m in the coordinates of the full level,
+    # integer rows over den^k for the annihilator's den (no tuples when k < 0)
     beta_rows = []
     for t in quotient_tuples:
-        beta = {(): _ONE}
+        beta = {(): 1}
         for c in reversed(t):
-            beta = _wedge(alphas[c], beta)
+            beta = _wedge(annihilator.int_rows[c], beta)
         beta_rows += ({_rank(g.dim, s) * vdim + m: v for s, v in beta.items()} for m in range(vdim))
-    forms = Matrix._raw(len(kernel), n_rel, kernel) * Matrix._raw(n_rel, level.space_dim, beta_rows)
-    return _rref_rows(forms._span())
+    betas = Matrix._from_ints(n_rel, level.space_dim, beta_rows, annihilator.den ** max(k, 0))
+    return _rref((kernel * betas)._span())[1]
 
 
-def beta_coordinates(level: CochainLevel, h: Subalgebra, forms: Sequence) -> Matrix:
-    """The beta coordinates of horizontal forms, one row per dense form.
+@lru_cache(maxsize=None)
+def relative_subspace(level: CochainLevel, h: Subalgebra) -> tuple:
+    """Dense view of :func:`relative_basis`: its rows as tuples of Fractions."""
+    return relative_basis(level, h).entries
+
+
+def beta_coordinates(level: CochainLevel, h: Subalgebra, forms: Matrix) -> Matrix:
+    """The beta coordinates of horizontal forms, one row per row of the Matrix forms.
 
     beta_T is 1 at the all-free tuple of T and 0 at every other all-free
     tuple, so a horizontal form's beta_T coordinate is its entry there.
@@ -561,8 +570,8 @@ def beta_coordinates(level: CochainLevel, h: Subalgebra, forms: Sequence) -> Mat
         for t in tuple_basis(len(columns), level.degree)
         for m in range(vdim)
     ]
-    rows = [{j: v[col] for j, col in enumerate(cols)} for v in forms]
-    return Matrix._raw(len(forms), len(cols), rows)
+    rows = [{j: r[col] for j, col in enumerate(cols) if col in r} for r in forms.int_rows]
+    return Matrix._new(forms.rows, len(cols), rows, forms.den)
 
 
 def quotient_differential(level: CochainLevel, h: Subalgebra) -> Matrix:
@@ -590,10 +599,10 @@ def _wedge(alpha: dict, form: dict) -> dict:
 
 def relative_closure_holds(level: CochainLevel, h: Subalgebra) -> bool:
     """True when the differential maps this relative subspace into the next one."""
-    sub_k = relative_subspace(level, h)
-    if not sub_k:
+    sub_k = relative_basis(level, h)
+    if not sub_k.rows:
         return True
     # row i of the product is delta applied to the relative basis vector i
-    images = Matrix.from_rows(sub_k) * differential_matrix(level).transpose()
-    target = Matrix.from_rows(relative_subspace(level.shifted(1), h))._span()
+    images = sub_k * differential_matrix(level).transpose()
+    target = relative_basis(level.shifted(1), h)._span()
     return all(target.contains(v) for v in images.int_rows if v)

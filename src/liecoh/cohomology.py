@@ -2,34 +2,36 @@
 
 Dimensions are kernel/image ranks of exact matrices, so every number here
 is an integer fact, not an approximation.  Cocycles and coboundaries stay
-sparse rows from the operator matrices to one
-:class:`~liecoh.ratlin.EchelonSpan` pass per degree (the coboundaries as
-the operators' integer rows, the cocycles as kernel rows): the
-coboundaries are added first, which gives rank(B), and the canonical
-cocycle basis Z is then added greedily.  The cocycles that enlarge the
-span are the representatives, so they are deterministic and safe to
-freeze in tests, and dim H = |Z| - rank(B) holds exactly when their
-number matches; any other count means B is not inside span(Z).  Only
-the returned representatives are made dense.
+integer rows (:class:`~liecoh.ratlin.Matrix`) from the operator matrices
+to one :class:`~liecoh.ratlin.EchelonSpan` pass per degree (the
+coboundaries as the rows of delta transposed, the cocycles as the rows of
+``kernel()``): the coboundaries are added first, which gives rank(B), and
+the canonical cocycle basis Z is then added greedily.  The cocycles that
+enlarge the span are the representatives, so they are deterministic and
+safe to freeze in tests, and dim H = |Z| - rank(B) holds exactly when
+their number matches; any other count means B is not inside span(Z).
+The chosen kernel rows are stacked in one place and mapped to the full
+level (through bt when relative, to the weight-zero positions when
+graded); only the returned representatives are made dense.
 
 When the module has a weight grading (:mod:`liecoh.cecomplex`), absolute
 cocycles and coboundaries are taken on the weight-zero cells only, and the
-output is the same as on the full level.  delta is block-diagonal by
-weight, and the RREF of a block-diagonal matrix is the union of the RREFs
-of its blocks, so the kernel rows of the weight-zero block are the
-canonical kernel rows at weight zero, in the same order.  For a weight
-lambda != 0, L_H = delta i_H + i_H delta puts every cocycle of weight
-lambda in B, and delta^2 = 0 (the module axiom) puts B of weight lambda
-in Z: the greedy pass never picks a cocycle of nonzero weight, and
-dim H = |Z_0| - rank(B_0).  The representatives are mapped back to their
-positions in the full level.
+output is the same as on the full level.  The two absolute branches differ
+only in which delta they read.  delta is block-diagonal by weight, and the
+RREF of a block-diagonal matrix is the union of the RREFs of its blocks, so
+the kernel rows of the weight-zero block are the canonical kernel rows at
+weight zero, in the same order.  For a weight lambda != 0,
+L_H = delta i_H + i_H delta puts every cocycle of weight lambda in B, and
+delta^2 = 0 (the module axiom) puts B of weight lambda in Z: the greedy
+pass never picks a cocycle of nonzero weight, and
+dim H = |Z_0| - rank(B_0).
 
 Relative cocycles and coboundaries are taken in the beta coordinates of
-g/h (:mod:`liecoh.cecomplex`): with Q those of the relative basis bt, Z is
-K Q for the kernel rows K of delta_q Q^T, B is Q_{k-1} delta_q^T, and the
-representatives, rows of K bt, are full-level forms.  The map to beta
-coordinates is injective, so the greedy pass picks what it would pick on
-the full level.
+g/h (:mod:`liecoh.cecomplex`): with Q those of the relative basis bt (the
+Matrix of ``relative_basis``), Z is K Q for the kernel rows K of
+delta_q Q^T, B is Q_{k-1} delta_q^T, and the representatives, rows of
+K bt, are full-level forms.  The map to beta coordinates is injective, so
+the greedy pass picks what it would pick on the full level.
 """
 
 from __future__ import annotations
@@ -46,12 +48,12 @@ from .cecomplex import (
     differential_matrix,
     graded_differential,
     quotient_differential,
-    relative_subspace,
+    relative_basis,
     weight_grading,
     weight_zero_positions,
 )
-from .liealg import LieAlgebra, Subalgebra, killing_form, structure_report, unit
-from .ratlin import Matrix, SubspaceNotContained, dense_vector
+from .liealg import LieAlgebra, Subalgebra, killing_form, structure_report
+from .ratlin import Matrix, SubspaceNotContained
 
 
 class NotSemisimple(Exception):
@@ -89,44 +91,40 @@ def _cohomology_core(g, module, k, h) -> CohomologyResult:
     level_prev = level_k.shifted(-1)
     relative = h is not None and h.dim > 0
     graded = not relative and weight_grading(module) is not None
-    if graded:
-        # only the weight-zero cells, numbered in the order of the full level
-        cocycles = graded_differential(level_k).kernel_rows()
-        coboundaries = graded_differential(level_prev).transpose()
-    elif not relative:
-        cocycles = differential_matrix(level_k).kernel_rows()
-        coboundaries = differential_matrix(level_prev).transpose()
-    else:
+    if relative:
         # beta coordinates: q has one row per vector of the relative basis bt
-        bt = relative_subspace(level_k, h)
+        bt = relative_basis(level_k, h)
         q = beta_coordinates(level_k, h, bt)
-        kernel = (quotient_differential(level_k, h) * q.transpose()).kernel_rows()
-        cocycles = (Matrix._raw(len(kernel), q.rows, kernel) * q).int_rows
-        q_prev = beta_coordinates(level_prev, h, relative_subspace(level_prev, h))
+        kernel = (quotient_differential(level_k, h) * q.transpose()).kernel()
+        cocycles = kernel * q
+        q_prev = beta_coordinates(level_prev, h, relative_basis(level_prev, h))
         coboundaries = q_prev * quotient_differential(level_prev, h).transpose()
+    else:
+        # graded: only the weight-zero cells, numbered in the order of the full level
+        delta = graded_differential if graded else differential_matrix
+        kernel = cocycles = delta(level_k).kernel()
+        coboundaries = delta(level_prev).transpose()
 
-    n = level_k.space_dim
     span = coboundaries._span()
     rank_b = span.rank
     # the cocycles are independent (a kernel basis, or its image under the
     # injective map to beta coordinates), so |Z| - rank(B) is the quotient dimension
-    betti = len(cocycles) - rank_b
-    chosen = [i for i, v in enumerate(cocycles) if span.add(v)]
+    betti = cocycles.rows - rank_b
+    chosen = [i for i, v in enumerate(cocycles.int_rows) if span.add(v)]
     if len(chosen) != betti:
         # rank(Z + B) > rank(Z): some coboundary is not a cocycle
         raise SubspaceNotContained(
-            f"span of rank {rank_b} is not inside the rank-{len(cocycles)} span"
+            f"span of rank {rank_b} is not inside the rank-{cocycles.rows} span"
         )
-    reps = [cocycles[i] for i in chosen]
-    if graded:
-        positions = weight_zero_positions(level_k)
-        reps = [{positions[j]: x for j, x in v.items()} for v in reps]
-    elif relative:
+    reps = Matrix._stack(kernel.cols, ((kernel, i) for i in chosen))
+    if relative:
         # the rows of K bt are the full-level forms with these beta coordinates
-        bt_rows = [{j: x for j, x in enumerate(v) if x} for v in bt]
-        picked = Matrix._raw(len(chosen), len(bt), [kernel[i] for i in chosen])
-        reps = (picked * Matrix._raw(len(bt), n, bt_rows)).sparse_rows
-    reps = tuple(Cochain(level_k, dense_vector(v, n)) for v in reps)
+        reps = reps * bt
+    elif graded:
+        positions = weight_zero_positions(level_k)
+        rows = [{positions[j]: x for j, x in r.items()} for r in reps.int_rows]
+        reps = Matrix._new(reps.rows, level_k.space_dim, rows, reps.den)
+    reps = tuple(Cochain(level_k, v) for v in reps.entries)
     return CohomologyResult(k, betti, reps, relative)
 
 
@@ -162,15 +160,13 @@ def killing_three_form(g: LieAlgebra) -> ThreeFormClass:
     coords = {}
     for idx, (i, j, k) in enumerate(level.tuples):
         bk, bracket = b.column(k), g.brackets[i]
-        value = Fraction(sum(bk[t] * c for t, c in bracket.int_rows[j].items()), bracket.den)
-        if value:
-            coords[idx] = value
-    form = Cochain(level, dense_vector(coords, level.space_dim))
-    if not (differential_matrix(level) * Matrix.from_columns([form.coords])).is_zero():
+        coords[idx] = Fraction(sum(bk[t] * c for t, c in bracket.int_rows[j].items()), bracket.den)
+    form = Matrix._raw(1, level.space_dim, [coords])
+    if not (differential_matrix(level) * form.transpose()).is_zero():
         raise AssertionError("Killing 3-form is not closed; bracket data is corrupt")
     # the class is nonzero when the form is outside the span of the coboundaries
     span = differential_matrix(level.shifted(-1)).transpose()._span()
-    return ThreeFormClass(form, span.add(coords))
+    return ThreeFormClass(Cochain(level, form.row(0)), span.add(form.int_rows[0]))
 
 
 @dataclass(frozen=True)
@@ -188,11 +184,11 @@ def invariant_volume_form(g: LieAlgebra, h: Subalgebra | None) -> VolumeFormResu
     top = g.dim - (h.dim if h is not None else 0)
     level = CochainLevel(g, gmod.trivial_module(g, 1), top)
     if h is None or h.dim == 0:
-        basis = [unit(level.space_dim, i) for i in range(level.space_dim)]
+        basis = Matrix.identity(level.space_dim)
     else:
-        basis = list(relative_subspace(level, h))
-    form = Cochain(level, basis[0]) if len(basis) == 1 else None
-    return VolumeFormResult(len(basis), form)
+        basis = relative_basis(level, h)
+    form = Cochain(level, basis.row(0)) if basis.rows == 1 else None
+    return VolumeFormResult(basis.rows, form)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .ratlin import (
     _kernel_echelon,
     _linear_combination,
     _rref_rows,
-    dense_vector,
     solve_columns,
     vector,
 )
@@ -115,11 +114,10 @@ def validate(dim: int, names: Sequence[str], brackets: Mapping) -> LieAlgebra:
     names = tuple(str(n) for n in names)
     if len(names) != dim:
         raise DimensionMismatch(f"{len(names)} basis names for dimension {dim}")
-    # rows[i][j] = {c: coefficient of e_c in [e_i, e_j]}, nonzero brackets
-    # only, so the keys of rows[i] are the bracket partners of e_i
-    rows: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(dim)]
-    for key, coeffs in brackets.items():
-        i, j = key
+    # rows[i][j] = {c: den * (coefficient of e_c in [e_i, e_j])} over one common denominator,
+    # nonzero brackets only, so the keys of rows[i] are the bracket partners of e_i
+    rows: list[dict[int, dict]] = [{} for _ in range(dim)]
+    for (i, j), coeffs in brackets.items():
         if not (0 <= i < j < dim):
             raise DimensionMismatch(f"bracket key ({i},{j}) is not an ordered pair below {dim}")
         coeffs = vector(coeffs)
@@ -127,12 +125,14 @@ def validate(dim: int, names: Sequence[str], brackets: Mapping) -> LieAlgebra:
             raise DimensionMismatch(
                 f"bracket ({i},{j}) has {len(coeffs)} coefficients, expected {dim}"
             )
-        nz = {c: t for c, t in enumerate(coeffs) if t}
-        if nz:
+        if nz := {c: t for c, t in enumerate(coeffs) if t}:
             rows[i][j] = nz
-            rows[j][i] = {c: -t for c, t in nz.items()}
+    den = lcm(*(t.denominator for r in rows for nz in r.values() for t in nz.values()))
+    for i, j in [(i, j) for i, r in enumerate(rows) for j in r]:
+        rows[i][j] = {c: t.numerator * (den // t.denominator) for c, t in rows[i][j].items()}
+        rows[j][i] = {c: -v for c, v in rows[i][j].items()}
     table = [[r.get(j, {}) for j in range(dim)] for r in rows]
-    g = LieAlgebra(dim, names, tuple(Matrix._raw(dim, dim, t) for t in table))
+    g = LieAlgebra(dim, names, tuple(Matrix._new(dim, dim, t, den) for t in table))
     for i in range(dim):
         for j in range(i + 1, dim):
             if table[i][j]:
@@ -144,16 +144,16 @@ def validate(dim: int, names: Sequence[str], brackets: Mapping) -> LieAlgebra:
             for k in ks:
                 residual = _jacobi_residual(table, i, j, k)
                 if residual:
-                    raise JacobiViolation(i, j, k, dense_vector(residual, dim))
+                    raise JacobiViolation(i, j, k, Matrix._new(1, dim, [residual], den**2).row(0))
     return g
 
 
-def _jacobi_residual(table: Sequence, i: int, j: int, k: int) -> dict[int, Fraction]:
-    """Nonzero entries of [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]].
+def _jacobi_residual(table: Sequence, i: int, j: int, k: int) -> dict[int, int]:
+    """Nonzero entries of [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]], times den^2.
 
-    ``table[a][b]`` is the sparse row of [e_a, e_b].
+    ``table[a][b]`` is the sparse row of [e_a, e_b] times den, an integer row.
     """
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, int] = {}
     for x, (y, z) in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
         for m, c in table[y][z].items():
             for t, d in table[x][m].items():
@@ -183,13 +183,13 @@ def subalgebra(ambient: LieAlgebra, vectors: Sequence[Sequence]) -> Subalgebra:
     if any(len(v) != ambient.dim for v in vecs):
         raise DimensionMismatch("subalgebra vector has wrong length")
     span = EchelonSpan(ambient.dim)
-    if not all(span.add(v) for v in vecs):
+    if not all(span.add(r) for r in Matrix(len(vecs), ambient.dim, vecs).int_rows):
         raise SubalgebraNotClosed("candidate vectors are linearly dependent")
     basis = _rref_rows(span)
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
             w = ambient.bracket(basis[a], basis[b])
-            if not span.contains(w):
+            if not span.contains(Matrix.from_rows([w]).int_rows[0]):
                 raise SubalgebraNotClosed(
                     f"bracket of subalgebra vectors {a} and {b} leaves the span"
                 )

@@ -16,25 +16,25 @@ integer rows directly.  Cochain operators are almost entirely zeros.
 Fractions appear only at the edges: :attr:`Matrix.sparse_rows`, a
 ``{col: Fraction}`` view built on each read, and the dense views ``row``,
 ``column`` and ``entries``, for reports and tests.
-Vectors come in two forms: :meth:`Matrix.kernel_rows` and
-:class:`EchelonSpan` work on sparse ``{col: Fraction}`` dicts (the span
-also takes integer rows as they are), so a caller can stay sparse from
-operator to span, while :func:`vector` and :func:`dense_vector` give dense
-tuples for callers that index coordinates.
+Elimination results are Matrices of the same form: :meth:`Matrix.rref`,
+:meth:`Matrix.kernel` and :func:`solve_columns`, and :class:`EchelonSpan`
+takes integer rows only, so a caller stays in integer rows from operator to
+span.  :func:`vector` and :func:`dense_vector` give dense tuples for
+callers that index coordinates.
 :meth:`Matrix.kernel_basis`, :meth:`Matrix.apply`, :func:`span_rank` and
 :func:`echelon_basis` are one-line views on this API that the library no
 longer calls; they stay while ``perfbench/tracer.py`` traces them by name.
 
 There is one elimination loop, :meth:`EchelonSpan._residual`: it reduces a
 sparse primitive integer row (gcd-stripped after every combination)
-against the rows already stored; a matrix hands it its integer rows, and a
-Fraction row has its denominators cleared first.
-A matrix is eliminated by one forward pass over its rows in input order;
-:meth:`Matrix.rank` stops there, while :meth:`Matrix.rref`,
-:meth:`Matrix.kernel_rows` and :func:`solve_columns` add a
-back-substitution from the last pivot upward (:meth:`EchelonSpan.reduced`)
-and normalise pivots back to fractions.  Reduced row echelon form over a
-field is unique, so every result below is canonical whatever the row order.
+against the rows already stored.
+A matrix is eliminated by one forward pass over its integer rows in input
+order; :meth:`Matrix.rank` stops there, while :meth:`Matrix.rref`,
+:meth:`Matrix.kernel` and :func:`solve_columns` add a back-substitution
+from the last pivot upward (:meth:`EchelonSpan.reduced`) and put the
+reduced rows over the lcm of their pivot entries (:func:`_rref`).  Reduced
+row echelon form over a field is unique, so every result below is
+canonical whatever the row order.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class SubspaceNotContained(Exception):
@@ -98,7 +97,8 @@ class Matrix:
     these rows, so equal values compare and hash equal whatever their
     history.  ``sparse_rows`` (``{col: Fraction}``), ``row``, ``column`` and
     ``entries`` are views built on each read: display code reads rows,
-    while tests and the benchmark harness read ``entries``.
+    while tests and the benchmark harness read ``entries``.  Elimination
+    results (``rref``, ``kernel``, :func:`solve_columns`) are Matrices too.
     """
 
     __slots__ = ("rows", "cols", "den", "int_rows", "_hash")
@@ -282,30 +282,30 @@ class Matrix:
 
     def rref(self) -> "tuple[Matrix, tuple[int, ...]]":
         """Reduced row echelon form (unique) and its pivot columns."""
-        pivots, out = _rref(self._span())
-        out.extend({} for _ in range(self.rows - len(out)))
-        return Matrix._raw(self.rows, self.cols, out), tuple(pivots)
+        pivots, red = _rref(self._span())
+        rows = red.int_rows + ({},) * (self.rows - red.rows)
+        return Matrix._new(self.rows, self.cols, rows, red.den), tuple(pivots)
 
-    def kernel_rows(self) -> list[dict]:
-        """Canonical kernel basis as sparse {col: Fraction} dicts.
+    def kernel(self) -> "Matrix":
+        """Canonical kernel basis, one row per free column f in increasing order.
 
-        One vector per free column f, in increasing order of f: 1 at f and,
-        at each pivot column p, minus the RREF entry of p's row in column f.
+        Row f is 1 at f and, at each pivot column p, minus the RREF entry of
+        p's row in column f; over the RREF's denominator den, that is den at
+        f and minus the integer entry at p.
         """
-        pivots, rows = self._span().reduced()
+        pivots, red = _rref(self._span())
         pivot_set = set(pivots)
-        basis = {f: {f: _ONE} for f in range(self.cols) if f not in pivot_set}
-        for p, r in zip(pivots, rows):
+        basis = {f: {f: red.den} for f in range(self.cols) if f not in pivot_set}
+        for p, r in zip(pivots, red.int_rows):
             # back-substitution leaves a pivot row nonzero only at p and free columns
-            pv = r[p]
-            for j, num in r.items():
+            for j, v in r.items():
                 if j != p:
-                    basis[j][p] = Fraction(-num, pv)
-        return list(basis.values())
+                    basis[j][p] = -v
+        return Matrix._new(len(basis), self.cols, list(basis.values()), red.den)
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
-        """Dense view of :meth:`kernel_rows`; kept for the tracer (module docstring)."""
-        return [dense_vector(v, self.cols) for v in self.kernel_rows()]
+        """Dense view of :meth:`kernel`; kept for the tracer (module docstring)."""
+        return list(self.kernel().entries)
 
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
         """Dense ``self * vec`` by the sparse product; kept for the tracer."""
@@ -330,18 +330,6 @@ def _linear_combination(terms: Iterable, rows: int, cols: int) -> Matrix:
             for j, x in r.items():
                 acc[j] = acc[j] + f * x if j in acc else f * x
     return Matrix._from_ints(rows, cols, out, den)
-
-
-def _int_row(row: dict) -> dict:
-    """The primitive integer row proportional to a {col: int or Fraction} row.
-
-    An integer row, such as a row of ``Matrix.int_rows``, is only
-    gcd-stripped; it is never mutated.
-    """
-    if not all(type(x) is int for x in row.values()):
-        den = lcm(*(x.denominator for x in row.values()))
-        row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
-    return _strip_gcd(row)
 
 
 def _strip_gcd(row: dict) -> dict:
@@ -385,16 +373,14 @@ class EchelonSpan:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _residual(self, vec: Sequence | dict) -> dict:
-        """Primitive integer residual of vec after reduction against the span.
+    def _residual(self, row: dict) -> dict:
+        """Primitive integer residual of row after reduction against the span.
 
-        vec is a dense sequence or a sparse dict that holds only nonzero
-        entries: {col: Fraction}, or {col: int} such as a row of
-        ``Matrix.int_rows``, whose scale does not matter.
+        row is a {col: int} dict that holds only nonzero entries, such as a
+        row of ``Matrix.int_rows``; its scale does not matter, and it is
+        never mutated.
         """
-        if not isinstance(vec, dict):
-            vec = {j: q for j, q in enumerate(vector(vec)) if q}
-        res = _int_row(vec)
+        res = _strip_gcd(row)
         rows = self._rows
         # reduce at the pivot columns res holds, smallest first; clearing p
         # only adds columns after p, and those that are pivots join the heap
@@ -413,17 +399,17 @@ class EchelonSpan:
                         heappush(todo, c)
         return res
 
-    def add(self, vec: Sequence | dict) -> bool:
-        """Add vec to the span; True if it enlarged the span."""
-        res = self._residual(vec)
+    def add(self, row: dict) -> bool:
+        """Add an integer row to the span; True if it enlarged the span."""
+        res = self._residual(row)
         if not res:
             return False
         p = min(res)
         self._rows[p] = res
         return True
 
-    def contains(self, vec: Sequence | dict) -> bool:
-        return not self._residual(vec)
+    def contains(self, row: dict) -> bool:
+        return not self._residual(row)
 
     def reduced(self) -> tuple[list[int], list[dict]]:
         """(pivot columns, rows) of the reduced row echelon form of the span.
@@ -445,21 +431,26 @@ class EchelonSpan:
         return pivots, [red[p] for p in pivots]
 
 
-def _rref(span: EchelonSpan) -> tuple[list[int], list[dict]]:
-    """Pivot columns and RREF rows of a span: each reduced row over its pivot entry."""
+def _rref(span: EchelonSpan) -> tuple[list[int], Matrix]:
+    """Pivot columns and RREF of a span, one row per pivot, over the lcm of the pivot entries.
+
+    Each reduced row is scaled by den / (its pivot entry), so it has den,
+    that is 1, at its pivot.
+    """
     pivots, rows = span.reduced()
-    return pivots, [{j: Fraction(v, r[p]) for j, v in r.items()} for p, r in zip(pivots, rows)]
+    den = lcm(*(r[p] for p, r in zip(pivots, rows)))
+    red = [_scaled(r, den // r[p]) for p, r in zip(pivots, rows)]
+    return pivots, Matrix._new(len(red), span.dim, red, den)
 
 
 def _rref_rows(span: EchelonSpan) -> tuple[tuple[Fraction, ...], ...]:
     """The canonical (RREF-row) basis of a span, as dense tuples."""
-    return tuple(dense_vector(r, span.dim) for r in _rref(span)[1])
+    return _rref(span)[1].entries
 
 
 def _kernel_echelon(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
     """The canonical (RREF-row) basis of the kernel of m, as dense tuples."""
-    ker = m.kernel_rows()
-    return _rref_rows(Matrix._raw(len(ker), m.cols, ker)._span())
+    return _rref_rows(m.kernel()._span())
 
 
 def span_rank(vectors: Sequence[Sequence]) -> int:
@@ -502,10 +493,10 @@ def solve_columns(a: Matrix, b: Matrix) -> Matrix | None:
         {**_scaled(ra, fa), **{n + j: fb * x for j, x in rb.items()}}
         for ra, rb in zip(a.int_rows, b.int_rows)
     ], den)
-    pivots, rows = aug._span().reduced()
+    pivots, red = _rref(aug._span())
     if any(p >= n for p in pivots):
         return None
     out: list[dict] = [{} for _ in range(n)]
-    for p, r in zip(pivots, rows):
-        out[p] = {j - n: Fraction(v, r[p]) for j, v in r.items() if j >= n}
-    return Matrix._raw(n, b.cols, out)
+    for p, r in zip(pivots, red.int_rows):
+        out[p] = {j - n: v for j, v in r.items() if j >= n}
+    return Matrix._new(n, b.cols, out, red.den)

@@ -25,8 +25,8 @@ def apply(m: Matrix, vec) -> tuple[Fraction, ...]:
 
 
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
-    """Dense view of the canonical kernel basis ``m.kernel_rows()``."""
-    return [dense_vector(r, m.cols) for r in m.kernel_rows()]
+    """Dense view of the canonical kernel basis ``m.kernel()``."""
+    return [dense_vector(r, m.cols) for r in m.kernel().sparse_rows]
 
 
 def columns(m: Matrix) -> list[tuple[Fraction, ...]]:

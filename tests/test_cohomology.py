@@ -61,11 +61,12 @@ def test_representatives_are_cocycles_and_independent():
         level = CochainLevel(g, mod, k)
         delta = differential_matrix(level)
         boundary_span = EchelonSpan(level.space_dim)
-        for col in columns(differential_matrix(level.shifted(-1))):
+        for col in differential_matrix(level.shifted(-1)).transpose().int_rows:
             boundary_span.add(col)
         for rep in res.cocycle_representatives:
             assert not any(apply(delta, rep.coords))
-            assert boundary_span.add(rep.coords)  # independent of coboundaries
+            # independent of coboundaries
+            assert boundary_span.add(Matrix.from_rows([rep.coords]).int_rows[0])
 
 
 def test_module_spec_is_carried():

@@ -36,7 +36,7 @@ from liecoh.gmod import (
     trivial_module,
 )
 from liecoh.liealg import change_of_basis, unit, validate
-from liecoh.ratlin import SubspaceNotContained, dense_vector
+from liecoh.ratlin import SubspaceNotContained
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -95,10 +95,10 @@ SL = {n: _sl(n, 1) for n in (2, 3, 4)}
 
 def _full_level_cohomology(lvl):
     """(betti, representatives) of the full-level absolute branch, as before the grading."""
-    cocycles = differential_matrix(lvl).kernel_rows()
+    cocycles = differential_matrix(lvl).kernel()
     span = differential_matrix(lvl.shifted(-1)).transpose()._span()
-    betti = len(cocycles) - span.rank
-    reps = [dense_vector(v, lvl.space_dim) for v in cocycles if span.add(v)]
+    betti = cocycles.rows - span.rank
+    reps = [cocycles.row(i) for i, v in enumerate(cocycles.int_rows) if span.add(v)]
     if len(reps) != betti:
         raise SubspaceNotContained("some coboundary is not a cocycle")
     return betti, reps

@@ -113,11 +113,11 @@ def test_solve_columns():
 def test_echelon_span_incremental_matches_batch():
     vecs = [vector([1, 2, 3]), vector([2, 4, 6]), vector([0, 1, 1])]
     span = EchelonSpan(3)
-    added = [span.add(v) for v in vecs]
+    added = [span.add(r) for r in Matrix.from_rows(vecs).int_rows]
     assert added == [True, False, True]
     assert span.rank == len(echelon_basis(vecs)) == 2
-    assert span.contains(vector([1, 3, 4]))
-    assert not span.contains(vector([0, 0, 1]))
+    assert span.contains({0: 1, 1: 3, 2: 4})
+    assert not span.contains({2: 1})
 
 
 def test_views_kept_for_the_benchmark_tracer_match_the_test_references():
@@ -163,7 +163,7 @@ def test_rank_plus_nullity(m):
 def test_kernel_vectors_are_exact(m):
     for v in kernel_basis(m):
         assert all(x == 0 for x in apply(m, v))
-    assert all(all(r.values()) for r in m.kernel_rows())
+    assert all(all(r.values()) for r in m.kernel().int_rows)
 
 
 @given(matrices(), st.randoms(use_true_random=False))
@@ -227,10 +227,14 @@ def _check_rref_and_kernel(sympy, m):
     assert m.rank() == ref.rank()
     assert pivots == tuple(ref_pivots)
     assert red.entries == tuple(_from_sympy(ref_red.row(i)) for i in range(ref_red.rows))
-    assert _stores_no_zeros(red)
+    assert _canonical(red)
     # sympy's nullspace is the same canonical basis: one vector per free column
     null = ref.nullspace()
     assert kernel_basis(m) == [_from_sympy(v) for v in null]
+    ker = m.kernel()
+    assert _canonical(ker)
+    assert (ker.rows, ker.cols) == (m.cols - m.rank(), m.cols)
+    assert (m * ker.transpose()).is_zero()
     # the dense canonical bases the library reads share rref's normalisation
     assert _rref_rows(m._span()) == tuple(_from_sympy(ref_red.row(i)) for i in range(len(ref_pivots)))
     ref_ker = sympy.Matrix.hstack(*null).T.rref()[0] if null else sympy.zeros(0, m.cols)
@@ -244,6 +248,7 @@ def _check_solve(sympy, a, b):
         assert x is None
     else:
         assert x is not None and a * x == b
+        assert (x.rows, x.cols) == (a.cols, b.cols) and _canonical(x)
 
 
 @given(sparse_matrices())
@@ -368,25 +373,24 @@ def test_entries_is_a_dense_read_only_view():
 @settings(max_examples=60, deadline=None)
 def test_echelon_span_agrees_with_batch_rank(vecs):
     span = EchelonSpan(4)
-    for i, v in enumerate(vecs):
+    for i, r in enumerate(Matrix.from_rows(vecs).int_rows):
         before = span.rank
-        grew = span.add(v)
+        grew = span.add(r)
         assert grew == (span.rank == before + 1)
         assert span.rank == len(echelon_basis(vecs[: i + 1]))
-        assert span.contains(v)
+        assert span.contains(r)
 
 
-@given(sparse_matrices())
+@given(sparse_matrices(), st.integers(-50, 50).filter(bool))
 @settings(max_examples=80, deadline=None)
-def test_echelon_span_takes_dicts_and_dense_rows_alike(m):
-    from_dicts, from_dense = EchelonSpan(m.cols), EchelonSpan(m.cols)
-    for i, r in enumerate(m.sparse_rows):
-        assert from_dicts.add(r) == from_dense.add(m.row(i))
-        assert from_dicts.rank == from_dense.rank
-    assert from_dicts.rank == m.rank()
-    for r in m.kernel_rows():
-        v = tuple(r.get(j, Q(0)) for j in range(m.cols))
-        assert from_dicts.contains(r) == from_dense.contains(v)
+def test_echelon_span_ignores_the_scale_of_an_integer_row(m, c):
+    as_is, scaled = EchelonSpan(m.cols), EchelonSpan(m.cols)
+    for r in m.int_rows:
+        assert as_is.add(r) == scaled.add({j: c * v for j, v in r.items()})
+        assert as_is.rank == scaled.rank
+    assert as_is.rank == m.rank()
+    for r in m.int_rows + m.rref()[0].int_rows + m.kernel().int_rows:
+        assert as_is.contains(r) == scaled.contains({j: c * v for j, v in r.items()})
 
 
 # -- the integer representation against the dense Fraction reference -----
