@@ -49,17 +49,26 @@ Every operator is assembled as integer rows over one common denominator
 actions and the coordinates of X are put over it once per call, so the
 assembly and the identity checks on its output build no Fraction.
 
-Caching: ``tuple_basis``/``_tuple_index``, ``_pairs_by_target``, the
-differential, the graded differential and its cells, the degree -1 map,
-the relative bases and their dense views are cached per level, the
-weights once per module and the data of g/h (the annihilator as the
-``kernel`` Matrix) once per pair; the small quotient differential is
-rebuilt on each call, which costs less than the memory to keep it.
-``i_X`` and ``L_X`` are built from the coordinates of X on each call, in
-one pass over the level; ``suite._Operators`` memoises them for one
-identity sweep.  Relative work builds neither, nor the full-level
-differential, which only ``relative_closure_holds`` reads as an
-independent check; graded absolute work builds no full-level operator.
+Caching: ``tuple_basis``/``_tuple_index``, the incidence tables
+``_faces`` and ``_cofaces``, ``_pairs_by_target``, the differential, the
+graded differential and its cells, the degree -1 map, the relative bases
+and their dense views are cached per level, the weights once per module
+and the data of g/h (the annihilator as the ``kernel`` Matrix) once per
+pair; the small quotient differential is rebuilt on each call, which
+costs less than the memory to keep it.  ``_faces(dim, k)`` gives, for each
+k-tuple s and position q, s[q] and the index of s without it;
+``_cofaces(dim, k)`` gives, for each k-tuple r, the insert position and the
+index of r with a for every a not in r.  The cores of i_X, L_X and the
+degree -1 map read these tables, so an L_X bracket term is one coface
+lookup with sign (-1)^(q+pos).  delta keeps its own core, which also runs
+on the weight-zero cells only.  ``i_X`` and ``L_X`` are built on each call,
+for a batch of X in one pass over the level (``_interior_products``,
+``_lie_derivatives``); ``interior_product_matrix``,
+``lie_derivative_matrix`` and ``wedge_one_form_matrix`` are batches of
+one.  ``suite._Operators`` memoises them for one identity sweep.  Relative
+work builds neither, nor the full-level differential, which only
+``relative_closure_holds`` reads as an independent check; graded absolute
+work builds no full-level operator.
 """
 
 from __future__ import annotations
@@ -72,7 +81,7 @@ from math import comb, lcm
 from typing import Sequence
 
 from . import gmod
-from .liealg import DimensionMismatch, LieAlgebra, Subalgebra
+from .liealg import DimensionMismatch, LieAlgebra, Subalgebra, _cached_hash
 from .ratlin import Matrix, _linear_combination, _rref, _scaled, vector
 
 _ZERO = Fraction(0)
@@ -126,9 +135,14 @@ def _insert(t: tuple[int, ...], a: int) -> tuple[int, tuple[int, ...]]:
     return pos, t[:pos] + (a,) + t[pos:]
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class CochainLevel:
-    """The space of degree-k cochains of an algebra with module coefficients."""
+    """The space of degree-k cochains of an algebra with module coefficients.
+
+    The hash is computed once per instance (``liealg._cached_hash``): levels
+    key the operator caches.
+    """
 
     algebra: LieAlgebra
     module: gmod.GModule
@@ -220,9 +234,11 @@ def _differential_core(
     out: list[dict] = [{} for _ in range(len(out_index) * vdim)]
     den = lcm(*(c.denominator for row in by_target for _, c in row), *(a.den for a in actions))
     by_target = [[(p, c.numerator * (den // c.denominator)) for p, c in row] for row in by_target]
-    # action_cols[a][m] = {mm: den * coefficient}: the column action_a e_m
-    action_cols = [[_scaled(c, den // a.den) for c in a.transpose().int_rows] for a in actions]
     trivial = all(m.is_zero() for m in actions)
+    # action_cols[a][m] = {mm: den * coefficient}: the column action_a e_m
+    action_cols = [] if trivial else [
+        [_scaled(c, den // a.den) for c in a.transpose().int_rows] for a in actions
+    ]
     col = 0
     for s, ms in sources:
         # module-action sum: T = s with one extra index a, removed at
@@ -387,68 +403,132 @@ def _coordinates(level: CochainLevel, x: Sequence) -> tuple[Fraction, ...]:
 
 def interior_product_matrix(level: CochainLevel, x: Sequence) -> Matrix:
     """Matrix of i_X: degree k -> k-1, linear in X."""
-    x = _coordinates(level, x)
-    den = lcm(*(a.denominator for a in x))
-    x = [a.numerator * (den // a.denominator) for a in x]
-    dim, vdim = level.algebra.dim, level.vdim
-    out_index = _tuple_index(dim, level.degree - 1)
-    out: list[dict] = [{} for _ in range(len(tuple_basis(dim, level.degree - 1)) * vdim)]
-    for si, s in enumerate(level.tuples):
-        for q, sq in enumerate(s):
-            a = x[sq]
-            if not a:
-                continue
+    return _interior_products(level, [x])[0]
+
+
+def _interior_products(level: CochainLevel, xs: Sequence) -> list[Matrix]:
+    """The matrix of i_X for each X of xs, from one walk over the faces of the level.
+
+    Each X is put over its own common denominator; by_index[a] lists
+    (output rows, integer coordinate) for the X with a nonzero a-coordinate.
+    """
+    xs = [_coordinates(level, x) for x in xs]
+    dim, k, vdim = level.algebra.dim, level.degree, level.vdim
+    dens = [lcm(*(a.denominator for a in x)) for x in xs]
+    n_out = comb(dim, k - 1) * vdim if k >= 1 else 0
+    outs: list[list[dict]] = [[{} for _ in range(n_out)] for _ in xs]
+    by_index: list[list] = [[] for _ in range(dim)]
+    for out, x, den in zip(outs, xs, dens):
+        for a, c in enumerate(x):
+            if c:
+                by_index[a].append((out, c.numerator * (den // c.denominator)))
+    for si, face in enumerate(_faces(dim, k)):
+        col = si * vdim
+        for q, (sq, ri) in enumerate(face):
             # each position q removes a different index, so every entry is set once
-            base = out_index[s[:q] + s[q + 1 :]] * vdim
-            sgn = a if q % 2 == 0 else -a
-            for m in range(vdim):
-                out[base + m][si * vdim + m] = sgn
-    return Matrix._new(len(out), level.space_dim, out, den)
+            base = ri * vdim
+            for out, a in by_index[sq]:
+                sgn = a if q % 2 == 0 else -a
+                for m in range(vdim):
+                    out[base + m][col + m] = sgn
+    return [Matrix._new(n_out, level.space_dim, out, den) for out, den in zip(outs, dens)]
 
 
 def lie_derivative_matrix(level: CochainLevel, x: Sequence) -> Matrix:
     """Matrix of L_X: degree k -> k, linear in X."""
-    x = _coordinates(level, x)
-    # row c of ad(-X) is {t: coef}, coef the c-coefficient of [e_t, X]
-    replacements = level.algebra.ad_matrix([-a for a in x])
-    return _lie_derivative_core(level.algebra.dim, level.degree, level.module, x, replacements)
+    return _lie_derivatives(level, [x])[0]
+
+
+def _lie_derivatives(level: CochainLevel, xs: Sequence) -> list[Matrix]:
+    """The matrix of L_X for each X of xs, from one pass over the level."""
+    g = level.algebra
+    xs = [_coordinates(level, x) for x in xs]
+    # row c of ad(-X) is {t: coef}, coef the c-coefficient of [e_t, X]; ad(-X) is
+    # sum_i -x_i ad(e_i), from the ad(e_i) the adjoint module keeps per algebra
+    ads = gmod.adjoint_module(g).actions
+    operators = [(x, _linear_combination(((-a, ad) for a, ad in zip(x, ads)), g.dim, g.dim))
+                 for x in xs]
+    return _lie_derivative_core(g.dim, level.degree, level.module, operators)
 
 
 def _lie_derivative_core(
-    dim: int, k: int, module: gmod.GModule, x: Sequence, replacements: Matrix
-) -> Matrix:
+    dim: int, k: int, module: gmod.GModule, operators: Sequence
+) -> list[Matrix]:
     """L_X on the k-cochains of a dim-dimensional space, with values in module.
 
-    The module part is sum_i x_i action_i; in the bracket part, an argument
-    e_c of the form is replaced by each e_t with coefficient
-    replacements[c, t].  Both are put over one common denominator.
+    One Matrix per (x, replacements) of operators.  The module part is
+    sum_i x_i action_i; in the bracket part, an argument e_c of the form is
+    replaced by each e_t with coefficient replacements[c, t].  Both are put
+    over one common denominator for the whole batch, and the replacements
+    are merged into one table by argument: by_arg[c] lists (the operator's
+    output rows, t, coefficient).  Replacing s[q] by t is the coface of s
+    without s[q] that inserts t at pos, with sign (-1)^(q+pos).
     """
     vdim = module.vdim
-    tuples = tuple_basis(dim, k)
-    out_index = _tuple_index(dim, k)
-    out: list[dict] = [{} for _ in range(len(tuples) * vdim)]
-    action = _linear_combination(zip(x, module.actions), vdim, vdim)
-    den = lcm(action.den, replacements.den)
-    # action_cols[m] = {mm: den * coefficient}: the column (sum_i x_i action_i) e_m
-    action_cols = [_scaled(c, den // action.den) for c in action.transpose().int_rows]
-    replacement_rows = [_scaled(r, den // replacements.den) for r in replacements.int_rows]
-    for si, s in enumerate(tuples):
+    faces, cofaces = _faces(dim, k), _cofaces(dim, k - 1)
+    trivial = all(a.is_zero() for a in module.actions)
+    actions = [] if trivial else [
+        _linear_combination(zip(x, module.actions), vdim, vdim) for x, _ in operators
+    ]
+    den = lcm(*(a.den for a in actions), *(r.den for _, r in operators))
+    outs: list[list[dict]] = [[{} for _ in range(len(faces) * vdim)] for _ in operators]
+    # (output rows, columns): column m is {mm: den * coefficient} of
+    # (sum_i x_i action_i) e_m, for each operator whose module part is nonzero
+    acting = [
+        (out, [_scaled(c, den // a.den) for c in a.transpose().int_rows])
+        for out, a in zip(outs, actions)
+        if not a.is_zero()
+    ]
+    by_arg: list[list] = [[] for _ in range(dim)]
+    for out, (_, r) in zip(outs, operators):
+        f = den // r.den
+        for c, row in enumerate(r.int_rows):
+            by_arg[c] += ((out, t, f * v) for t, v in row.items())
+    for si, face in enumerate(faces):
         # bracket part: s[q] replaced by each t, the same for every module index m
         terms = []
-        for q, sq in enumerate(s):
-            rest = s[:q] + s[q + 1 :]
-            for t, coef in replacement_rows[sq].items():
-                sign, tt = sort_with_sign(rest[:q] + (t,) + rest[q:])
-                if sign:
-                    terms.append((out_index[tt] * vdim, sign * coef))
+        for q, (sq, ri) in enumerate(face):
+            coface = cofaces[ri]
+            for out, t, coef in by_arg[sq]:
+                hit = coface.get(t)
+                if hit is not None:
+                    pos, ti = hit
+                    terms.append((out, ti * vdim, coef if (q + pos) % 2 == 0 else -coef))
         base = si * vdim
+        # the module part sets the entries of these columns before any bracket term adds to them
+        for out, cols in acting:
+            for m, column in enumerate(cols):
+                for mm, v in column.items():
+                    out[base + mm][base + m] = v
         for m in range(vdim):
             col = base + m
-            for mm, v in action_cols[m].items():
-                out[base + mm][col] = v
-            for row, v in terms:
+            for out, row, v in terms:
                 _accumulate(out[row + m], col, v)
-    return Matrix._from_ints(len(out), len(out), out, den)
+    return [Matrix._from_ints(len(out), len(out), out, den) for out in outs]
+
+
+@lru_cache(maxsize=None)
+def _faces(dim: int, k: int) -> tuple:
+    """For each k-tuple s, in order: (s[q], index of s without s[q]) for each position q."""
+    index = _tuple_index(dim, k - 1)
+    return tuple(
+        tuple((a, index[s[:q] + s[q + 1 :]]) for q, a in enumerate(s)) for s in tuple_basis(dim, k)
+    )
+
+
+@lru_cache(maxsize=None)
+def _cofaces(dim: int, k: int) -> tuple:
+    """For each k-tuple r, in order: {a: (insert position, index of r with a)} for a not in r."""
+    index = _tuple_index(dim, k + 1)
+    out = []
+    for r in tuple_basis(dim, k):
+        entries = {}
+        for a in range(dim):
+            if a not in r:
+                pos, t = _insert(r, a)
+                entries[a] = (pos, index[t])
+        out.append(entries)
+    return tuple(out)
 
 
 def j_map_matrix(g: LieAlgebra, k: int) -> Matrix:
@@ -463,13 +543,12 @@ def j_map_matrix(g: LieAlgebra, k: int) -> Matrix:
 
 @lru_cache(maxsize=None)
 def _j_map_core(dim: int, k: int) -> Matrix:
-    out_index = _tuple_index(dim, k - 1)
-    out: list[dict] = [{} for _ in range(len(tuple_basis(dim, k - 1)) * dim)]
-    for si, s in enumerate(tuple_basis(dim, k)):
-        for q, sq in enumerate(s):
-            rest = s[:q] + s[q + 1 :]
-            out[out_index[rest] * dim + sq][si] = 1 if q % 2 == 0 else -1
-    return Matrix._new(len(out), len(tuple_basis(dim, k)), out, 1)
+    out: list[dict] = [{} for _ in range(comb(dim, k - 1) * dim)]
+    faces = _faces(dim, k)
+    for si, face in enumerate(faces):
+        for q, (sq, ri) in enumerate(face):
+            out[ri * dim + sq][si] = 1 if q % 2 == 0 else -1
+    return Matrix._new(len(out), len(faces), out, 1)
 
 
 def wedge_one_form_matrix(level: CochainLevel, covector: Sequence) -> Matrix:
@@ -533,10 +612,8 @@ def relative_basis(level: CochainLevel, h: Subalgebra) -> Matrix:
     g, k, vdim = level.algebra, level.degree, level.vdim
     annihilator, free, _, lie = _quotient(g, h)
     quotient_tuples = tuple_basis(len(free), k)
-    # the quotient L_X, one block per basis vector X of h
-    blocks = [
-        _lie_derivative_core(len(free), k, level.module, x, r) for x, r in zip(h.vectors, lie)
-    ]
+    # the quotient L_X, one block per basis vector X of h, from one batch
+    blocks = _lie_derivative_core(len(free), k, level.module, list(zip(h.vectors, lie)))
     n_rel = len(quotient_tuples) * vdim
     kernel = Matrix._stack(n_rel, ((b, i) for b in blocks for i in range(b.rows))).kernel()
     # the horizontal forms beta_T (x) e_m in the coordinates of the full level,

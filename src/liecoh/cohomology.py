@@ -53,7 +53,7 @@ from .cecomplex import (
     weight_zero_positions,
 )
 from .liealg import LieAlgebra, Subalgebra, killing_form, structure_report
-from .ratlin import Matrix, SubspaceNotContained
+from .ratlin import Matrix, SubspaceNotContained, _vanishes
 
 
 class NotSemisimple(Exception):
@@ -162,7 +162,8 @@ def killing_three_form(g: LieAlgebra) -> ThreeFormClass:
         bk, bracket = b.column(k), g.brackets[i]
         coords[idx] = Fraction(sum(bk[t] * c for t, c in bracket.int_rows[j].items()), bracket.den)
     form = Matrix._raw(1, level.space_dim, [coords])
-    if not (differential_matrix(level) * form.transpose()).is_zero():
+    d = differential_matrix(level)
+    if not _vanishes([(1, d, form.transpose())], d.rows):
         raise AssertionError("Killing 3-form is not closed; bracket data is corrupt")
     # the class is nonzero when the form is outside the span of the coboundaries
     span = differential_matrix(level.shifted(-1)).transpose()._span()

@@ -22,8 +22,8 @@ from math import comb, lcm
 from typing import Sequence
 
 from . import files
-from .liealg import DimensionMismatch, LieAlgebra
-from .ratlin import Matrix, _linear_combination
+from .liealg import DimensionMismatch, LieAlgebra, _cached_hash
+from .ratlin import Matrix, _linear_combination, _vanishes
 
 
 class ModuleAxiomViolation(Exception):
@@ -62,12 +62,14 @@ def _check_level_dim(g: LieAlgebra, vdim: int, spec: str) -> None:
         )
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class GModule:
     """Plain data container; use the constructors below to get validation.
 
     ``axiom_holds`` is True when the constructor checked the module axiom
     or it holds by construction; it takes no part in equality or hashing.
+    The hash is computed once per instance (``liealg._cached_hash``).
     """
 
     algebra: LieAlgebra
@@ -92,12 +94,16 @@ def check_module_axiom(mod: GModule) -> None:
     for i, b in enumerate(g.brackets):
         for j in range(i + 1, g.dim):
             # b.den times the action of [e_i, e_j], from its nonzero structure constants
-            terms = ((t, mod.actions[c]) for c, t in b.int_rows[j].items())
+            a_i, a_j = mod.actions[i], mod.actions[j]
+            terms = [(t, mod.actions[c]) for c, t in b.int_rows[j].items()]
+            if _vanishes(
+                [*((t, a, None) for t, a in terms), (-b.den, a_i, a_j), (b.den, a_j, a_i)],
+                mod.vdim,
+            ):
+                continue
             lhs = _linear_combination(terms, mod.vdim, mod.vdim)
-            rhs = mod.actions[i] * mod.actions[j] - mod.actions[j] * mod.actions[i]
-            residual = lhs - rhs.scale(b.den)
-            if not residual.is_zero():
-                raise ModuleAxiomViolation(i, j, residual.scale(Fraction(1, b.den)))
+            residual = lhs - (a_i * a_j - a_j * a_i).scale(b.den)
+            raise ModuleAxiomViolation(i, j, residual.scale(Fraction(1, b.den)))
 
 
 @lru_cache(maxsize=None)

@@ -60,18 +60,46 @@ class AlgebraTooLarge(LieAlgebraError):
     pass
 
 
+def _cached_hash(cls):
+    """Class decorator for a frozen dataclass: its field hash, computed once per instance.
+
+    The hash is kept in the instance's ``__dict__`` on first use, as
+    :class:`~liecoh.ratlin.Matrix` keeps its own; equality is untouched.
+    ``__getstate__`` leaves it out, so it never travels through pickle or
+    copy: the fields may hold str, whose hash differs between processes.
+    ``dataclasses.replace`` builds a new instance, which hashes afresh.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
 # Largest algebra dimension accepted, far above every catalog entry (the
 # largest fixed one has dim 7); cochain levels exceed gmod.MAX_LEVEL_DIM
 # from dim 18 on, and it keeps the O(dim^3) work of `check` bounded.
 MAX_DIM = 1 << 8
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class LieAlgebra:
     """Lie algebra over Q with basis names and one sparse bracket matrix per basis vector.
 
     Row j of ``brackets[i]`` is ``[e_i, e_j]``; equality and hashing cover
-    only the nonzero structure constants, through the matrices' cached hash.
+    the basis names and the nonzero structure constants, through the
+    matrices' cached hash, and the hash is cached too (``_cached_hash``).
     """
 
     dim: int
@@ -165,6 +193,7 @@ def unit(dim: int, i: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1) if j == i else _ZERO for j in range(dim))
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Subalgebra:
     """A bracket-closed subspace, stored as a canonical echelon basis."""
@@ -277,16 +306,19 @@ def derived_subalgebra(g: LieAlgebra) -> Subalgebra:
 def induced_algebra(g: LieAlgebra, basis: Sequence[Sequence], names: Sequence[str]) -> LieAlgebra:
     """Re-express the brackets of a closed subspace in its own basis, named ``names``.
 
-    One solve against the basis gives the coordinates of every bracket
-    [basis[a], basis[b]], a < b, one column per pair.
+    With the basis as the rows of a matrix B, row b of B times
+    sum_i basis[a]_i brackets[i] is [basis[a], basis[b]], in integer rows;
+    one solve against the basis gives the coordinates of every bracket,
+    one column per pair a < b.
     """
     basis = [vector(v) for v in basis]
     n = len(basis)
+    rows = Matrix(n, g.dim, basis)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    coeffs = solve_columns(
-        Matrix.from_columns(basis, rows=g.dim),
-        Matrix.from_columns([g.bracket(basis[a], basis[b]) for a, b in pairs], rows=g.dim),
-    )
+    # images[a] has the rows [basis[a], basis[b]]; the last vector opens no pair
+    images = [rows * _linear_combination(zip(v, g.brackets), g.dim, g.dim) for v in basis[:-1]]
+    brackets = Matrix._stack(g.dim, ((images[a], b) for a, b in pairs))
+    coeffs = solve_columns(rows.transpose(), brackets.transpose())
     if coeffs is None:
         raise SubalgebraNotClosed("subspace is not closed under the bracket")
     return validate(n, names, {p: coeffs.column(j) for j, p in enumerate(pairs)})

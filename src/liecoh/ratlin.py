@@ -21,6 +21,10 @@ Elimination results are Matrices of the same form: :meth:`Matrix.rref`,
 takes integer rows only, so a caller stays in integer rows from operator to
 span.  :func:`vector` and :func:`dense_vector` give dense tuples for
 callers that index coordinates.
+An identity sum c_i A_i B_i = 0 is checked by one fused kernel,
+:func:`_vanishes`: it accumulates one output row at a time over one common
+denominator, stops at the first nonzero row and builds no Matrix, where
+products summed by :func:`_linear_combination` would build one per term.
 :meth:`Matrix.kernel_basis`, :meth:`Matrix.apply`, :func:`span_rank` and
 :func:`echelon_basis` are one-line views on this API that the library no
 longer calls; they stay while ``perfbench/tracer.py`` traces them by name.
@@ -119,6 +123,10 @@ class Matrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through _new: the slots cannot be set one by one
+        return Matrix._new, (self.rows, self.cols, self.int_rows, self.den)
 
     @classmethod
     def _new(cls, rows: int, cols: int, int_rows: Sequence[dict], den: int) -> "Matrix":
@@ -330,6 +338,42 @@ def _linear_combination(terms: Iterable, rows: int, cols: int) -> Matrix:
             for j, x in r.items():
                 acc[j] = acc[j] + f * x if j in acc else f * x
     return Matrix._from_ints(rows, cols, out, den)
+
+
+def _vanishes(terms: Iterable, rows: int) -> bool:
+    """True when sum c*A*B is zero, over (c, A, B) terms with rows-row products; B None is A alone.
+
+    Each term enters over the common denominator den, the lcm of the
+    c.denominator * A.den * B.den, with the integer factor
+    c.numerator * den / (c.denominator * A.den * B.den).  One output row is
+    accumulated at a time, and the first nonzero one ends the check: no
+    product, sum or other Matrix is built.
+    """
+    terms = [(c, a, b) for c, a, b in terms if c]
+    if any(a.rows != rows or (b is not None and a.cols != b.rows) for _, a, b in terms):
+        raise ValueError("shape mismatch in vanishing check")
+    if len({a.cols if b is None else b.cols for _, a, b in terms}) > 1:
+        raise ValueError("shape mismatch in vanishing check")
+    dens = [c.denominator * a.den * (1 if b is None else b.den) for c, a, b in terms]
+    den = lcm(*dens)
+    scaled = [
+        (c.numerator * (den // d), a.int_rows, None if b is None else b.int_rows)
+        for (c, a, b), d in zip(terms, dens)
+    ]
+    for i in range(rows):
+        acc: dict[int, int] = {}
+        for f, a, b in scaled:
+            if b is None:
+                for j, x in a[i].items():
+                    acc[j] = acc[j] + f * x if j in acc else f * x
+                continue
+            for k, x in a[i].items():
+                fx = f * x
+                for j, y in b[k].items():
+                    acc[j] = acc[j] + fx * y if j in acc else fx * y
+        if any(acc.values()):
+            return False
+    return True
 
 
 def _strip_gcd(row: dict) -> dict:

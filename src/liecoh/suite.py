@@ -18,6 +18,14 @@ coadjoint module (square-zero and Cartan on the coadjoint levels, and the
 three relations of the degree-lowering map, on the built-ins in sweep
 order) and stops at the first failure; without the diagonal it reruns both
 ``extension-vanishing`` rows.
+
+Each exact identity of the sweep (square-zero, Cartan, the doubled
+differential and the three relations of the degree-lowering map) is one
+call of the fused check ``ratlin._vanishes`` on sum c A B = 0, so no
+product or difference is built as a Matrix.  The doubled differential reads
+the basis batches L_{e_0..e_{n-1}} and i_{e_0..e_{n-1}} one degree up,
+whose transposes are the wedges with e^0..e^{n-1}, from one pass over the
+level each.
 """
 
 from __future__ import annotations
@@ -30,13 +38,14 @@ from typing import Callable
 from . import extensions, gmod, volumes
 from .cecomplex import (
     CochainLevel,
+    _interior_products,
+    _lie_derivatives,
     differential_matrix,
     interior_product_matrix,
     j_map_matrix,
     lie_derivative_matrix,
     relative_closure_holds,
     tuple_basis,
-    wedge_one_form_matrix,
 )
 from .cohomology import (
     betti_sequence,
@@ -52,7 +61,7 @@ from .liealg import (
     subalgebra,
     unit,
 )
-from .ratlin import Matrix, _linear_combination, vector
+from .ratlin import Matrix, _vanishes, vector
 
 MUTATIONS = ("flip-coadjoint-sign", "omit-diagonal")
 
@@ -183,15 +192,16 @@ def _sample_bases() -> tuple[LieAlgebra, ...]:
 _MODULE_SPECS = ("trivial", "trivial:2", "adjoint", "coadjoint", "dual:adjoint", "sum:trivial+adjoint")
 
 
-def _random_invertible(rng: random.Random, n: int) -> list[list[Fraction]]:
-    # product of elementary operations, so invertibility is by construction
-    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def _random_invertible(rng: random.Random, n: int) -> list[list[int]]:
+    # product of elementary operations, so invertibility is by construction;
+    # every operation is integral, so the entries stay ints
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(2 * n):
         kind = rng.randrange(3)
         i = rng.randrange(n)
         j = rng.randrange(n)
         if kind == 0 and i != j:
-            c = Fraction(rng.choice((-2, -1, 1, 2)))
+            c = rng.choice((-2, -1, 1, 2))
             for t in range(n):
                 m[t][j] += c * m[t][i]
         elif kind == 1 and i != j:
@@ -241,24 +251,32 @@ def _level_failures(level: CochainLevel, ops: _Operators) -> list[str]:
     """Square-zero and the Cartan relation L_X = d i_X + i_X d on one level."""
     failures = []
     level_up = level.shifted(1)
-    delta_k = differential_matrix(level)
-    if not (differential_matrix(level_up) * delta_k).is_zero():
+    delta_k, delta_up = differential_matrix(level), differential_matrix(level_up)
+    if not _vanishes([(1, delta_up, delta_k)], delta_up.rows):
         failures.append("square-zero")
-    cartan_rhs = differential_matrix(level.shifted(-1)) * ops.interior(level) + (
-        ops.interior(level_up) * delta_k
-    )
-    if ops.lie(level) != cartan_rhs:
+    lie = ops.lie(level)
+    cartan = [
+        (1, lie, None),
+        (-1, differential_matrix(level.shifted(-1)), ops.interior(level)),
+        (-1, ops.interior(level_up), delta_k),
+    ]
+    if not _vanishes(cartan, lie.rows):
         failures.append("cartan-relation")
     return failures
 
 
 def _doubled_differential_holds(g: LieAlgebra, k: int) -> bool:
-    """2 d = sum_i e^i wedge L_{e_i} on trivial k-cochains."""
+    """2 d = sum_i e^i wedge L_{e_i} on trivial k-cochains.
+
+    The wedge with e^i is i_{e_i} one degree up, transposed, so one basis
+    batch of each operator gives every term.
+    """
     tlevel = CochainLevel(g, gmod.trivial_module(g, 1), k)
     d = differential_matrix(tlevel)
     units = [unit(g.dim, i) for i in range(g.dim)]
-    prods = [wedge_one_form_matrix(tlevel, e) * lie_derivative_matrix(tlevel, e) for e in units]
-    return _linear_combination(((1, p) for p in prods), d.rows, d.cols) == d.scale(2)
+    wedges = [i.transpose() for i in _interior_products(tlevel.shifted(1), units)]
+    terms = [(1, w, lie) for w, lie in zip(wedges, _lie_derivatives(tlevel, units))]
+    return _vanishes([*terms, (-2, d, None)], d.rows)
 
 
 def check_operator_identities(g: LieAlgebra, module: gmod.GModule, k: int, x) -> list[str]:
@@ -289,24 +307,20 @@ def _j_relation_failures(
     failures = []
     triv = gmod.trivial_module(g, 1)
     jk = j_map_matrix(g, k)
-    d_k = differential_matrix(CochainLevel(g, triv, k))
     delta_co = differential_matrix(CochainLevel(g, coadjoint, k - 1))
-    lhs = delta_co * jk
+    terms = [(1, delta_co, jk)]
     if k + 1 <= g.dim:
-        rhs = -(j_map_matrix(g, k + 1) * d_k)
-        if lhs != rhs:
-            failures.append("j-differential")
-    elif not lhs.is_zero():
+        terms.append((1, j_map_matrix(g, k + 1), differential_matrix(CochainLevel(g, triv, k))))
+    if not _vanishes(terms, delta_co.rows):
         failures.append("j-differential")
-    lhs = ops.interior(CochainLevel(g, coadjoint, k - 1)) * jk
+    i_co = ops.interior(CochainLevel(g, coadjoint, k - 1))
+    terms = [(1, i_co, jk)]
     if k - 1 >= 1:
-        rhs = -(j_map_matrix(g, k - 1) * ops.interior(CochainLevel(g, triv, k)))
-        if lhs != rhs:
-            failures.append("j-interior")
-    elif not lhs.is_zero():
+        terms.append((1, j_map_matrix(g, k - 1), ops.interior(CochainLevel(g, triv, k))))
+    if not _vanishes(terms, i_co.rows):
         failures.append("j-interior")
     l_co = ops.lie(CochainLevel(g, coadjoint, k - 1))
-    if l_co * jk != jk * ops.lie(CochainLevel(g, triv, k)):
+    if not _vanishes([(1, l_co, jk), (-1, jk, ops.lie(CochainLevel(g, triv, k)))], l_co.rows):
         failures.append("j-lie-derivative")
     return failures
 
@@ -406,7 +420,7 @@ def _killing_data() -> tuple[bool, str]:
     three = killing_three_form(g)
     kappa = three.form.evaluate((0, 1, 2))[0]
     d = differential_matrix(three.form.level)
-    closed = (d * Matrix.from_columns([three.form.coords])).is_zero()
+    closed = _vanishes([(1, d, Matrix.from_columns([three.form.coords]))], d.rows)
     ok = (
         b == want
         and det == Fraction(-128)

@@ -9,11 +9,15 @@ no code with the sparse matrix product.
 ``product``, ``combination`` and ``transpose`` are a reference for the
 matrix arithmetic that shares no code with ratlin: a reference matrix is
 ``(rows, cols, entries)``, entries a tuple of row tuples of Fractions, so
-that 0 x n and n x 0 shapes keep their sizes.
+that 0 x n and n x 0 shapes keep their sizes.  ``interior_product``,
+``lie_derivative`` and ``j_map`` are reference matrices of the cochain
+operators, evaluated from their formulas.
 """
 
 from fractions import Fraction
 
+from liecoh.cecomplex import Cochain, CochainLevel
+from liecoh.gmod import trivial_module
 from liecoh.ratlin import Matrix, dense_vector, vector
 
 
@@ -63,3 +67,90 @@ def combination(terms, rows: int, cols: int):
 def transpose(a):
     rows, cols, x = a
     return cols, rows, tuple(tuple(x[i][j] for i in range(rows)) for j in range(cols))
+
+
+# -- i_X, L_X and J straight from their formulas -------------------------
+#
+# Each reference below builds the matrix of its operator one output cell
+# (T, m) at a time, by the operator's formula, from the values of the
+# basis cochains at argument tuples.  Those values come from
+# ``Cochain.evaluate`` (the determinant convention: sort the arguments,
+# with sign) on one tagged cochain, and the structure constants and module
+# actions from the dense ``Matrix.row`` view.  Nothing is shared with the
+# incidence tables or the operator cores of ``liecoh.cecomplex``.
+
+
+def _reader(level):
+    """read(args): (sign, flat index of the cell (t, 0)), or None when an index repeats.
+
+    At any argument tuple only the basis cochains e^t e_m of one block t
+    are nonzero, all with the same sign.  So the tagged cochain
+    sum_j (j + 1) b_j, evaluated there, gives the value of every basis
+    cochain b_j at once: its first entry is the sign times 1 + the index
+    of (t, 0).
+    """
+    tagged = Cochain(level, tuple(range(1, level.space_dim + 1)))
+
+    def read(args):
+        v = tagged.evaluate(args)[0]
+        return (1 if v > 0 else -1, int(abs(v)) - 1) if v else None
+
+    return read
+
+
+def interior_product(level, x):
+    """i_X from (i_X f)(X_1..X_{k-1}) = f(X, X_1..X_{k-1})."""
+    x, read = vector(x), _reader(level)
+    rows = []
+    for args in level.shifted(-1).tuples:
+        for m in range(level.vdim):
+            row = [Fraction(0)] * level.space_dim
+            for a, xa in enumerate(x):
+                if hit := read((a,) + args):
+                    sign, base = hit
+                    row[base + m] += sign * xa
+            rows.append(tuple(row))
+    return len(rows), level.space_dim, tuple(rows)
+
+
+def lie_derivative(level, x):
+    """L_X from (L_X f)(X_1..X_k) = X . f(X_1..X_k) + sum_i f(X_1,..,[X_i, X],..,X_k)."""
+    g, mod, x, read = level.algebra, level.module, vector(x), _reader(level)
+    n, vdim = g.dim, level.vdim
+    # the action of X on values, row by row, and [e_t, X] = sum_a x_a [e_t, e_a]
+    action = [[sum((x[a] * mod.actions[a].row(r)[c] for a in range(n)), Fraction(0))
+               for c in range(vdim)] for r in range(vdim)]
+    with_x = [[sum((x[a] * g.brackets[t].row(a)[c] for a in range(n)), Fraction(0))
+               for c in range(n)] for t in range(n)]
+    rows = []
+    for args in level.tuples:
+        sign, here = read(args)
+        replaced = [
+            (read(args[:i] + (c,) + args[i + 1 :]), y)
+            for i, t in enumerate(args)
+            for c, y in enumerate(with_x[t])
+            if y
+        ]
+        for m in range(vdim):
+            row = [Fraction(0)] * level.space_dim
+            for c, a in enumerate(action[m]):
+                row[here + c] += sign * a
+            for hit, y in replaced:
+                if hit:
+                    row[hit[1] + m] += hit[0] * y
+            rows.append(tuple(row))
+    return len(rows), level.space_dim, tuple(rows)
+
+
+def j_map(g, k):
+    """J from (J w)(X_1..X_{k-1})(X) = w(X, X_1..X_{k-1}), scalar w, coadjoint values."""
+    level = CochainLevel(g, trivial_module(g, 1), k)
+    read = _reader(level)
+    rows = []
+    for args in level.shifted(-1).tuples:
+        for a in range(g.dim):
+            row = [Fraction(0)] * level.space_dim
+            if hit := read((a,) + args):
+                row[hit[1]] += hit[0]
+            rows.append(tuple(row))
+    return len(rows), level.space_dim, tuple(rows)

@@ -1,7 +1,10 @@
 """Cochain levels, the differential, i_X/L_X, the degree -1 map, relatives."""
 
+import copy
+import dataclasses
 import hashlib
 import importlib
+import pickle
 import random
 from fractions import Fraction as Q
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense
 from dense import apply, echelon_basis
 from liecoh import cecomplex, suite
 from liecoh.cecomplex import (
@@ -26,8 +30,14 @@ from liecoh.cecomplex import (
 )
 from liecoh.cohomology import killing_three_form
 from liecoh.extensions import BUILTIN_NAMES, builtin
-from liecoh.gmod import adjoint_module, coadjoint_module, module_from_spec, trivial_module
-from liecoh.liealg import DimensionMismatch, change_of_basis, subalgebra, unit
+from liecoh.gmod import (
+    adjoint_module,
+    coadjoint_module,
+    make_module,
+    module_from_spec,
+    trivial_module,
+)
+from liecoh.liealg import DimensionMismatch, change_of_basis, subalgebra, unit, validate
 from liecoh.cohomology import betti_sequence
 from liecoh.ratlin import Matrix, solve_columns
 from liecoh.suite import check_operator_identities, random_identity_sample
@@ -532,3 +542,75 @@ def test_euler_characteristic_of_absolute_cohomology(name):
         bettis = betti_sequence(g, levels[0].module)
         assert _alternating_sum(lvl.space_dim for lvl in levels) == _alternating_sum(bettis), (
             spec, bettis)
+
+
+# -- the batch cores against the formulas ---------------------------------
+
+
+def _batch(g, seed):
+    """Three X for one batch: a unit vector, mixed denominators, and zero."""
+    rng = random.Random(seed)
+    mixed = tuple(Q(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(g.dim))
+    return [unit(g.dim, g.dim - 1), mixed, (0,) * g.dim]
+
+
+def _reference(m):
+    return m.rows, m.cols, m.entries
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in _catalog_names() if builtin(n).algebra.dim <= 7])
+def test_batch_cores_match_the_formulas_on_every_basis_cochain(name):
+    g = builtin(name).algebra
+    xs = _batch(g, name)
+    for spec in ("trivial", "adjoint", "coadjoint"):
+        for k in range(g.dim + 1):
+            lvl = level(name, spec, k)
+            interior = cecomplex._interior_products(lvl, xs)
+            lie = cecomplex._lie_derivatives(lvl, xs)
+            for x, i_x, l_x in zip(xs, interior, lie):
+                assert _reference(i_x) == dense.interior_product(lvl, x), (spec, k, x)
+                assert _reference(l_x) == dense.lie_derivative(lvl, x), (spec, k, x)
+    for k in range(1, g.dim + 1):
+        assert _reference(cecomplex._j_map_core.__wrapped__(g.dim, k)) == dense.j_map(g, k), k
+
+
+@pytest.mark.parametrize("name", _catalog_names())
+def test_a_batch_of_three_is_three_batches_of_one(name):
+    g = builtin(name).algebra
+    xs = _batch(g, f"batch {name}")
+    for spec in ("trivial", "adjoint", "coadjoint"):
+        for k in range(-1, g.dim + 2):
+            lvl = level(name, spec, k)
+            assert cecomplex._interior_products(lvl, xs) == [
+                interior_product_matrix(lvl, x) for x in xs], (spec, k)
+            assert cecomplex._lie_derivatives(lvl, xs) == [
+                lie_derivative_matrix(lvl, x) for x in xs], (spec, k)
+            assert [i.transpose() for i in cecomplex._interior_products(lvl.shifted(1), xs)] == [
+                wedge_one_form_matrix(lvl, x) for x in xs], (spec, k)
+
+
+def test_cached_hashes_follow_equality_and_stay_out_of_copies():
+    entry = builtin("sl2_so2_pair")
+    g = entry.algebra
+    # the same values built a second way
+    g2 = validate(g.dim, g.basis_names, {
+        (i, j): g.brackets[i].row(j) for i in range(g.dim) for j in range(i + 1, g.dim)})
+    mod, mod2 = adjoint_module(g), make_module(g2, g.dim, [b.transpose() for b in g2.brackets])
+    pairs = [
+        (g, g2),
+        (mod, mod2),
+        (CochainLevel(g, mod, 2), CochainLevel(g2, mod2, 2)),
+        (entry.h, subalgebra(g2, [tuple(2 * c for c in v) for v in entry.h.vectors])),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b), type(a).__name__
+        for c in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert "_hash" not in vars(c) and c == a and hash(c) == hash(a), type(a).__name__
+    lvl = CochainLevel(g, mod, 2)
+    hash(lvl)
+    up = dataclasses.replace(lvl, degree=3)
+    assert "_hash" not in vars(up)
+    assert hash(up) == hash(CochainLevel(g, mod, 3)) and up == lvl.shifted(1)
+    assert dataclasses.replace(up, degree=2) == lvl
+    assert hash(dataclasses.replace(up, degree=2)) == hash(lvl)

@@ -67,8 +67,10 @@ def test_perturbed_adjoint_violates_axiom():
     ads[2] = ads[2] + Matrix.identity(3)
     with pytest.raises(ModuleAxiomViolation) as exc:
         make_module(g, 3, ads)
-    # the identity perturbation breaks the [H,F] = -2F relation
+    # the identity perturbation breaks the [H,F] = -2F relation: action([H,F])
+    # - [action(H), action(F)] is -2 (ad F + I) + 2 ad F
     assert exc.value.pair == (0, 2)
+    assert exc.value.residual == Matrix.identity(3).scale(-2)
 
 
 def test_coadjoint_action_on_sl2():

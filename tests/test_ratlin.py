@@ -1,5 +1,7 @@
 """Exact linear algebra: ranks, kernels, quotients, and their invariants."""
 
+import copy
+import pickle
 from fractions import Fraction as Q
 from math import gcd
 
@@ -21,6 +23,7 @@ from liecoh.ratlin import (
     _kernel_echelon,
     _linear_combination,
     _rref_rows,
+    _vanishes,
     quotient_dim,
     solve_columns,
     vector,
@@ -451,3 +454,60 @@ def test_integer_rows_match_the_dense_fraction_reference(data):
     for same in ((a * 2) * Q(1, 2), (a + b) - b, a.scale(p).scale(1 / p)):
         assert same == a and hash(same) == hash(a)
     assert a.scale(0) == Matrix.zero(rows, inner) and a.scale(0).den == 1
+
+
+# -- the fused vanishing check against products summed as Matrices --------
+
+
+def _summed(terms, rows, cols):
+    return _linear_combination(((c, a if b is None else a * b) for c, a, b in terms), rows, cols)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_vanishes_agrees_with_the_summed_products(data):
+    rows, inner, cols = (data.draw(st.integers(0, 4)) for _ in range(3))
+    coefficient = st.one_of(rationals, st.integers(-3, 3))
+    terms = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        c = data.draw(coefficient)
+        if data.draw(st.booleans()):
+            terms.append((c, data.draw(mixed_matrices(rows, cols)), None))
+        else:
+            terms.append((c, data.draw(mixed_matrices(rows, inner)),
+                          data.draw(mixed_matrices(inner, cols))))
+    assert _vanishes(terms, rows) == _summed(terms, rows, cols).is_zero()
+    # the terms taken back one by one, in another order, or as their sum: exactly zero
+    back = [(-c, a, b) for c, a, b in terms]
+    cancelled = terms + data.draw(st.permutations(back))
+    total = _summed(terms, rows, cols)
+    assert _vanishes(cancelled, rows) and _summed(cancelled, rows, cols).is_zero()
+    assert _vanishes(terms + [(-1, total, None)], rows)
+    assert _vanishes([(Q(-1, 3), total, None), *((Q(1, 3) * c, a, b) for c, a, b in terms)], rows)
+    if rows and cols:
+        # one flipped entry of the sum breaks the cancellation
+        i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+        entries = [list(r) for r in total.entries]
+        entries[i][j] += data.draw(rationals.filter(bool))
+        flipped = terms + [(-1, Matrix(rows, cols, entries), None)]
+        assert not _vanishes(flipped, rows)
+        assert not _summed(flipped, rows, cols).is_zero()
+
+
+def test_vanishes_checks_shapes():
+    a, b = Matrix.identity(2), Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    assert _vanishes([], 3) and _vanishes([(0, a, Matrix.identity(3))], 2)
+    assert _vanishes([(1, a, b), (-1, b, None)], 2)
+    with pytest.raises(ValueError):
+        _vanishes([(1, a, None)], 3)
+    with pytest.raises(ValueError):
+        _vanishes([(1, b, a)], 2)
+    with pytest.raises(ValueError):
+        _vanishes([(1, a, b), (1, a, None)], 2)
+
+
+def test_a_matrix_survives_pickle_and_copy():
+    m = Matrix.from_rows([[0, "1/2"], [3, 0]])
+    hash(m)
+    for c in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert c == m and hash(c) == hash(m) and c.den == 2
