@@ -21,6 +21,8 @@ Conventions, fixed once and used by every operator here:
   ``(J w)(X_1..X_{k-1})(X) = w(X, X_1..X_{k-1})``.
 * The left wedge with a 1-form, degree k -> k+1, is the transpose of
   ``i_X`` on degree k+1, X having the coordinates of the 1-form.
+* A :class:`Cochain` stores its row (a 1 x space_dim Matrix); ``coords``
+  is a dense view, and a cell's tuple is unranked from its index (``_unrank``).
 
 The relative basis (``relative_basis``) is the canonical RREF basis, as a
 Matrix, of the forms killed by every ``i_X`` and ``L_X`` with X in the
@@ -85,7 +87,6 @@ from .liealg import DimensionMismatch, LieAlgebra, Subalgebra, _cached_hash
 from .ratlin import Matrix, _linear_combination, _rref, _scaled, vector
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
@@ -110,6 +111,17 @@ def _rank(dim: int, t: tuple[int, ...]) -> int:
         rank -= comb(dim - 1 - a, k)
         k -= 1
     return rank
+
+
+def _unrank(dim: int, k: int, rank: int) -> tuple[int, ...]:
+    """The tuple at position rank of tuple_basis(dim, k): the inverse of ``_rank``."""
+    # comb(dim, k) - 1 - rank is the sum of comb(dim - 1 - t[i], k - i); take each t[i] greedily
+    rest, u, t = comb(dim, k) - 1 - rank, dim, []
+    for j in range(k, 0, -1):
+        u = next(v for v in range(u - 1, -1, -1) if comb(v, j) <= rest)
+        rest -= comb(u, j)
+        t.append(dim - 1 - u)
+    return tuple(t)
 
 
 def sort_with_sign(t: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -169,32 +181,42 @@ class CochainLevel:
 
 @dataclass(frozen=True)
 class Cochain:
+    """A cochain of a level, stored as ``row``, a 1 x space_dim Matrix over the flat cells.
+
+    ``coords`` is the dense Fraction view of the row, built on each read.
+    """
+
     level: CochainLevel
-    coords: tuple[Fraction, ...]
+    row: Matrix
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", vector(self.coords))
-        if len(self.coords) != self.level.space_dim:
-            raise ValueError("cochain coordinates have the wrong length")
+        shape = (1, self.level.space_dim)
+        if not isinstance(self.row, Matrix) or (self.row.rows, self.row.cols) != shape:
+            raise ValueError(f"a cochain of this level is a 1x{shape[1]} Matrix row")
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return self.row.row(0)
 
     def evaluate(self, args: Sequence[int]) -> tuple[Fraction, ...]:
         """Value on an arbitrary index tuple, by antisymmetric extension."""
+        dim, vdim = self.level.algebra.dim, self.level.vdim
         if len(args) != self.level.degree:
             raise ValueError("wrong number of arguments")
+        if any(not 0 <= a < dim for a in args):
+            raise ValueError(f"argument indices must lie in 0..{dim - 1}, got {tuple(args)}")
         sign, t = sort_with_sign(args)
         if sign == 0:
-            return (_ZERO,) * self.level.vdim
-        base = _tuple_index(self.level.algebra.dim, self.level.degree)[t] * self.level.vdim
-        return tuple(sign * c for c in self.coords[base : base + self.level.vdim])
+            return (_ZERO,) * vdim
+        base, r, den = _rank(dim, t) * vdim, self.row.int_rows[0], self.row.den
+        return tuple(Fraction(sign * r.get(j, 0), den) for j in range(base, base + vdim))
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return self.row.is_zero()
 
 
 def basis_cochain(level: CochainLevel, t: tuple[int, ...], m: int = 0) -> Cochain:
-    coords = [_ZERO] * level.space_dim
-    coords[level.index(t, m)] = _ONE
-    return Cochain(level, tuple(coords))
+    return Cochain(level, Matrix._new(1, level.space_dim, [{level.index(t, m): 1}], 1))
 
 
 @lru_cache(maxsize=None)
@@ -564,14 +586,14 @@ def _quotient(g: LieAlgebra, h: Subalgebra) -> tuple:
     """(annihilator, free, by_target, replacements): the data of g/h every relative level shares.
 
     Row c of ``annihilator`` is alpha_c, the c-th row of the kernel of the
-    h.vectors matrix, and ``free`` maps the free column of alpha_c to c.
+    h.basis matrix, and ``free`` maps the free column of alpha_c to c.
     The kernel basis is canonical, so alpha_c(e_f) = delta_cd for the free
     column f of alpha_d.  by_target[c] lists ((a, b), alpha_c([e_fa, e_fb]))
     for the free columns fa, fb of alpha_a, alpha_b, a < b; replacements[i]
     is the matrix with entry alpha_c([e_ft, X_i]) at (c, t), for the basis
     vectors X_i of h.
     """
-    annihilator = Matrix(h.dim, g.dim, h.vectors).kernel()
+    annihilator = h.basis.kernel()
     # the kernel puts f after every pivot alpha_f touches
     free = {max(a): c for c, a in enumerate(annihilator.int_rows)}
     columns = list(free)

@@ -22,7 +22,7 @@ import re
 import sys
 
 from . import extensions, files, gmod, suite, volumes
-from .cecomplex import Cochain
+from .cecomplex import Cochain, _unrank
 from .cohomology import cohomology
 from .liealg import (
     AlgebraTooLarge,
@@ -66,21 +66,15 @@ def _emit(report: files.Report, machine: bool) -> None:
 
 
 def _format_cochain(c: Cochain) -> str:
-    level = c.level
-    names = level.algebra.basis_names
+    """The nonzero terms of c in flat order; each cell's tuple is unranked from its index."""
+    level, names, vdim = c.level, c.level.algebra.basis_names, c.level.vdim
     terms = []
-    for t_idx, t in enumerate(level.tuples):
-        for m in range(level.vdim):
-            coeff = c.coords[t_idx * level.vdim + m]
-            if not coeff:
-                continue
-            factors = []
-            if t:
-                factors.append("^".join(f"{names[i]}*" for i in t))
-            if level.vdim > 1:
-                factors.append(f"v{m}")
-            coeff_text = files.format_rational(coeff)
-            terms.append("*".join([coeff_text] + factors) if factors else coeff_text)
+    for j, coeff in sorted(c.row.sparse_rows[0].items()):
+        t = _unrank(level.algebra.dim, level.degree, j // vdim)
+        factors = ["^".join(f"{names[i]}*" for i in t)] if t else []
+        if vdim > 1:
+            factors.append(f"v{j % vdim}")
+        terms.append("*".join([files.format_rational(coeff)] + factors))
     return " + ".join(terms) if terms else "0"
 
 

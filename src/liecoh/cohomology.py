@@ -12,7 +12,8 @@ safe to freeze in tests, and dim H = |Z| - rank(B) holds exactly when
 their number matches; any other count means B is not inside span(Z).
 The chosen kernel rows are stacked in one place and mapped to the full
 level (through bt when relative, to the weight-zero positions when
-graded); only the returned representatives are made dense.
+graded); each representative is a :class:`~liecoh.cecomplex.Cochain` that
+keeps its row of that Matrix, and nothing here is made dense.
 
 When the module has a weight grading (:mod:`liecoh.cecomplex`), absolute
 cocycles and coboundaries are taken on the weight-zero cells only, and the
@@ -120,11 +121,11 @@ def _cohomology_core(g, module, k, h) -> CohomologyResult:
     if relative:
         # the rows of K bt are the full-level forms with these beta coordinates
         reps = reps * bt
-    elif graded:
+    rows = reps.int_rows
+    if graded:
         positions = weight_zero_positions(level_k)
-        rows = [{positions[j]: x for j, x in r.items()} for r in reps.int_rows]
-        reps = Matrix._new(reps.rows, level_k.space_dim, rows, reps.den)
-    reps = tuple(Cochain(level_k, v) for v in reps.entries)
+        rows = [{positions[j]: x for j, x in r.items()} for r in rows]
+    reps = tuple(Cochain(level_k, Matrix._new(1, level_k.space_dim, [r], reps.den)) for r in rows)
     return CohomologyResult(k, betti, reps, relative)
 
 
@@ -167,7 +168,7 @@ def killing_three_form(g: LieAlgebra) -> ThreeFormClass:
         raise AssertionError("Killing 3-form is not closed; bracket data is corrupt")
     # the class is nonzero when the form is outside the span of the coboundaries
     span = differential_matrix(level.shifted(-1)).transpose()._span()
-    return ThreeFormClass(Cochain(level, form.row(0)), span.add(form.int_rows[0]))
+    return ThreeFormClass(Cochain(level, form), span.add(form.int_rows[0]))
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,7 @@ def invariant_volume_form(g: LieAlgebra, h: Subalgebra | None) -> VolumeFormResu
         basis = Matrix.identity(level.space_dim)
     else:
         basis = relative_basis(level, h)
-    form = Cochain(level, basis.row(0)) if basis.rows == 1 else None
+    form = Cochain(level, basis) if basis.rows == 1 else None
     return VolumeFormResult(basis.rows, form)
 
 

@@ -24,7 +24,7 @@ from .liealg import (
     subalgebra,
     validate,
 )
-from .ratlin import Matrix, dense_vector, rational, vector
+from .ratlin import Matrix, rational, vector
 
 _ZERO = Fraction(0)
 
@@ -93,16 +93,11 @@ def central_extension(
 
     dim_ext = g.dim + rank
     names = g.basis_names + tuple(f"c{a + 1}" for a in range(rank))
-    brackets = {}
-    for i, b in enumerate(g.brackets):
-        rows = b.sparse_rows
-        for j in range(i + 1, g.dim):
-            row = rows[j]
-            if row:
-                brackets[(i, j)] = dense_vector(row, dim_ext)
-    extended = validate(dim_ext, names, brackets)
+    pad = (_ZERO,) * rank  # validate keeps the nonzero brackets only
+    pairs = ((i, j) for i in range(g.dim) for j in range(i + 1, g.dim))
+    extended = validate(dim_ext, names, {(i, j): g.brackets[i].row(j) + pad for i, j in pairs})
 
-    iso_vectors = [hb + (_ZERO,) * rank for hb in (h.vectors if h is not None else ())]
+    iso_vectors = [hb + pad for hb in (h.vectors if h is not None else ())]
     iso_vectors += [r + mix.column(i) for i, r in enumerate(r_vecs)]
     isotropy = subalgebra(extended, iso_vectors)
     return ExtensionPair(

@@ -7,7 +7,9 @@ the coadjoint action of e_i.  :func:`validate` fills both ``[e_i, e_j]``
 and ``[e_j, e_i] = -[e_i, e_j]`` from data given for ``i < j`` only, so
 antisymmetry holds by construction and only the Jacobi identity needs
 checking.  Every reader takes the nonzero entries from the sparse integer
-rows (``Matrix.int_rows``) and their common denominator.
+rows (``Matrix.int_rows``) and their common denominator.  A
+:class:`Subalgebra` stores its RREF basis as a Matrix too (``basis``);
+``vectors`` is a dense view of it, built on each read.
 """
 
 from __future__ import annotations
@@ -15,18 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import lcm
 from typing import Mapping, Sequence
 
-from .ratlin import (
-    EchelonSpan,
-    Matrix,
-    _kernel_echelon,
-    _linear_combination,
-    _rref_rows,
-    solve_columns,
-    vector,
-)
+from .ratlin import EchelonSpan, Matrix, _linear_combination, _rref, solve_columns, vector
 
 _ZERO = Fraction(0)
 
@@ -196,14 +191,22 @@ def unit(dim: int, i: int) -> tuple[Fraction, ...]:
 @_cached_hash
 @dataclass(frozen=True)
 class Subalgebra:
-    """A bracket-closed subspace, stored as a canonical echelon basis."""
+    """A bracket-closed subspace, stored as ``basis``, its RREF Matrix, one row per basis vector.
+
+    The RREF is unique, so equal subspaces are equal and hash equal whatever
+    spanned them; ``vectors`` is the dense Fraction view of the rows, built on each read.
+    """
 
     ambient: LieAlgebra
-    vectors: tuple[tuple[Fraction, ...], ...]
+    basis: Matrix
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return self.basis.rows
+
+    @property
+    def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self.basis.entries
 
 
 def subalgebra(ambient: LieAlgebra, vectors: Sequence[Sequence]) -> Subalgebra:
@@ -214,15 +217,21 @@ def subalgebra(ambient: LieAlgebra, vectors: Sequence[Sequence]) -> Subalgebra:
     span = EchelonSpan(ambient.dim)
     if not all(span.add(r) for r in Matrix(len(vecs), ambient.dim, vecs).int_rows):
         raise SubalgebraNotClosed("candidate vectors are linearly dependent")
-    basis = _rref_rows(span)
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            w = ambient.bracket(basis[a], basis[b])
-            if not span.contains(Matrix.from_rows([w]).int_rows[0]):
-                raise SubalgebraNotClosed(
-                    f"bracket of subalgebra vectors {a} and {b} leaves the span"
-                )
+    basis = _rref(span)[1]
+    pairs, brackets = _pair_brackets(ambient, basis)
+    for (a, b), w in zip(pairs, brackets.int_rows):
+        if not span.contains(w):
+            raise SubalgebraNotClosed(f"bracket of subalgebra vectors {a} and {b} leaves the span")
     return Subalgebra(ambient, basis)
+
+
+def _pair_brackets(g: LieAlgebra, basis: Matrix) -> tuple[list, Matrix]:
+    """The pairs a < b of basis rows, in order, and their brackets, one Matrix row per pair."""
+    pairs = list(combinations(range(basis.rows), 2))
+    # row b of basis times sum_i basis[a]_i brackets[i] is [basis[a], basis[b]], in integer rows
+    images = [basis * _linear_combination(zip(basis.row(a), g.brackets), g.dim, g.dim)
+              for a in range(basis.rows - 1)]
+    return pairs, Matrix._stack(g.dim, ((images[a], b) for a, b in pairs))
 
 
 @lru_cache(maxsize=None)
@@ -295,33 +304,26 @@ def center_of(g: LieAlgebra) -> Subalgebra:
     """
     ads = [b.transpose() for b in g.brackets]
     rows = Matrix._stack(g.dim, ((a, r) for a in ads for r in range(g.dim) if a.int_rows[r]))
-    return Subalgebra(g, _kernel_echelon(rows))
+    return Subalgebra(g, _rref(rows.kernel()._span())[1])
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subalgebra:
     rows = ((b, j) for i, b in enumerate(g.brackets) for j in range(i + 1, g.dim) if b.int_rows[j])
-    return Subalgebra(g, _rref_rows(Matrix._stack(g.dim, rows)._span()))
+    return Subalgebra(g, _rref(Matrix._stack(g.dim, rows)._span())[1])
 
 
-def induced_algebra(g: LieAlgebra, basis: Sequence[Sequence], names: Sequence[str]) -> LieAlgebra:
+def induced_algebra(g: LieAlgebra, basis: Matrix, names: Sequence[str]) -> LieAlgebra:
     """Re-express the brackets of a closed subspace in its own basis, named ``names``.
 
-    With the basis as the rows of a matrix B, row b of B times
-    sum_i basis[a]_i brackets[i] is [basis[a], basis[b]], in integer rows;
-    one solve against the basis gives the coordinates of every bracket,
-    one column per pair a < b.
+    The rows of the Matrix basis are the basis vectors; one solve against
+    them gives the coordinates of every bracket (``_pair_brackets``), one
+    column per pair a < b.
     """
-    basis = [vector(v) for v in basis]
-    n = len(basis)
-    rows = Matrix(n, g.dim, basis)
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    # images[a] has the rows [basis[a], basis[b]]; the last vector opens no pair
-    images = [rows * _linear_combination(zip(v, g.brackets), g.dim, g.dim) for v in basis[:-1]]
-    brackets = Matrix._stack(g.dim, ((images[a], b) for a, b in pairs))
-    coeffs = solve_columns(rows.transpose(), brackets.transpose())
+    pairs, brackets = _pair_brackets(g, basis)
+    coeffs = solve_columns(basis.transpose(), brackets.transpose())
     if coeffs is None:
         raise SubalgebraNotClosed("subspace is not closed under the bracket")
-    return validate(n, names, {p: coeffs.column(j) for j, p in enumerate(pairs)})
+    return validate(basis.rows, names, {p: coeffs.column(j) for j, p in enumerate(pairs)})
 
 
 @lru_cache(maxsize=None)
@@ -330,24 +332,23 @@ def structure_report(g: LieAlgebra) -> StructureReport:
     semisimple = killing_form(g).rank() == g.dim
     center = center_of(g)
     derived = derived_subalgebra(g)
-    direct_sum = (
-        center.dim + derived.dim == g.dim
-        and Matrix.from_rows(center.vectors + derived.vectors).rank() == g.dim
-    )
+    both = ((b, i) for b in (center.basis, derived.basis) for i in range(b.rows))
+    direct_sum = center.dim + derived.dim == g.dim and Matrix._stack(g.dim, both).rank() == g.dim
     reductive = False
     if direct_sum:
-        derived_alg = induced_algebra(g, derived.vectors, [f"d{i}" for i in range(derived.dim)])
+        derived_alg = induced_algebra(g, derived.basis, [f"d{i}" for i in range(derived.dim)])
         reductive = killing_form(derived_alg).rank() == derived_alg.dim
     return StructureReport(semisimple, center, derived, reductive)
 
 
 def change_of_basis(g: LieAlgebra, columns: Sequence[Sequence], names=None) -> LieAlgebra:
     """The same algebra expressed in the basis f_j = sum_i columns[j][i] e_i."""
-    cols = [vector(c) for c in columns]
-    if len(cols) != g.dim:
+    if len(columns) != g.dim:
         raise DimensionMismatch("change of basis needs dim many vectors")
-    if Matrix.from_columns(cols, rows=g.dim).rank() != g.dim:
+    # one row per new basis vector f_j: the singularity check and the brackets read the same Matrix
+    basis = Matrix(g.dim, g.dim, columns)
+    if basis.rank() != g.dim:
         raise DimensionMismatch("change of basis matrix is singular")
     if names is None:
         names = tuple(f"f{i}" for i in range(g.dim))
-    return induced_algebra(g, cols, names)
+    return induced_algebra(g, basis, names)

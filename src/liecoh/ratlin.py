@@ -19,8 +19,10 @@ Fractions appear only at the edges: :attr:`Matrix.sparse_rows`, a
 Elimination results are Matrices of the same form: :meth:`Matrix.rref`,
 :meth:`Matrix.kernel` and :func:`solve_columns`, and :class:`EchelonSpan`
 takes integer rows only, so a caller stays in integer rows from operator to
-span.  :func:`vector` and :func:`dense_vector` give dense tuples for
-callers that index coordinates.
+span.  The library's values store Matrices too: a ``Cochain`` its row, a
+``Subalgebra`` its RREF basis; their dense tuples (``coords``, ``vectors``)
+are views.  :func:`vector` gives a dense tuple for callers that index
+coordinates.
 An identity sum c_i A_i B_i = 0 is checked by one fused kernel,
 :func:`_vanishes`: it accumulates one output row at a time over one common
 denominator, stops at the first nonzero row and builds no Matrix, where
@@ -66,11 +68,6 @@ def rational(x) -> Fraction:
 
 def vector(xs: Iterable) -> tuple[Fraction, ...]:
     return tuple(rational(x) for x in xs)
-
-
-def dense_vector(row: dict, n: int) -> tuple[Fraction, ...]:
-    """The length-n dense tuple of a sparse {col: Fraction} vector."""
-    return tuple(row.get(j, _ZERO) for j in range(n))
 
 
 def _scaled(row: dict, f: int) -> dict:
@@ -487,16 +484,6 @@ def _rref(span: EchelonSpan) -> tuple[list[int], Matrix]:
     return pivots, Matrix._new(len(red), span.dim, red, den)
 
 
-def _rref_rows(span: EchelonSpan) -> tuple[tuple[Fraction, ...], ...]:
-    """The canonical (RREF-row) basis of a span, as dense tuples."""
-    return _rref(span)[1].entries
-
-
-def _kernel_echelon(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
-    """The canonical (RREF-row) basis of the kernel of m, as dense tuples."""
-    return _rref_rows(m.kernel()._span())
-
-
 def span_rank(vectors: Sequence[Sequence]) -> int:
     """Rank of the span of the vectors; kept for the tracer (module docstring)."""
     return Matrix.from_rows(vectors).rank()
@@ -504,7 +491,7 @@ def span_rank(vectors: Sequence[Sequence]) -> int:
 
 def echelon_basis(vectors: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
     """Canonical (RREF-row) basis of the span of the vectors; kept for the tracer."""
-    return list(_rref_rows(Matrix.from_rows(vectors)._span()))
+    return list(_rref(Matrix.from_rows(vectors)._span())[1].entries)
 
 
 def quotient_dim(big: Sequence[Sequence], small: Sequence[Sequence]) -> int:

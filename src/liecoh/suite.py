@@ -420,7 +420,7 @@ def _killing_data() -> tuple[bool, str]:
     three = killing_three_form(g)
     kappa = three.form.evaluate((0, 1, 2))[0]
     d = differential_matrix(three.form.level)
-    closed = _vanishes([(1, d, Matrix.from_columns([three.form.coords]))], d.rows)
+    closed = _vanishes([(1, d, three.form.row.transpose())], d.rows)
     ok = (
         b == want
         and det == Fraction(-128)

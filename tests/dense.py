@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from liecoh.cecomplex import Cochain, CochainLevel
 from liecoh.gmod import trivial_module
-from liecoh.ratlin import Matrix, dense_vector, vector
+from liecoh.ratlin import Matrix, vector
 
 
 def apply(m: Matrix, vec) -> tuple[Fraction, ...]:
@@ -30,7 +30,7 @@ def apply(m: Matrix, vec) -> tuple[Fraction, ...]:
 
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     """Dense view of the canonical kernel basis ``m.kernel()``."""
-    return [dense_vector(r, m.cols) for r in m.kernel().sparse_rows]
+    return [tuple(r.get(j, Fraction(0)) for j in range(m.cols)) for r in m.kernel().sparse_rows]
 
 
 def columns(m: Matrix) -> list[tuple[Fraction, ...]]:
@@ -89,7 +89,7 @@ def _reader(level):
     cochain b_j at once: its first entry is the sign times 1 + the index
     of (t, 0).
     """
-    tagged = Cochain(level, tuple(range(1, level.space_dim + 1)))
+    tagged = Cochain(level, Matrix.from_rows([range(1, level.space_dim + 1)]))
 
     def read(args):
         v = tagged.evaluate(args)[0]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import dense
 from dense import apply, echelon_basis
-from liecoh import cecomplex, suite
+from liecoh import cecomplex, cli, suite
 from liecoh.cecomplex import (
     Cochain,
     CochainLevel,
@@ -68,11 +68,40 @@ def test_wedge_convention_on_basis_forms():
     assert w.evaluate((0, 2)) == (Q(0),)
 
 
+def test_evaluate_rejects_an_index_outside_the_basis():
+    w = basis_cochain(level("sl2", "trivial", 2), (1, 2))
+    for args in ((0, 7), (-1, 2), (2, -1), (3, 3)):
+        with pytest.raises(ValueError, match=r"^argument indices must lie in 0\.\.2, got \("):
+            w.evaluate(args)
+    assert w.evaluate((2, 1)) == (Q(-1),)
+
+
+def test_a_cochain_is_one_matrix_row_of_its_level():
+    lvl = level("sl2", "adjoint", 2)
+    for row in (tuple(range(9)), Matrix.zero(2, 9), Matrix.zero(1, 8)):
+        with pytest.raises(ValueError, match="^a cochain of this level is a 1x9 Matrix row$"):
+            Cochain(lvl, row)
+    # cells 3..5 are (0, 2) (x) v0..v2, cells 6..8 are (1, 2) (x) v0..v2
+    w = Cochain(lvl, Matrix.from_rows([[0, 0, 0, "1/2", 0, 0, 0, 0, -3]]))
+    assert w.coords == (Q(0),) * 3 + (Q(1, 2),) + (Q(0),) * 4 + (Q(-3),)
+    assert w.evaluate((2, 0)) == (Q(-1, 2), Q(0), Q(0))
+    assert w.evaluate((1, 2)) == (Q(0), Q(0), Q(-3))
+    assert not w.is_zero() and Cochain(lvl, Matrix.zero(1, 9)).is_zero()
+    assert cli._format_cochain(w) == "1/2*H*^F**v0 + -3*E*^F**v2"
+
+
+def test_unrank_inverts_rank_on_every_tuple():
+    for dim in range(8):
+        for k in range(dim + 1):
+            for i, t in enumerate(tuple_basis(dim, k)):
+                assert cecomplex._rank(dim, t) == i and cecomplex._unrank(dim, k, i) == t
+
+
 def test_differential_of_h_star():
     lvl = level("sl2", "trivial", 1)
     d = differential_matrix(lvl)
     image = apply(d, basis_cochain(lvl, (0,)).coords)  # H*
-    out = Cochain(lvl.shifted(1), image)
+    out = Cochain(lvl.shifted(1), Matrix.from_rows([image]))
     # d(H*) = -E* ^ F*
     assert out.evaluate((1, 2)) == (Q(-1),)
     assert out.evaluate((0, 1)) == (Q(0),)
@@ -95,8 +124,8 @@ def test_interior_product_examples():
     i_h = apply(interior_product_matrix(lvl, (1, 0, 0)), w)
     assert not any(i_h)
     i_e = apply(interior_product_matrix(lvl, (0, 1, 0)), w)
-    assert Cochain(lvl.shifted(-1), i_e).evaluate((2,)) == (Q(1),)  # F*
-    assert Cochain(lvl.shifted(-1), i_e).evaluate((0,)) == (Q(0),)
+    assert Cochain(lvl.shifted(-1), Matrix.from_rows([i_e])).evaluate((2,)) == (Q(1),)  # F*
+    assert Cochain(lvl.shifted(-1), Matrix.from_rows([i_e])).evaluate((0,)) == (Q(0),)
 
 
 def test_lie_derivative_on_scalars_is_zero():
@@ -141,7 +170,7 @@ def test_relative_survivor_is_hyperbolic_area_form():
     entry = builtin("sl2_so2_pair")
     lvl = CochainLevel(entry.algebra, trivial_module(entry.algebra, 1), 2)
     (v,) = relative_subspace(lvl, entry.h)
-    w = Cochain(lvl, v)
+    w = Cochain(lvl, Matrix.from_rows([v]))
     # the invariant 2-form pairs H with E and F equally and kills E^F
     assert w.evaluate((0, 1)) == w.evaluate((0, 2))
     assert w.evaluate((1, 2)) == (Q(0),)
@@ -191,7 +220,8 @@ def test_j_map_on_killing_three_form():
     g = builtin("sl2").algebra
     kappa = killing_three_form(g).form
     j = j_map_matrix(g, 3)
-    out = Cochain(CochainLevel(g, coadjoint_module(g), 2), apply(j, kappa.coords))
+    image = Matrix.from_rows([apply(j, kappa.coords)])
+    out = Cochain(CochainLevel(g, coadjoint_module(g), 2), image)
     # the value on (E, F) is the covector sending H to kappa(H,E,F) = 8
     assert out.evaluate((1, 2)) == (Q(8), Q(0), Q(0))
 
@@ -602,6 +632,11 @@ def test_cached_hashes_follow_equality_and_stay_out_of_copies():
         (mod, mod2),
         (CochainLevel(g, mod, 2), CochainLevel(g2, mod2, 2)),
         (entry.h, subalgebra(g2, [tuple(2 * c for c in v) for v in entry.h.vectors])),
+        # the Borel subalgebra span(H, E) from two spanning sets
+        (subalgebra(g, [(1, 0, 0), (0, 1, 0)]), subalgebra(g2, [(1, 1, 0), (2, -1, 0)])),
+        # (0, 2) is the second 2-tuple: cell 1 * 3 + 1 of the adjoint level
+        (basis_cochain(CochainLevel(g, mod, 2), (0, 2), 1),
+         Cochain(CochainLevel(g2, mod2, 2), Matrix.from_rows([unit(9, 4)]))),
     ]
     for a, b in pairs:
         assert a is not b and a == b and hash(a) == hash(b), type(a).__name__

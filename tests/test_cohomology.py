@@ -1,5 +1,6 @@
 """Betti numbers, distinguished classes, volume forms, duality reports."""
 
+import tracemalloc
 from fractions import Fraction as Q
 from itertools import combinations
 
@@ -274,3 +275,21 @@ def test_relative_betti_of_so_n1_is_that_of_the_sphere(n):
     # H*(so(n,1), so(n)) = H*(S^n), the compact dual (Cartan): 1 + t^n
     g, h = _so_n1(n)
     assert betti_sequence(g, trivial_module(g, 1), h) == (1,) + (0,) * (n - 1) + (1,)
+
+
+def test_the_top_class_of_so_8_1_is_one_stored_entry():
+    # its representative lives on the full level of degree 8, C(36, 8) = 30260340 cells:
+    # the wedge of the eight boost covectors, one entry of its sparse row
+    g, h = _so_n1(8)
+    tracemalloc.start()
+    try:
+        res = cohomology(g, trivial_module(g, 1), 8, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (rep,) = res.cocycle_representatives
+    assert res.betti == 1 and rep.level.space_dim == 30260340
+    assert rep.row.int_rows == ({30260339: 1},) and rep.row.den == 1
+    assert rep.evaluate(tuple(range(28, 36))) == (Q(1),)
+    assert rep.evaluate((29, 28) + tuple(range(30, 36))) == (Q(-1),)
+    assert peak < 16 * 2**20

@@ -288,8 +288,9 @@ def test_change_of_basis_rejects_a_bad_basis_and_names_the_new_one():
 def test_induced_algebra_rejects_a_subspace_not_closed_under_the_bracket():
     g = builtin("sl2").algebra
     with pytest.raises(SubalgebraNotClosed, match="not closed under the bracket"):
-        liealg.induced_algebra(g, [unit(3, 1), unit(3, 2)], ("e", "f"))  # [E, F] = H
-    borel = liealg.induced_algebra(g, [unit(3, 0), unit(3, 1)], ("h", "e"))
+        # [E, F] = H
+        liealg.induced_algebra(g, Matrix.from_rows([unit(3, 1), unit(3, 2)]), ("e", "f"))
+    borel = liealg.induced_algebra(g, Matrix.from_rows([unit(3, 0), unit(3, 1)]), ("h", "e"))
     assert borel.bracket(unit(2, 0), unit(2, 1)) == (Q(0), Q(2))
 
 

@@ -11,18 +11,17 @@ from hypothesis import strategies as st
 
 import dense
 from dense import apply, columns, echelon_basis, kernel_basis
-from liecoh.cecomplex import CochainLevel, differential_matrix
+from liecoh.cecomplex import Cochain, CochainLevel, differential_matrix
 from liecoh.extensions import builtin
 from liecoh.gmod import trivial_module
-from liecoh.liealg import unit
+from liecoh.liealg import subalgebra, unit
 from liecoh import ratlin
 from liecoh.ratlin import (
     EchelonSpan,
     Matrix,
     SubspaceNotContained,
-    _kernel_echelon,
     _linear_combination,
-    _rref_rows,
+    _rref,
     _vanishes,
     quotient_dim,
     solve_columns,
@@ -238,10 +237,13 @@ def _check_rref_and_kernel(sympy, m):
     assert _canonical(ker)
     assert (ker.rows, ker.cols) == (m.cols - m.rank(), m.cols)
     assert (m * ker.transpose()).is_zero()
-    # the dense canonical bases the library reads share rref's normalisation
-    assert _rref_rows(m._span()) == tuple(_from_sympy(ref_red.row(i)) for i in range(len(ref_pivots)))
+    # the canonical bases the library reads (a span's RREF rows, and those of
+    # the kernel, as Subalgebra stores them) share rref's normalisation
+    assert _rref(m._span())[1].entries == tuple(
+        _from_sympy(ref_red.row(i)) for i in range(len(ref_pivots)))
     ref_ker = sympy.Matrix.hstack(*null).T.rref()[0] if null else sympy.zeros(0, m.cols)
-    assert _kernel_echelon(m) == tuple(_from_sympy(ref_ker.row(i)) for i in range(len(null)))
+    assert _rref(m.kernel()._span())[1].entries == tuple(
+        _from_sympy(ref_ker.row(i)) for i in range(len(null)))
 
 
 def _check_solve(sympy, a, b):
@@ -511,3 +513,12 @@ def test_a_matrix_survives_pickle_and_copy():
     hash(m)
     for c in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
         assert c == m and hash(c) == hash(m) and c.den == 2
+    # the values that store a Matrix: a subalgebra's RREF basis and a cochain's row
+    g = builtin("sl2").algebra
+    h = subalgebra(g, [(1, 1, 0), (2, -1, 0)])
+    w = Cochain(CochainLevel(g, trivial_module(g, 1), 2), Matrix.from_rows([["1/2", 0, -3]]))
+    for x, stored in ((h, h.basis), (w, w.row)):
+        hash(x)
+        for c in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert c == x and hash(c) == hash(x), type(x).__name__
+    assert h.basis == Matrix.from_rows([[1, 0, 0], [0, 1, 0]]) and w.row.den == 2
