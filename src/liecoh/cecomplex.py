@@ -47,28 +47,30 @@ alpha_a is nonzero and the module axiom holds, checked once per module;
 without the axiom delta need not keep weights.
 
 Every operator is assembled as integer rows over one common denominator
-(:class:`~liecoh.ratlin.Matrix`): the structure constants, the module
-actions and the coordinates of X are put over it once per call, so the
-assembly and the identity checks on its output build no Fraction.
+(:class:`~liecoh.ratlin.Matrix`), and so is its input: the structure
+constants are a Matrix whose row c holds the c-coefficients of the
+brackets of the pairs a < b (``_pairs_by_target``, and the same form for
+g/h), and a batch of X is a Matrix with one row per X.  Both are put over
+the common denominator once per call, so the assembly and the identity
+checks on its output build no Fraction.
 
 Caching: ``tuple_basis``/``_tuple_index``, the incidence tables
 ``_faces`` and ``_cofaces``, ``_pairs_by_target``, the differential, the
 graded differential and its cells, the degree -1 map, the relative bases
 and their dense views are cached per level, the weights once per module
-and the data of g/h (the annihilator as the ``kernel`` Matrix) once per
-pair; the small quotient differential is rebuilt on each call, which
-costs less than the memory to keep it.  ``_faces(dim, k)`` gives, for each
-k-tuple s and position q, s[q] and the index of s without it;
-``_cofaces(dim, k)`` gives, for each k-tuple r, the insert position and the
-index of r with a for every a not in r.  The cores of i_X, L_X and the
-degree -1 map read these tables, so an L_X bracket term is one coface
-lookup with sign (-1)^(q+pos).  delta keeps its own core, which also runs
-on the weight-zero cells only.  ``i_X`` and ``L_X`` are built on each call,
-for a batch of X in one pass over the level (``_interior_products``,
-``_lie_derivatives``); ``interior_product_matrix``,
-``lie_derivative_matrix`` and ``wedge_one_form_matrix`` are batches of
-one.  ``suite._Operators`` memoises them for one identity sweep.  Relative
-work builds neither, nor the full-level differential, which only
+and the data of g/h once per pair; the small quotient differential is
+rebuilt on each call, which costs less than the memory to keep it.
+``_faces(dim, k)`` gives, for each k-tuple s and position q, s[q] and the
+index of s without it; ``_cofaces(dim, k)`` gives, for each k-tuple r, the
+insert position and the index of r with a for every a not in r.  The
+cores of i_X, L_X and the degree -1 map read these tables, so an L_X
+bracket term is one coface lookup with sign (-1)^(q+pos).  ``i_X`` and
+``L_X`` are built on each call, for the rows X of a Matrix in one pass over
+the level (``_interior_products``, ``_lie_derivatives``); the public
+``interior_product_matrix``, ``lie_derivative_matrix`` and
+``wedge_one_form_matrix`` parse their X into a batch of one.
+``suite._Operators`` memoises them for one identity sweep.  Relative work
+builds neither, nor the full-level differential, which only
 ``relative_closure_holds`` reads as an independent check; graded absolute
 work builds no full-level operator.
 """
@@ -84,7 +86,7 @@ from typing import Sequence
 
 from . import gmod
 from .liealg import DimensionMismatch, LieAlgebra, Subalgebra, _cached_hash
-from .ratlin import Matrix, _linear_combination, _rref, _scaled, vector
+from .ratlin import Matrix, _row_combinations, _rref, _scaled, vector
 
 _ZERO = Fraction(0)
 
@@ -220,14 +222,13 @@ def basis_cochain(level: CochainLevel, t: tuple[int, ...], m: int = 0) -> Cochai
 
 
 @lru_cache(maxsize=None)
-def _pairs_by_target(g: LieAlgebra):
-    """For each basis index c: the pairs (a,b), a<b, with c-coefficient in [e_a,e_b]."""
-    out: list[list] = [[] for _ in range(g.dim)]
-    for a, bmat in enumerate(g.brackets):
-        for b in range(a + 1, g.dim):
-            for c, coef in bmat.int_rows[b].items():
-                out[c].append(((a, b), Fraction(coef, bmat.den)))
-    return tuple(tuple(row) for row in out)
+def _pairs_by_target(g: LieAlgebra) -> Matrix:
+    """The brackets of the pairs (a, b) of ``tuple_basis(dim, 2)``, one row each, transposed.
+
+    Row c is {p: the e_c-coefficient of [e_a, e_b]} for the p-th pair (a, b).
+    """
+    pairs = tuple_basis(g.dim, 2)
+    return Matrix._stack(g.dim, ((g.brackets[a], b) for a, b in pairs)).transpose()
 
 
 @lru_cache(maxsize=None)
@@ -238,12 +239,12 @@ def differential_matrix(level: CochainLevel) -> Matrix:
 
 
 def _differential_core(
-    dim: int, k: int, vdim: int, by_target: Sequence, actions: Sequence[Matrix], cells=None
+    dim: int, k: int, vdim: int, by_target: Matrix, actions: Sequence[Matrix], cells=None
 ) -> Matrix:
     """delta on the k-cochains of a dim-dimensional space, with vdim-dimensional values.
 
-    by_target[c] lists the pairs ((a, b), coef), a < b, whose bracket has
-    e_c-coefficient coef; actions[a] is the action of e_a on the values.
+    by_target holds the structure constants as ``_pairs_by_target`` does;
+    actions[a] is the action of e_a on the values.
     Both are put over one common denominator once, and the matrix is
     assembled from integers.  cells, when given, is (sources, targets): the
     columns are the cells (s, m) for each (s, ms) of sources and m in ms, in
@@ -254,8 +255,9 @@ def _differential_core(
         cells = ((s, range(vdim)) for s in tuple_basis(dim, k)), _tuple_index(dim, k + 1)
     sources, out_index = cells
     out: list[dict] = [{} for _ in range(len(out_index) * vdim)]
-    den = lcm(*(c.denominator for row in by_target for _, c in row), *(a.den for a in actions))
-    by_target = [[(p, c.numerator * (den // c.denominator)) for p, c in row] for row in by_target]
+    den = lcm(by_target.den, *(a.den for a in actions))
+    pairs, f = tuple_basis(dim, 2), den // by_target.den
+    by_target = [[(pairs[p], f * v) for p, v in r.items()] for r in by_target.int_rows]
     trivial = all(m.is_zero() for m in actions)
     # action_cols[a][m] = {mm: den * coefficient}: the column action_a e_m
     action_cols = [] if trivial else [
@@ -413,87 +415,76 @@ def _accumulate(row: dict, col: int, v) -> None:
     row[col] = row[col] + v if col in row else v
 
 
-def _coordinates(level: CochainLevel, x: Sequence) -> tuple[Fraction, ...]:
-    """X as an exact vector, checked against the dimension of the algebra."""
+def _coordinates(level: CochainLevel, x: Sequence) -> Matrix:
+    """X as a 1-row Matrix, checked against the dimension of the algebra."""
     x = vector(x)
     if len(x) != level.algebra.dim:
         raise DimensionMismatch(
             f"vector has {len(x)} coordinates, the algebra has dimension {level.algebra.dim}"
         )
-    return x
+    return Matrix._raw(1, len(x), [dict(enumerate(x))])
 
 
 def interior_product_matrix(level: CochainLevel, x: Sequence) -> Matrix:
     """Matrix of i_X: degree k -> k-1, linear in X."""
-    return _interior_products(level, [x])[0]
+    return _interior_products(level, _coordinates(level, x))[0]
 
 
-def _interior_products(level: CochainLevel, xs: Sequence) -> list[Matrix]:
-    """The matrix of i_X for each X of xs, from one walk over the faces of the level.
+def _interior_products(level: CochainLevel, xs: Matrix) -> list[Matrix]:
+    """The matrix of i_X for each row X of the Matrix xs, from one walk over the faces.
 
-    Each X is put over its own common denominator; by_index[a] lists
-    (output rows, integer coordinate) for the X with a nonzero a-coordinate.
+    The X share the denominator xs.den; row a of xs transposed is
+    {X: integer a-coordinate} for the X with a nonzero a-coordinate.
     """
-    xs = [_coordinates(level, x) for x in xs]
     dim, k, vdim = level.algebra.dim, level.degree, level.vdim
-    dens = [lcm(*(a.denominator for a in x)) for x in xs]
     n_out = comb(dim, k - 1) * vdim if k >= 1 else 0
-    outs: list[list[dict]] = [[{} for _ in range(n_out)] for _ in xs]
-    by_index: list[list] = [[] for _ in range(dim)]
-    for out, x, den in zip(outs, xs, dens):
-        for a, c in enumerate(x):
-            if c:
-                by_index[a].append((out, c.numerator * (den // c.denominator)))
+    outs: list[list[dict]] = [[{} for _ in range(n_out)] for _ in range(xs.rows)]
+    by_index = xs.transpose().int_rows
     for si, face in enumerate(_faces(dim, k)):
         col = si * vdim
         for q, (sq, ri) in enumerate(face):
             # each position q removes a different index, so every entry is set once
             base = ri * vdim
-            for out, a in by_index[sq]:
-                sgn = a if q % 2 == 0 else -a
+            for x, a in by_index[sq].items():
+                out, sgn = outs[x], a if q % 2 == 0 else -a
                 for m in range(vdim):
                     out[base + m][col + m] = sgn
-    return [Matrix._new(n_out, level.space_dim, out, den) for out, den in zip(outs, dens)]
+    return [Matrix._new(n_out, level.space_dim, out, xs.den) for out in outs]
 
 
 def lie_derivative_matrix(level: CochainLevel, x: Sequence) -> Matrix:
     """Matrix of L_X: degree k -> k, linear in X."""
-    return _lie_derivatives(level, [x])[0]
+    return _lie_derivatives(level, _coordinates(level, x))[0]
 
 
-def _lie_derivatives(level: CochainLevel, xs: Sequence) -> list[Matrix]:
-    """The matrix of L_X for each X of xs, from one pass over the level."""
+def _lie_derivatives(level: CochainLevel, xs: Matrix) -> list[Matrix]:
+    """The matrix of L_X for each row X of the Matrix xs, from one pass over the level."""
     g = level.algebra
-    xs = [_coordinates(level, x) for x in xs]
     # row c of ad(-X) is {t: coef}, coef the c-coefficient of [e_t, X]; ad(-X) is
     # sum_i -x_i ad(e_i), from the ad(e_i) the adjoint module keeps per algebra
-    ads = gmod.adjoint_module(g).actions
-    operators = [(x, _linear_combination(((-a, ad) for a, ad in zip(x, ads)), g.dim, g.dim))
-                 for x in xs]
-    return _lie_derivative_core(g.dim, level.degree, level.module, operators)
+    replacements = _row_combinations(-xs, gmod.adjoint_module(g).actions, g.dim, g.dim)
+    return _lie_derivative_core(g.dim, level.degree, level.module, xs, replacements)
 
 
 def _lie_derivative_core(
-    dim: int, k: int, module: gmod.GModule, operators: Sequence
+    dim: int, k: int, module: gmod.GModule, xs: Matrix, replacements: Sequence[Matrix]
 ) -> list[Matrix]:
     """L_X on the k-cochains of a dim-dimensional space, with values in module.
 
-    One Matrix per (x, replacements) of operators.  The module part is
-    sum_i x_i action_i; in the bracket part, an argument e_c of the form is
-    replaced by each e_t with coefficient replacements[c, t].  Both are put
-    over one common denominator for the whole batch, and the replacements
-    are merged into one table by argument: by_arg[c] lists (the operator's
-    output rows, t, coefficient).  Replacing s[q] by t is the coface of s
-    without s[q] that inserts t at pos, with sign (-1)^(q+pos).
+    One Matrix per row X of xs.  The module part is sum_i x_i action_i; in
+    the bracket part, an argument e_c of the form is replaced by each e_t
+    with coefficient replacements[X][c, t].  Both are put over one common
+    denominator for the whole batch, and the replacements are merged into
+    one table by argument: by_arg[c] lists (the operator's output rows, t,
+    coefficient).  Replacing s[q] by t is the coface of s without s[q] that
+    inserts t at pos, with sign (-1)^(q+pos).
     """
     vdim = module.vdim
     faces, cofaces = _faces(dim, k), _cofaces(dim, k - 1)
     trivial = all(a.is_zero() for a in module.actions)
-    actions = [] if trivial else [
-        _linear_combination(zip(x, module.actions), vdim, vdim) for x, _ in operators
-    ]
-    den = lcm(*(a.den for a in actions), *(r.den for _, r in operators))
-    outs: list[list[dict]] = [[{} for _ in range(len(faces) * vdim)] for _ in operators]
+    actions = [] if trivial else _row_combinations(xs, module.actions, vdim, vdim)
+    den = lcm(*(a.den for a in actions), *(r.den for r in replacements))
+    outs: list[list[dict]] = [[{} for _ in range(len(faces) * vdim)] for _ in replacements]
     # (output rows, columns): column m is {mm: den * coefficient} of
     # (sum_i x_i action_i) e_m, for each operator whose module part is nonzero
     acting = [
@@ -502,7 +493,7 @@ def _lie_derivative_core(
         if not a.is_zero()
     ]
     by_arg: list[list] = [[] for _ in range(dim)]
-    for out, (_, r) in zip(outs, operators):
+    for out, r in zip(outs, replacements):
         f = den // r.den
         for c, row in enumerate(r.int_rows):
             by_arg[c] += ((out, t, f * v) for t, v in row.items())
@@ -588,29 +579,25 @@ def _quotient(g: LieAlgebra, h: Subalgebra) -> tuple:
     Row c of ``annihilator`` is alpha_c, the c-th row of the kernel of the
     h.basis matrix, and ``free`` maps the free column of alpha_c to c.
     The kernel basis is canonical, so alpha_c(e_f) = delta_cd for the free
-    column f of alpha_d.  by_target[c] lists ((a, b), alpha_c([e_fa, e_fb]))
-    for the free columns fa, fb of alpha_a, alpha_b, a < b; replacements[i]
-    is the matrix with entry alpha_c([e_ft, X_i]) at (c, t), for the basis
-    vectors X_i of h.
+    column f of alpha_d.  by_target holds the brackets of g/h as
+    ``_pairs_by_target`` does: row c is {p: alpha_c([e_fa, e_fb])} for the
+    p-th pair (a, b) and the free columns fa, fb of alpha_a, alpha_b.
+    replacements[i] has the entry alpha_c([e_ft, X_i]) at (c, t), for the
+    rows X_i of h.basis.
     """
     annihilator = h.basis.kernel()
     # the kernel puts f after every pivot alpha_f touches
     free = {max(a): c for c, a in enumerate(annihilator.int_rows)}
     columns = list(free)
-    pairs = list(combinations(range(annihilator.rows), 2))
+    pairs = tuple_basis(len(free), 2)
     brackets = Matrix._stack(g.dim, ((g.brackets[columns[a]], columns[b]) for a, b in pairs))
     # row c of the product is {pair index: alpha_c of the pair's bracket}
-    images = annihilator * brackets.transpose()
-    by_target = [
-        [(pairs[p], Fraction(coef, images.den)) for p, coef in sorted(r.items())]
-        for r in images.int_rows
-    ]
-    replacements = []
-    for x in h.vectors:
-        rows = annihilator * g.ad_matrix([-a for a in x])
-        quotient_rows = [{free[t]: v for t, v in r.items() if t in free} for r in rows.int_rows]
-        replacements.append(Matrix._from_ints(len(free), len(free), quotient_rows, rows.den))
-    return annihilator, free, tuple(map(tuple, by_target)), tuple(replacements)
+    by_target = annihilator * brackets.transpose()
+    # entry (c, t) of annihilator * ad(-X) * select is alpha_c([e_ft, X]), X a row of h.basis
+    select = Matrix._new(g.dim, len(free), [{free[t]: 1} if t in free else {}
+                                            for t in range(g.dim)], 1)
+    ads = _row_combinations(-h.basis, gmod.adjoint_module(g).actions, g.dim, g.dim)
+    return annihilator, free, by_target, tuple(annihilator * ad * select for ad in ads)
 
 
 @lru_cache(maxsize=None)
@@ -635,7 +622,7 @@ def relative_basis(level: CochainLevel, h: Subalgebra) -> Matrix:
     annihilator, free, _, lie = _quotient(g, h)
     quotient_tuples = tuple_basis(len(free), k)
     # the quotient L_X, one block per basis vector X of h, from one batch
-    blocks = _lie_derivative_core(len(free), k, level.module, list(zip(h.vectors, lie)))
+    blocks = _lie_derivative_core(len(free), k, level.module, h.basis, lie)
     n_rel = len(quotient_tuples) * vdim
     kernel = Matrix._stack(n_rel, ((b, i) for b in blocks for i in range(b.rows))).kernel()
     # the horizontal forms beta_T (x) e_m in the coordinates of the full level,

@@ -38,13 +38,14 @@ the greedy pass picks what it would pick on the full level.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 
 from . import gmod
 from .cecomplex import (
     Cochain,
     CochainLevel,
+    _pairs_by_target,
+    _tuple_index,
     beta_coordinates,
     differential_matrix,
     graded_differential,
@@ -156,13 +157,11 @@ def killing_three_form(g: LieAlgebra) -> ThreeFormClass:
     report = structure_report(g)
     if not report.is_semisimple:
         raise NotSemisimple("the Killing 3-form class needs a semisimple algebra")
-    b = killing_form(g)
     level = CochainLevel(g, gmod.trivial_module(g, 1), 3)
-    coords = {}
-    for idx, (i, j, k) in enumerate(level.tuples):
-        bk, bracket = b.column(k), g.brackets[i]
-        coords[idx] = Fraction(sum(bk[t] * c for t, c in bracket.int_rows[j].items()), bracket.den)
-    form = Matrix._raw(1, level.space_dim, [coords])
+    # entry (k, p) of the product is B(e_k, [e_i, e_j]) for the p-th pair (i, j)
+    values, pair = killing_form(g) * _pairs_by_target(g), _tuple_index(g.dim, 2)
+    row = {t: values.int_rows[k].get(pair[i, j], 0) for t, (i, j, k) in enumerate(level.tuples)}
+    form = Matrix._from_ints(1, level.space_dim, [row], values.den)
     d = differential_matrix(level)
     if not _vanishes([(1, d, form.transpose())], d.rows):
         raise AssertionError("Killing 3-form is not closed; bracket data is corrupt")

@@ -2,14 +2,14 @@
 
 An algebra stores its structure constants once, sparsely: one
 :class:`~liecoh.ratlin.Matrix` per basis vector, ``brackets[i]`` with row
-j equal to ``[e_i, e_j]``.  That matrix is ad(e_i) transposed, so minus
-the coadjoint action of e_i.  :func:`validate` fills both ``[e_i, e_j]``
-and ``[e_j, e_i] = -[e_i, e_j]`` from data given for ``i < j`` only, so
-antisymmetry holds by construction and only the Jacobi identity needs
-checking.  Every reader takes the nonzero entries from the sparse integer
-rows (``Matrix.int_rows``) and their common denominator.  A
-:class:`Subalgebra` stores its RREF basis as a Matrix too (``basis``);
-``vectors`` is a dense view of it, built on each read.
+j equal to ``[e_i, e_j]``, that is ad(e_i) transposed.  :func:`validate`
+parses dense data for ``i < j`` once into integer rows, and
+:func:`induced_algebra` hands over those of its bracket solve; both fill in
+``[e_j, e_i] = -[e_i, e_j]`` and check Jacobi on them (``_checked_algebra``).
+Every reader takes the nonzero entries from the integer rows and their
+common denominator: the brackets of a batch of elements, the rows of a
+Matrix, are one ``ratlin._row_combinations`` call.  A :class:`Subalgebra`
+stores its RREF basis as a Matrix (``basis``); ``vectors`` is a dense view.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from itertools import combinations
 from math import lcm
 from typing import Mapping, Sequence
 
-from .ratlin import EchelonSpan, Matrix, _linear_combination, _rref, solve_columns, vector
+from .ratlin import (EchelonSpan, Matrix, _linear_combination, _row_combinations, _rref,
+                     solve_columns, vector)
 
 _ZERO = Fraction(0)
 
@@ -125,21 +126,14 @@ def check_dim(dim: int, where: str) -> None:
 def validate(dim: int, names: Sequence[str], brackets: Mapping) -> LieAlgebra:
     """Build a LieAlgebra from ``{(i, j): coefficients}`` data, i < j.
 
-    Missing pairs and zero coefficients mean a zero bracket; only nonzero
-    structure constants are stored, in both orders.  The Jacobi identity is
-    verified on every index triple i < j < k where one of [e_j, e_k],
-    [e_k, e_i], [e_i, e_j] is nonzero, in lexicographic order, from the
-    stored sparse rows; on every other triple each term of the identity is
-    a bracket with zero and vanishes exactly.  The first failure is
-    reported with its residual.
+    Missing pairs and zero coefficients mean a zero bracket.  The dense
+    coefficients are parsed here, once, into integer rows; the Jacobi
+    identity is checked on them (``_checked_algebra``), and its first
+    failure raises JacobiViolation with the residual.
     """
     check_dim(dim, "the algebra")
-    names = tuple(str(n) for n in names)
-    if len(names) != dim:
-        raise DimensionMismatch(f"{len(names)} basis names for dimension {dim}")
-    # rows[i][j] = {c: den * (coefficient of e_c in [e_i, e_j])} over one common denominator,
-    # nonzero brackets only, so the keys of rows[i] are the bracket partners of e_i
-    rows: list[dict[int, dict]] = [{} for _ in range(dim)]
+    names = _basis_names(dim, names)
+    rows = []
     for (i, j), coeffs in brackets.items():
         if not (0 <= i < j < dim):
             raise DimensionMismatch(f"bracket key ({i},{j}) is not an ordered pair below {dim}")
@@ -148,12 +142,33 @@ def validate(dim: int, names: Sequence[str], brackets: Mapping) -> LieAlgebra:
             raise DimensionMismatch(
                 f"bracket ({i},{j}) has {len(coeffs)} coefficients, expected {dim}"
             )
-        if nz := {c: t for c, t in enumerate(coeffs) if t}:
-            rows[i][j] = nz
-    den = lcm(*(t.denominator for r in rows for nz in r.values() for t in nz.values()))
-    for i, j in [(i, j) for i, r in enumerate(rows) for j in r]:
-        rows[i][j] = {c: t.numerator * (den // t.denominator) for c, t in rows[i][j].items()}
-        rows[j][i] = {c: -v for c, v in rows[i][j].items()}
+        rows.append(dict(enumerate(coeffs)))
+    return _checked_algebra(dim, names, list(brackets), Matrix._raw(len(rows), dim, rows))
+
+
+def _basis_names(dim: int, names: Sequence[str]) -> tuple[str, ...]:
+    names = tuple(str(n) for n in names)
+    if len(names) != dim:
+        raise DimensionMismatch(f"{len(names)} basis names for dimension {dim}")
+    return names
+
+
+def _checked_algebra(dim: int, names: tuple, pairs: Sequence, stacked: Matrix) -> LieAlgebra:
+    """The LieAlgebra with [e_i, e_j] = row p of stacked for the p-th (i, j) of pairs, i < j.
+
+    Other brackets of basis vectors are zero; only nonzero structure
+    constants are stored, in both orders.  The Jacobi identity is verified
+    on every triple i < j < k where one of [e_j, e_k], [e_k, e_i], [e_i, e_j]
+    is nonzero, in lexicographic order, from the integer rows; on every
+    other triple each term is a bracket with zero.  The first failure is
+    reported with its residual.
+    """
+    # rows[i][j]: the integer row of [e_i, e_j] over den, so rows[i] keys e_i's bracket partners
+    rows: list[dict[int, dict]] = [{} for _ in range(dim)]
+    for (i, j), r in zip(pairs, stacked.int_rows):
+        if r:
+            rows[i][j], rows[j][i] = r, {c: -v for c, v in r.items()}
+    den = stacked.den
     table = [[r.get(j, {}) for j in range(dim)] for r in rows]
     g = LieAlgebra(dim, names, tuple(Matrix._new(dim, dim, t, den) for t in table))
     for i in range(dim):
@@ -229,8 +244,7 @@ def _pair_brackets(g: LieAlgebra, basis: Matrix) -> tuple[list, Matrix]:
     """The pairs a < b of basis rows, in order, and their brackets, one Matrix row per pair."""
     pairs = list(combinations(range(basis.rows), 2))
     # row b of basis times sum_i basis[a]_i brackets[i] is [basis[a], basis[b]], in integer rows
-    images = [basis * _linear_combination(zip(basis.row(a), g.brackets), g.dim, g.dim)
-              for a in range(basis.rows - 1)]
+    images = [basis * m for m in _row_combinations(basis, g.brackets, g.dim, g.dim)[:-1]]
     return pairs, Matrix._stack(g.dim, ((images[a], b) for a, b in pairs))
 
 
@@ -240,8 +254,10 @@ def killing_form(g: LieAlgebra) -> Matrix:
 
     ad(e_i) is brackets[i] transposed, and trace(A^T B^T) = trace(B A), so
     each entry is trace(brackets[i] brackets[j]), summed over the integer
-    rows and divided by the two denominators.
+    rows put over the square of the brackets' common denominator.
     """
+    den = lcm(*(b.den for b in g.brackets))
+    scales = [den // b.den for b in g.brackets]
     nonzero = [[(r, row) for r, row in enumerate(b.int_rows) if row] for b in g.brackets]
     ent: list[dict] = [{} for _ in range(g.dim)]
     for i in range(g.dim):
@@ -251,26 +267,25 @@ def killing_form(g: LieAlgebra) -> Matrix:
             t = sum(
                 x * brows[s][r] for r, row in nonzero[i] for s, x in row.items() if r in brows[s]
             )
-            if t:
-                ent[i][j] = ent[j][i] = Fraction(t, g.brackets[i].den * g.brackets[j].den)
-    return Matrix._raw(g.dim, g.dim, ent)
+            ent[i][j] = ent[j][i] = t * scales[i] * scales[j]
+    return Matrix._from_ints(g.dim, g.dim, ent, den * den)
 
 
 def killing_determinant(g: LieAlgebra) -> Fraction:
     """Determinant of the Killing matrix (exact, by fraction-free elimination)."""
     m = killing_form(g)
-    return _det([list(m.row(i)) for i in range(m.rows)])
+    return _det(m.int_rows, m.den)
 
 
-def _det(a: list[list[Fraction]]) -> Fraction:
-    """det(A) = det(D A) / D^n, with D the lcm of the denominators.
+def _det(int_rows: Sequence[dict], den: int) -> Fraction:
+    """det(A) for the square matrix A whose row i is int_rows[i] / den, {col: int} rows.
 
-    det(D A) comes from Bareiss elimination on the integer matrix D A:
-    every division below is exact, so no Fraction is built until the end.
+    det(A) = det(den A) / den^n, and det(den A) comes from Bareiss
+    elimination on the integer matrix den A: every division below is exact,
+    so the only Fraction built is the result.
     """
-    n = len(a)
-    d = lcm(*(x.denominator for row in a for x in row))
-    m = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    n = len(int_rows)
+    m = [[r.get(j, 0) for j in range(n)] for r in int_rows]
     sign, prev = 1, 1
     for c in range(n - 1):
         if not m[c][c]:
@@ -285,7 +300,7 @@ def _det(a: list[list[Fraction]]) -> Fraction:
             for cc in range(c + 1, n):
                 row[cc] = (row[cc] * pivot - f * pivot_row[cc]) // prev
         prev = pivot
-    return Fraction(sign * m[n - 1][n - 1], d**n) if n else Fraction(1)
+    return Fraction(sign * m[n - 1][n - 1], den**n) if n else Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -317,13 +332,15 @@ def induced_algebra(g: LieAlgebra, basis: Matrix, names: Sequence[str]) -> LieAl
 
     The rows of the Matrix basis are the basis vectors; one solve against
     them gives the coordinates of every bracket (``_pair_brackets``), one
-    column per pair a < b.
+    column per pair a < b, whose integer rows go to the Jacobi check as
+    they are (``_checked_algebra``).
     """
     pairs, brackets = _pair_brackets(g, basis)
     coeffs = solve_columns(basis.transpose(), brackets.transpose())
     if coeffs is None:
         raise SubalgebraNotClosed("subspace is not closed under the bracket")
-    return validate(basis.rows, names, {p: coeffs.column(j) for j, p in enumerate(pairs)})
+    names = _basis_names(basis.rows, names)
+    return _checked_algebra(basis.rows, names, pairs, coeffs.transpose())
 
 
 @lru_cache(maxsize=None)

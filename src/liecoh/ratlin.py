@@ -8,25 +8,20 @@ estimate.
 A :class:`Matrix` is an integer matrix over one common denominator: a
 positive int ``den`` and one ``{col: int}`` dict per row holding only the
 nonzero entries (``int_rows``), kept in lowest terms, so equal matrices are
-stored alike.  Products, sums, differences, scaling, transposes and linear
-combinations sum c_i M_i (such as ad(X) or the action of X on a module,
-:func:`_linear_combination`) are integer passes over the nonzeros: no
-Fraction is built, and the operator cores of :mod:`liecoh.cecomplex` emit
-integer rows directly.  Cochain operators are almost entirely zeros.
-Fractions appear only at the edges: :attr:`Matrix.sparse_rows`, a
-``{col: Fraction}`` view built on each read, and the dense views ``row``,
-``column`` and ``entries``, for reports and tests.
-Elimination results are Matrices of the same form: :meth:`Matrix.rref`,
-:meth:`Matrix.kernel` and :func:`solve_columns`, and :class:`EchelonSpan`
+stored alike.  Products, sums, scaling, transposes and the linear
+combinations sum x_i M_i are integer passes over the nonzeros that build
+no Fraction.  The combinations come in batches, one per row x of a Matrix
+(:func:`_row_combinations`): ad(X) or the action of X on a module for a
+batch of X, or a pullback along the rows of a basis.  Fractions appear only
+at the edges: :attr:`Matrix.sparse_rows` (``{col: Fraction}``) and the
+dense views ``row``, ``column`` and ``entries``, built on each read for
+reports and tests, and :func:`vector`, which parses dense input.
+Elimination results are Matrices too (:meth:`Matrix.rref`,
+:meth:`Matrix.kernel`, :func:`solve_columns`), and :class:`EchelonSpan`
 takes integer rows only, so a caller stays in integer rows from operator to
-span.  The library's values store Matrices too: a ``Cochain`` its row, a
-``Subalgebra`` its RREF basis; their dense tuples (``coords``, ``vectors``)
-are views.  :func:`vector` gives a dense tuple for callers that index
-coordinates.
-An identity sum c_i A_i B_i = 0 is checked by one fused kernel,
-:func:`_vanishes`: it accumulates one output row at a time over one common
-denominator, stops at the first nonzero row and builds no Matrix, where
-products summed by :func:`_linear_combination` would build one per term.
+span.  An identity sum c_i A_i B_i = 0 is checked by one fused kernel,
+:func:`_vanishes`, which accumulates one output row at a time over one
+common denominator, stops at the first nonzero row and builds no Matrix.
 :meth:`Matrix.kernel_basis`, :meth:`Matrix.apply`, :func:`span_rank` and
 :func:`echelon_basis` are one-line views on this API that the library no
 longer calls; they stay while ``perfbench/tracer.py`` traces them by name.
@@ -320,21 +315,33 @@ class Matrix:
 def _linear_combination(terms: Iterable, rows: int, cols: int) -> Matrix:
     """sum c*M over rows x cols (c, M) pairs, c an int or Fraction; c = 0 is skipped.
 
-    Each M enters over the common denominator den, the lcm of the
-    c.denominator * M.den, with the integer factor
-    c.numerator * den / (c.denominator * M.den): one pass over the nonzeros.
+    The coefficients form one row of :func:`_row_combinations`.
     """
     terms = [(c, m) for c, m in terms if c]
-    if any((m.rows, m.cols) != (rows, cols) for _, m in terms):
+    coefficients = Matrix._raw(1, len(terms), [{i: c for i, (c, _) in enumerate(terms)}])
+    return _row_combinations(coefficients, [m for _, m in terms], rows, cols)[0]
+
+
+def _row_combinations(xs: Matrix, mats: Sequence[Matrix], rows: int, cols: int) -> list[Matrix]:
+    """sum_i x_i mats[i] over rows x cols, for each row x of the Matrix xs, in order.
+
+    Each sum is one integer pass over the nonzeros, over den * xs.den for
+    the common denominator den of the mats: no Fraction is built.
+    """
+    if xs.cols != len(mats) or any((m.rows, m.cols) != (rows, cols) for m in mats):
         raise ValueError("shape mismatch in linear combination")
-    den = lcm(*(c.denominator * m.den for c, m in terms))
-    out: list[dict] = [{} for _ in range(rows)]
-    for c, m in terms:
-        f = c.numerator * (den // (c.denominator * m.den))
-        for acc, r in zip(out, m.int_rows):
-            for j, x in r.items():
-                acc[j] = acc[j] + f * x if j in acc else f * x
-    return Matrix._from_ints(rows, cols, out, den)
+    den = lcm(*(m.den for m in mats))
+    scales = [den // m.den for m in mats]
+    out = []
+    for x in xs.int_rows:
+        acc_rows: list[dict] = [{} for _ in range(rows)]
+        for i, c in x.items():
+            f = c * scales[i]
+            for acc, r in zip(acc_rows, mats[i].int_rows):
+                for j, v in r.items():
+                    acc[j] = acc[j] + f * v if j in acc else f * v
+        out.append(Matrix._from_ints(rows, cols, acc_rows, den * xs.den))
+    return out
 
 
 def _vanishes(terms: Iterable, rows: int) -> bool:

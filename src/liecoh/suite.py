@@ -33,6 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 from . import extensions, gmod, volumes
@@ -59,7 +60,6 @@ from .liealg import (
     killing_form,
     structure_report,
     subalgebra,
-    unit,
 )
 from .ratlin import Matrix, _vanishes, vector
 
@@ -225,26 +225,15 @@ def random_identity_sample(rng: random.Random):
 
 
 class _Operators:
-    """i_X and L_X for one fixed X, each built once per cochain level.
+    """i_X and L_X for one fixed X, each built once per cochain level (``interior``, ``lie``).
 
     One instance serves one built-in's sweep or one
     ``check_operator_identities`` call and is then dropped with what it holds.
     """
 
     def __init__(self, x):
-        self.x = x
-        self._interior: dict[CochainLevel, Matrix] = {}
-        self._lie: dict[CochainLevel, Matrix] = {}
-
-    def interior(self, level: CochainLevel) -> Matrix:
-        if level not in self._interior:
-            self._interior[level] = interior_product_matrix(level, self.x)
-        return self._interior[level]
-
-    def lie(self, level: CochainLevel) -> Matrix:
-        if level not in self._lie:
-            self._lie[level] = lie_derivative_matrix(level, self.x)
-        return self._lie[level]
+        self.interior = cache(lambda level: interior_product_matrix(level, x))
+        self.lie = cache(lambda level: lie_derivative_matrix(level, x))
 
 
 def _level_failures(level: CochainLevel, ops: _Operators) -> list[str]:
@@ -273,7 +262,7 @@ def _doubled_differential_holds(g: LieAlgebra, k: int) -> bool:
     """
     tlevel = CochainLevel(g, gmod.trivial_module(g, 1), k)
     d = differential_matrix(tlevel)
-    units = [unit(g.dim, i) for i in range(g.dim)]
+    units = Matrix.identity(g.dim)
     wedges = [i.transpose() for i in _interior_products(tlevel.shifted(1), units)]
     terms = [(1, w, lie) for w, lie in zip(wedges, _lie_derivatives(tlevel, units))]
     return _vanishes([*terms, (-2, d, None)], d.rows)

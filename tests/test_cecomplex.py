@@ -309,17 +309,31 @@ def test_operator_identity_sweep_is_pinned(factory):
     assert digest == _SWEEP_DIGESTS[factory]
 
 
-@pytest.mark.parametrize("name", ["sl2", "sl2sl2", "fivedim_ext:1"])
-def test_identity_sweep_reads_integer_rows_only(name, monkeypatch):
-    # square-zero, Cartan and the degree -1 relations run on int_rows: the
-    # {col: Fraction} view is for reports and tests, never for the sweep
-    g = builtin(name).algebra
-    modules = (trivial_module(g, 1), adjoint_module(g), coadjoint_module(g))
+def _refuse_fractions(monkeypatch, module):
+    """Make building a Fraction in module, or reading a Fraction view of a Matrix, raise."""
 
-    def refuse(self):
+    class Refused(Q):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError(f"Fraction built in {module.__name__}")
+
+    def refuse(*args):
         raise AssertionError("Fraction view of a matrix read")
 
-    monkeypatch.setattr(Matrix, "sparse_rows", property(refuse))
+    monkeypatch.setattr(module, "Fraction", Refused)
+    for view in ("sparse_rows", "entries"):
+        monkeypatch.setattr(Matrix, view, property(refuse))
+    for view in ("row", "column"):
+        monkeypatch.setattr(Matrix, view, refuse)
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl2sl2", "fivedim_ext:1"])
+def test_identity_sweep_reads_integer_rows_only(name, monkeypatch):
+    # square-zero, Cartan and the degree -1 relations run on int_rows, and
+    # the operator cores build no Fraction: the Fraction and dense views are
+    # for reports and tests, never for the sweep
+    g = builtin(name).algebra
+    modules = (trivial_module(g, 1), adjoint_module(g), coadjoint_module(g))
+    _refuse_fractions(monkeypatch, cecomplex)
     # uncached, so no operator built before the patch can stand in
     monkeypatch.setattr(suite, "differential_matrix", differential_matrix.__wrapped__)
     monkeypatch.setattr(cecomplex, "_pairs_by_target", cecomplex._pairs_by_target.__wrapped__)
@@ -330,6 +344,24 @@ def test_identity_sweep_reads_integer_rows_only(name, monkeypatch):
         for mod in modules:
             assert suite._level_failures(CochainLevel(g, mod, k), ops) == [], (mod, k)
         assert suite._j_relation_failures(g, k, ops, coadjoint=modules[2]) == [], k
+
+
+def test_relative_path_reads_integer_rows_only(monkeypatch):
+    # the data of g/h, the relative basis and the quotient differential
+    # build no Fraction in cecomplex and read no dense view, as in the sweep
+    entry = builtin("fivedim_ext:1")
+    g, h = entry.algebra, entry.h
+    levels = [CochainLevel(g, mod, k) for mod in (trivial_module(g, 1), adjoint_module(g))
+              for k in range(g.dim - h.dim + 1)]
+    want = [(cecomplex.relative_basis(lvl, h), cecomplex.quotient_differential(lvl, h))
+            for lvl in levels]
+    _refuse_fractions(monkeypatch, cecomplex)
+    # uncached, so the data of g/h is built again under the patch
+    monkeypatch.setattr(cecomplex, "_quotient", cecomplex._quotient.__wrapped__)
+    got = [(cecomplex.relative_basis.__wrapped__(lvl, h), cecomplex.quotient_differential(lvl, h))
+           for lvl in levels]
+    assert got == want
+    assert sum(b.rows for b, _ in got) > 0
 
 
 def test_coadjoint_only_sweep_finds_every_failure_of_the_sign_flip():
@@ -578,10 +610,11 @@ def test_euler_characteristic_of_absolute_cohomology(name):
 
 
 def _batch(g, seed):
-    """Three X for one batch: a unit vector, mixed denominators, and zero."""
+    """Three X for one batch, a unit vector, mixed denominators and zero, and their Matrix."""
     rng = random.Random(seed)
     mixed = tuple(Q(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(g.dim))
-    return [unit(g.dim, g.dim - 1), mixed, (0,) * g.dim]
+    xs = [unit(g.dim, g.dim - 1), mixed, (0,) * g.dim]
+    return xs, Matrix.from_rows(xs)
 
 
 def _reference(m):
@@ -592,12 +625,12 @@ def _reference(m):
     "name", [n for n in _catalog_names() if builtin(n).algebra.dim <= 7])
 def test_batch_cores_match_the_formulas_on_every_basis_cochain(name):
     g = builtin(name).algebra
-    xs = _batch(g, name)
+    xs, batch = _batch(g, name)
     for spec in ("trivial", "adjoint", "coadjoint"):
         for k in range(g.dim + 1):
             lvl = level(name, spec, k)
-            interior = cecomplex._interior_products(lvl, xs)
-            lie = cecomplex._lie_derivatives(lvl, xs)
+            interior = cecomplex._interior_products(lvl, batch)
+            lie = cecomplex._lie_derivatives(lvl, batch)
             for x, i_x, l_x in zip(xs, interior, lie):
                 assert _reference(i_x) == dense.interior_product(lvl, x), (spec, k, x)
                 assert _reference(l_x) == dense.lie_derivative(lvl, x), (spec, k, x)
@@ -608,15 +641,16 @@ def test_batch_cores_match_the_formulas_on_every_basis_cochain(name):
 @pytest.mark.parametrize("name", _catalog_names())
 def test_a_batch_of_three_is_three_batches_of_one(name):
     g = builtin(name).algebra
-    xs = _batch(g, f"batch {name}")
+    xs, batch = _batch(g, f"batch {name}")
     for spec in ("trivial", "adjoint", "coadjoint"):
         for k in range(-1, g.dim + 2):
             lvl = level(name, spec, k)
-            assert cecomplex._interior_products(lvl, xs) == [
+            assert cecomplex._interior_products(lvl, batch) == [
                 interior_product_matrix(lvl, x) for x in xs], (spec, k)
-            assert cecomplex._lie_derivatives(lvl, xs) == [
+            assert cecomplex._lie_derivatives(lvl, batch) == [
                 lie_derivative_matrix(lvl, x) for x in xs], (spec, k)
-            assert [i.transpose() for i in cecomplex._interior_products(lvl.shifted(1), xs)] == [
+            up = cecomplex._interior_products(lvl.shifted(1), batch)
+            assert [i.transpose() for i in up] == [
                 wedge_one_form_matrix(lvl, x) for x in xs], (spec, k)
 
 

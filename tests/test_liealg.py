@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dense import apply
 from liecoh import files, liealg
+from liecoh.cohomology import killing_three_form
 from liecoh.extensions import builtin
 from liecoh.liealg import (
     MAX_DIM,
@@ -148,6 +149,12 @@ def test_killing_determinant_matches_gaussian_elimination(name):
         assert killing_determinant(h) == _reference_det(p) ** 2 * killing_determinant(g)
 
 
+def _det(a):
+    """liealg._det on the integer rows of the square matrix a and their denominator."""
+    m = Matrix(len(a), len(a), a)
+    return liealg._det(m.int_rows, m.den)
+
+
 def test_det_on_random_rational_matrices():
     rng = random.Random(7)
     kinds = {"singular": 0, "swap": 0, "regular": 0}
@@ -163,7 +170,7 @@ def test_det_on_random_rational_matrices():
         if n >= 2 and rng.random() < 0.3:  # a zero leading pivot forces a row swap
             a[0][0] = Q(0)
         want = _reference_det(a)
-        got = liealg._det([list(row) for row in a])
+        got = _det(a)
         assert got == want, a
         if not want:
             kinds["singular"] += 1
@@ -175,11 +182,11 @@ def test_det_on_random_rational_matrices():
 
 
 def test_det_small_cases():
-    assert liealg._det([]) == 1
-    assert liealg._det([[Q(-3, 4)]]) == Q(-3, 4)
-    assert liealg._det([[Q(0), Q(1)], [Q(1), Q(0)]]) == -1
-    assert liealg._det([[Q(0), Q(1)], [Q(0), Q(2)]]) == 0
-    assert liealg._det([[Q(1, 2), Q(1, 3)], [Q(1, 5), Q(1, 7)]]) == Q(1, 14) - Q(1, 15)
+    assert _det([]) == 1
+    assert _det([[Q(-3, 4)]]) == Q(-3, 4)
+    assert _det([[Q(0), Q(1)], [Q(1), Q(0)]]) == -1
+    assert _det([[Q(0), Q(1)], [Q(0), Q(2)]]) == 0
+    assert _det([[Q(1, 2), Q(1, 3)], [Q(1, 5), Q(1, 7)]]) == Q(1, 14) - Q(1, 15)
 
 
 def test_killing_form_abelian_and_heisenberg_vanish():
@@ -292,6 +299,47 @@ def test_induced_algebra_rejects_a_subspace_not_closed_under_the_bracket():
         liealg.induced_algebra(g, Matrix.from_rows([unit(3, 1), unit(3, 2)]), ("e", "f"))
     borel = liealg.induced_algebra(g, Matrix.from_rows([unit(3, 0), unit(3, 1)]), ("h", "e"))
     assert borel.bracket(unit(2, 0), unit(2, 1)) == (Q(0), Q(2))
+    # a subspace that is not closed is refused before the names are looked at
+    with pytest.raises(SubalgebraNotClosed):
+        liealg.induced_algebra(g, Matrix.from_rows([unit(3, 1), unit(3, 2)]), ("e",))
+    with pytest.raises(DimensionMismatch, match="^1 basis names for dimension 2$"):
+        liealg.induced_algebra(g, Matrix.from_rows([unit(3, 0), unit(3, 1)]), ("h",))
+    with pytest.raises(DimensionMismatch, match="^2 basis names for dimension 3$"):
+        change_of_basis(g, [unit(3, i) for i in range(3)], names=("a", "b"))
+
+
+def test_induced_algebra_and_killing_data_read_integer_rows_only(monkeypatch):
+    # the bracket solve, the Jacobi check of the induced algebra and the
+    # Killing data work on integer rows: no dense view of a Matrix is read,
+    # and liealg builds no Fraction but the determinant it returns
+    g = builtin("sl2sl2").algebra
+    rng = random.Random(3)
+    columns = [[Q(rng.randint(-2, 2), rng.choice((1, 3))) + (i == j) * 5 for i in range(g.dim)]
+               for j in range(g.dim)]
+    want = change_of_basis(g, columns)
+    want_killing = (killing_form(want), killing_determinant(want))
+    want_form = killing_three_form(want).form
+    basis = Matrix(g.dim, g.dim, columns)
+    names = want.basis_names
+
+    def refuse(*args):
+        raise AssertionError("Fraction view of a matrix read")
+
+    for view in ("sparse_rows", "entries"):
+        monkeypatch.setattr(Matrix, view, property(refuse))
+    for view in ("row", "column"):
+        monkeypatch.setattr(Matrix, view, refuse)
+    h = liealg.induced_algebra(g, basis, names)
+    assert h == want and killing_determinant(h) == want_killing[1]
+
+    class Refused(Q):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("Fraction built in liealg")
+
+    monkeypatch.setattr(liealg, "Fraction", Refused)
+    assert liealg.induced_algebra(g, basis, names) == want
+    assert killing_form.__wrapped__(h) == want_killing[0]
+    assert killing_three_form(h).form == want_form
 
 
 # -- Jacobi validation against the dense triple loop ----------------------

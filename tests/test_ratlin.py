@@ -21,6 +21,7 @@ from liecoh.ratlin import (
     Matrix,
     SubspaceNotContained,
     _linear_combination,
+    _row_combinations,
     _rref,
     _vanishes,
     quotient_dim,
@@ -346,6 +347,43 @@ def test_linear_combination_skips_zero_coefficients_and_checks_shapes():
     assert _linear_combination([], 0, 4) == Matrix.zero(0, 4)
     with pytest.raises(ValueError):
         _linear_combination([(Q(1), m), (Q(1), Matrix.identity(3))], 2, 2)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_row_combinations_are_linear_combinations_row_by_row(data):
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    n = data.draw(st.integers(2, 5))
+    mats = data.draw(st.lists(sparse_matrices(rows=rows, cols=cols), min_size=n, max_size=n))
+    # the last matrix is twice the first, so c e_0 - (c/2) e_{n-1} cancels entry for entry
+    mats[-1] = mats[0].scale(2)
+    c = data.draw(rationals.filter(bool))
+    xs = data.draw(st.lists(st.lists(sparse_rationals, min_size=n, max_size=n), max_size=4))
+    xs += [[Q(0)] * n, [c] + [Q(0)] * (n - 2) + [-c / 2]]
+    data.draw(st.randoms(use_true_random=False)).shuffle(xs)
+    got = _row_combinations(Matrix(len(xs), n, xs), mats, rows, cols)
+    want = [_linear_combination(zip(x, mats), rows, cols) for x in xs]
+    assert got == want and [hash(m) for m in got] == [hash(m) for m in want]
+    assert all(_stores_no_zeros(m) for m in got)
+    assert got[xs.index([Q(0)] * n)] == Matrix.zero(rows, cols)
+
+
+def test_row_combinations_build_no_fraction_and_check_shapes(monkeypatch):
+    mats = [Matrix.from_rows([[Q(1, 2), 0], [0, 3]]), Matrix.from_rows([[0, Q(2, 3)], [1, 0]])]
+    xs = Matrix.from_rows([[Q(1, 5), Q(-3, 4)], [0, 0], [2, 0]])
+    want = [_linear_combination(zip(xs.row(i), mats), 2, 2) for i in range(xs.rows)]
+
+    class Refused(Q):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("Fraction built")
+
+    monkeypatch.setattr(ratlin, "Fraction", Refused)
+    assert _row_combinations(xs, mats, 2, 2) == want
+    assert _row_combinations(Matrix.zero(0, 2), mats, 2, 2) == []
+    with pytest.raises(ValueError):
+        _row_combinations(Matrix.identity(3), mats, 2, 2)
+    with pytest.raises(ValueError):
+        _row_combinations(xs, [mats[0], Matrix.identity(3)], 2, 2)
 
 
 def test_product_cancellation_is_dropped():
