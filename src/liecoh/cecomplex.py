@@ -31,20 +31,22 @@ library does not read.  It is computed on the quotient g/h, never on the
 full level: the forms killed by every ``i_X`` are wedges beta_T of the
 annihilator covectors of h, and ``L_X`` on them is the Lie derivative of
 g/h, so the only kernel taken is on C(n - dim h, k) * vdim coordinates.
-The differential of relative forms (``quotient_differential``) is the core
-of ``differential_matrix`` run on the same coordinates, which a relative
-form's entries at the all-free tuples give (``beta_coordinates``).
+``reduction``, the one function that picks the cells a (g, V, h) complex
+eliminates, takes the relative complex on the beta coordinates of the
+relative basis, a relative form's entries at the all-free tuples, with the
+core of ``differential_matrix`` run on g/h.
 
 The absolute complex is graded by weight when the basis has a Cartan
 part: basis vectors e_h whose bracket matrix and module action are both
 diagonal (``weight_grading``).  A cell (T, m) has the weight
 mu_m - sum_{t in T} alpha_t, its eigenvalue under L_{e_h}; by the module
 axiom delta keeps weights, so it is block-diagonal.
-``graded_differential`` is the core run on the weight-zero cells only,
-which a walk over T with a running weight lists in the order of the full
-level (``weight_zero_cells``).  The grading is used only when some
-alpha_a is nonzero and the module axiom holds, checked once per module;
-without the axiom delta need not keep weights.
+``graded_differential``, the delta of ``reduction`` in that case, is the
+core run on the weight-zero cells only, which a walk over T with a running
+weight lists in the order of the full level (``weight_zero_cells``).  The
+grading is used only when some alpha_a is nonzero and the module axiom
+holds, checked once per module; without the axiom delta need not keep
+weights.
 
 Every operator is assembled as integer rows over one common denominator
 (:class:`~liecoh.ratlin.Matrix`), and so is its input: the structure
@@ -58,8 +60,9 @@ Caching: ``tuple_basis``/``_tuple_index``, the incidence tables
 ``_faces`` and ``_cofaces``, ``_pairs_by_target``, the differential, the
 graded differential and its cells, the degree -1 map, the relative bases
 and their dense views are cached per level, the weights once per module
-and the data of g/h once per pair; the small quotient differential is
-rebuilt on each call, which costs less than the memory to keep it.
+and the data of g/h once per pair; ``reduction`` keeps nothing across
+calls, so the small relative delta is rebuilt on each call, which costs
+less than the memory to keep it.
 ``_faces(dim, k)`` gives, for each k-tuple s and position q, s[q] and the
 index of s without it; ``_cofaces(dim, k)`` gives, for each k-tuple r, the
 insert position and the index of r with a for every a not in r.  The
@@ -79,7 +82,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import comb, lcm
 from typing import Sequence
@@ -405,12 +408,6 @@ def graded_differential(level: CochainLevel) -> Matrix:
     return Matrix._stack(core.cols, rows)
 
 
-def weight_zero_positions(level: CochainLevel) -> list[int]:
-    """The flat index in the full level of each weight-zero cell, in order."""
-    dim, vdim = level.algebra.dim, level.vdim
-    return [_rank(dim, t) * vdim + m for t, ms in weight_zero_cells(level) for m in ms]
-
-
 def _accumulate(row: dict, col: int, v) -> None:
     row[col] = row[col] + v if col in row else v
 
@@ -643,33 +640,51 @@ def relative_subspace(level: CochainLevel, h: Subalgebra) -> tuple:
     return relative_basis(level, h).entries
 
 
-def beta_coordinates(level: CochainLevel, h: Subalgebra, forms: Matrix) -> Matrix:
-    """The beta coordinates of horizontal forms, one row per row of the Matrix forms.
+def reduction(module: gmod.GModule, h: Subalgebra | None) -> tuple:
+    """(delta, to_span, lift) of the complex of (g, module, h) on the cells it eliminates.
 
-    beta_T is 1 at the all-free tuple of T and 0 at every other all-free
-    tuple, so a horizontal form's beta_T coordinate is its entry there.
+    delta(k) is the differential from degree k on those cells, to_span(k, rows)
+    puts kernel rows of delta(k) in the coordinates of the rows of
+    delta(k - 1)^T, and lift(k, rows) maps them to the full level.  The cells
+    are the beta coordinates of the relative basis when h is given, the
+    weight-zero cells for a module with a weight grading, else the full level.
     """
-    columns = list(_quotient(level.algebra, h)[1])
-    dim, vdim = level.algebra.dim, level.vdim
-    cols = [
-        _rank(dim, tuple(columns[c] for c in t)) * vdim + m
-        for t in tuple_basis(len(columns), level.degree)
-        for m in range(vdim)
-    ]
-    rows = [{j: r[col] for j, col in enumerate(cols) if col in r} for r in forms.int_rows]
-    return Matrix._new(forms.rows, len(cols), rows, forms.den)
+    g, vdim, level = module.algebra, module.vdim, partial(CochainLevel, module.algebra, module)
+    if h is not None:
+        _, free, by_target, _ = _quotient(g, h)
+        columns, actions, betas = list(free), [module.actions[f] for f in free], {}
+
+        def beta(k):
+            # Q_k, the beta coordinates of bt: beta_T is 1 at the all-free tuple
+            # of T and 0 at the others, so they are bt's entries there
+            if k not in betas:
+                bt = relative_basis(level(k), h)
+                cols = [_rank(g.dim, tuple(columns[c] for c in t)) * vdim + m
+                        for t in tuple_basis(len(columns), k) for m in range(vdim)]
+                rows = [{j: r[col] for j, col in enumerate(cols) if col in r} for r in bt.int_rows]
+                betas[k] = Matrix._new(bt.rows, len(cols), rows, bt.den)
+            return betas[k]
+
+        def delta(k):
+            # a relative form reads [e_fa, e_fb] as sum_c alpha_c([e_fa, e_fb]) e_fc
+            return _differential_core(len(free), k, vdim, by_target, actions) * beta(k).transpose()
+
+        return (delta, lambda k, rows: rows * beta(k),
+                lambda k, rows: rows * relative_basis(level(k), h))
+    if weight_grading(module) is None:
+        return lambda k: differential_matrix(level(k)), _unchanged, _unchanged
+
+    def lift(k, rows):
+        # the flat index in the full level of each weight-zero cell, in order
+        at = [_rank(g.dim, t) * vdim + m for t, ms in weight_zero_cells(level(k)) for m in ms]
+        out = [{at[j]: x for j, x in r.items()} for r in rows.int_rows]
+        return Matrix._new(rows.rows, level(k).space_dim, out, rows.den)
+
+    return lambda k: graded_differential(level(k)), _unchanged, lift
 
 
-def quotient_differential(level: CochainLevel, h: Subalgebra) -> Matrix:
-    """delta on the beta coordinates of this level's relative forms, where delta f is relative.
-
-    A relative form does not see h, so it reads [e_fa, e_fb] as
-    sum_c alpha_c([e_fa, e_fb]) e_fc: the core runs on the brackets of g/h
-    and the actions of the free basis vectors e_f.
-    """
-    _, free, by_target, _ = _quotient(level.algebra, h)
-    actions = [level.module.actions[f] for f in free]
-    return _differential_core(len(free), level.degree, level.vdim, by_target, actions)
+def _unchanged(k: int, rows: Matrix) -> Matrix:
+    return rows
 
 
 def _wedge(alpha: dict, form: dict) -> dict:

@@ -1,38 +1,37 @@
 """Betti numbers and distinguished cocycles of the (relative) complex.
 
 Dimensions are kernel/image ranks of exact matrices, so every number here
-is an integer fact, not an approximation.  Cocycles and coboundaries stay
-integer rows (:class:`~liecoh.ratlin.Matrix`) from the operator matrices
-to one :class:`~liecoh.ratlin.EchelonSpan` pass per degree (the
-coboundaries as the rows of delta transposed, the cocycles as the rows of
-``kernel()``): the coboundaries are added first, which gives rank(B), and
-the canonical cocycle basis Z is then added greedily.  The cocycles that
-enlarge the span are the representatives, so they are deterministic and
-safe to freeze in tests, and dim H = |Z| - rank(B) holds exactly when
-their number matches; any other count means B is not inside span(Z).
-The chosen kernel rows are stacked in one place and mapped to the full
-level (through bt when relative, to the weight-zero positions when
-graded); each representative is a :class:`~liecoh.cecomplex.Cochain` that
-keeps its row of that Matrix, and nothing here is made dense.
+is an integer fact, not an approximation.  Every degree takes one path over
+the reduced complex of (g, V, h) (``cecomplex.reduction``), in integer rows
+(:class:`~liecoh.ratlin.Matrix`) from the operators to one
+:class:`~liecoh.ratlin.EchelonSpan` pass: the coboundaries B, the rows of
+delta(k - 1) transposed, are added first, which gives rank(B), and then,
+greedily, the canonical cocycle basis Z, the rows of ``delta(k).kernel()``
+mapped by to_span.  The cocycles that enlarge the span are the
+representatives, so they are deterministic and safe to freeze in tests,
+and dim H = |Z| - rank(B) holds exactly when their number matches; any
+other count means B is not inside span(Z).  The chosen kernel rows are
+lifted to the full level at once; each representative is a
+:class:`~liecoh.cecomplex.Cochain` that keeps its row of that Matrix, and
+nothing here is made dense.  A zero-dimensional h counts as no h.
 
 When the module has a weight grading (:mod:`liecoh.cecomplex`), absolute
 cocycles and coboundaries are taken on the weight-zero cells only, and the
-output is the same as on the full level.  The two absolute branches differ
-only in which delta they read.  delta is block-diagonal by weight, and the
-RREF of a block-diagonal matrix is the union of the RREFs of its blocks, so
-the kernel rows of the weight-zero block are the canonical kernel rows at
-weight zero, in the same order.  For a weight lambda != 0,
-L_H = delta i_H + i_H delta puts every cocycle of weight lambda in B, and
-delta^2 = 0 (the module axiom) puts B of weight lambda in Z: the greedy
-pass never picks a cocycle of nonzero weight, and
+output is the same as on the full level.  delta is block-diagonal by
+weight, and the RREF of a block-diagonal matrix is the union of the RREFs
+of its blocks, so the kernel rows of the weight-zero block are the
+canonical kernel rows at weight zero, in the same order.  For a weight
+lambda != 0, L_H = delta i_H + i_H delta puts every cocycle of weight
+lambda in B, and delta^2 = 0 (the module axiom) puts B of weight lambda in
+Z: the greedy pass never picks a cocycle of nonzero weight, and
 dim H = |Z_0| - rank(B_0).
 
 Relative cocycles and coboundaries are taken in the beta coordinates of
-g/h (:mod:`liecoh.cecomplex`): with Q those of the relative basis bt (the
-Matrix of ``relative_basis``), Z is K Q for the kernel rows K of
-delta_q Q^T, B is Q_{k-1} delta_q^T, and the representatives, rows of
-K bt, are full-level forms.  The map to beta coordinates is injective, so
-the greedy pass picks what it would pick on the full level.
+g/h: with Q those of the relative basis bt and delta_q the differential of
+g/h, delta is delta_q Q^T, Z is K Q for its kernel rows K, B is
+Q_{k-1} delta_q^T, and the representatives, rows of K bt, are full-level
+forms.  The map to beta coordinates is injective, so the greedy pass picks
+what it would pick on the full level.
 """
 
 from __future__ import annotations
@@ -46,13 +45,9 @@ from .cecomplex import (
     CochainLevel,
     _pairs_by_target,
     _tuple_index,
-    beta_coordinates,
     differential_matrix,
-    graded_differential,
-    quotient_differential,
+    reduction,
     relative_basis,
-    weight_grading,
-    weight_zero_positions,
 )
 from .liealg import LieAlgebra, Subalgebra, killing_form, structure_report
 from .ratlin import Matrix, SubspaceNotContained, _vanishes
@@ -81,33 +76,24 @@ def cohomology(
     """Cohomology in degree k, relative to h when given."""
     if not (0 <= k <= g.dim):
         raise ValueError(f"degree {k} out of range 0..{g.dim}")
-    result = _cohomology_core(g, module, k, h)
+    result = _cohomology_core(g, module, k, _relative(g, h)[0])
     if module_spec:
         result = replace(result, module_spec=module_spec)
     return result
 
 
+def _relative(g: LieAlgebra, h: Subalgebra | None) -> tuple:
+    """(h, dim g - dim h), with None for a zero-dimensional h: its complex is the absolute one."""
+    h = h if h is not None and h.dim else None
+    return h, g.dim - (h.dim if h is not None else 0)
+
+
 @lru_cache(maxsize=None)
 def _cohomology_core(g, module, k, h) -> CohomologyResult:
-    level_k = CochainLevel(g, module, k)
-    level_prev = level_k.shifted(-1)
-    relative = h is not None and h.dim > 0
-    graded = not relative and weight_grading(module) is not None
-    if relative:
-        # beta coordinates: q has one row per vector of the relative basis bt
-        bt = relative_basis(level_k, h)
-        q = beta_coordinates(level_k, h, bt)
-        kernel = (quotient_differential(level_k, h) * q.transpose()).kernel()
-        cocycles = kernel * q
-        q_prev = beta_coordinates(level_prev, h, relative_basis(level_prev, h))
-        coboundaries = q_prev * quotient_differential(level_prev, h).transpose()
-    else:
-        # graded: only the weight-zero cells, numbered in the order of the full level
-        delta = graded_differential if graded else differential_matrix
-        kernel = cocycles = delta(level_k).kernel()
-        coboundaries = delta(level_prev).transpose()
-
-    span = coboundaries._span()
+    delta, to_span, lift = reduction(module, h)
+    kernel = delta(k).kernel()
+    cocycles = to_span(k, kernel)
+    span = delta(k - 1).transpose()._span()
     rank_b = span.rank
     # the cocycles are independent (a kernel basis, or its image under the
     # injective map to beta coordinates), so |Z| - rank(B) is the quotient dimension
@@ -118,16 +104,10 @@ def _cohomology_core(g, module, k, h) -> CohomologyResult:
         raise SubspaceNotContained(
             f"span of rank {rank_b} is not inside the rank-{cocycles.rows} span"
         )
-    reps = Matrix._stack(kernel.cols, ((kernel, i) for i in chosen))
-    if relative:
-        # the rows of K bt are the full-level forms with these beta coordinates
-        reps = reps * bt
-    rows = reps.int_rows
-    if graded:
-        positions = weight_zero_positions(level_k)
-        rows = [{positions[j]: x for j, x in r.items()} for r in rows]
-    reps = tuple(Cochain(level_k, Matrix._new(1, level_k.space_dim, [r], reps.den)) for r in rows)
-    return CohomologyResult(k, betti, reps, relative)
+    level = CochainLevel(g, module, k)
+    reps = lift(k, Matrix._stack(kernel.cols, ((kernel, i) for i in chosen)))
+    rows = (Matrix._new(1, level.space_dim, [r], reps.den) for r in reps.int_rows)
+    return CohomologyResult(k, betti, tuple(Cochain(level, r) for r in rows), h is not None)
 
 
 def betti_sequence(
@@ -138,7 +118,7 @@ def betti_sequence(
 ) -> tuple[int, ...]:
     """Betti numbers for degrees 0..top (default: the relevant top degree)."""
     if top is None:
-        top = g.dim if h is None or h.dim == 0 else g.dim - h.dim
+        top = _relative(g, h)[1]
     return tuple(cohomology(g, module, k, h).betti for k in range(top + 1))
 
 
@@ -182,12 +162,9 @@ def invariant_volume_form(g: LieAlgebra, h: Subalgebra | None) -> VolumeFormResu
     Dimension one is the algebraic counterpart of an invariant volume form
     on the corresponding homogeneous space existing uniquely up to scale.
     """
-    top = g.dim - (h.dim if h is not None else 0)
+    h, top = _relative(g, h)
     level = CochainLevel(g, gmod.trivial_module(g, 1), top)
-    if h is None or h.dim == 0:
-        basis = Matrix.identity(level.space_dim)
-    else:
-        basis = relative_basis(level, h)
+    basis = Matrix.identity(level.space_dim) if h is None else relative_basis(level, h)
     form = Cochain(level, basis) if basis.rows == 1 else None
     return VolumeFormResult(basis.rows, form)
 
@@ -204,7 +181,7 @@ def duality_report(
 ) -> DualityReport:
     """Compare betti in degree k with the dual-coefficient betti in the
     complementary degree.  The equality is reported, never assumed."""
-    top = g.dim - (h.dim if h is not None else 0)
+    top = _relative(g, h)[1]
     if not (0 <= k <= top):
         raise ValueError(f"degree {k} out of range 0..{top}")
     left = cohomology(g, module, k, h).betti

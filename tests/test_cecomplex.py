@@ -347,21 +347,30 @@ def test_identity_sweep_reads_integer_rows_only(name, monkeypatch):
 
 
 def test_relative_path_reads_integer_rows_only(monkeypatch):
-    # the data of g/h, the relative basis and the quotient differential
-    # build no Fraction in cecomplex and read no dense view, as in the sweep
+    # the data of g/h, the relative basis, and the relative delta and span
+    # coordinates of ``reduction`` build no Fraction in cecomplex and read
+    # no dense view, as in the sweep
     entry = builtin("fivedim_ext:1")
     g, h = entry.algebra, entry.h
-    levels = [CochainLevel(g, mod, k) for mod in (trivial_module(g, 1), adjoint_module(g))
-              for k in range(g.dim - h.dim + 1)]
-    want = [(cecomplex.relative_basis(lvl, h), cecomplex.quotient_differential(lvl, h))
-            for lvl in levels]
+    cases = [(mod, k) for mod in (trivial_module(g, 1), adjoint_module(g))
+             for k in range(g.dim - h.dim + 1)]
+
+    def relative_data():
+        out = []
+        for mod, k in cases:
+            delta, to_span, _ = cecomplex.reduction(mod, h)
+            bt = cecomplex.relative_basis(CochainLevel(g, mod, k), h)
+            out.append((bt, delta(k), to_span(k, Matrix.identity(bt.rows))))
+        return out
+
+    want = relative_data()
     _refuse_fractions(monkeypatch, cecomplex)
-    # uncached, so the data of g/h is built again under the patch
+    # uncached, so the data of g/h and the relative bases are built again under the patch
     monkeypatch.setattr(cecomplex, "_quotient", cecomplex._quotient.__wrapped__)
-    got = [(cecomplex.relative_basis.__wrapped__(lvl, h), cecomplex.quotient_differential(lvl, h))
-           for lvl in levels]
+    monkeypatch.setattr(cecomplex, "relative_basis", cecomplex.relative_basis.__wrapped__)
+    got = relative_data()
     assert got == want
-    assert sum(b.rows for b, _ in got) > 0
+    assert sum(b.rows for b, _, _ in got) > 0
 
 
 def test_coadjoint_only_sweep_finds_every_failure_of_the_sign_flip():
@@ -579,16 +588,18 @@ def _beta_rows(lvl, h):
     "rebased sl2R_ext", "rebased fivedim_ext:1",
 ])
 def test_beta_coordinates_are_the_entries_at_the_all_free_tuples(pair):
-    # the entries of a relative form at the all-free tuples are its beta
-    # coordinates q: q times the beta rows gives the form back exactly
+    # the relative reduction's span coordinates of the relative basis bt, its
+    # entries at the all-free tuples, are beta coordinates: times the beta
+    # rows they give bt back exactly
     name = pair.removeprefix("rebased ")
     g, h = _rebased(name) if name != pair else (builtin(name).algebra, builtin(name).h)
     for spec in ("trivial", "adjoint", "coadjoint"):
+        mod = module_from_spec(g, spec)
+        to_span = cecomplex.reduction(mod, h)[1]
         for k in range(-1, g.dim + 1):
-            lvl = CochainLevel(g, module_from_spec(g, spec), k)
+            lvl = CochainLevel(g, mod, k)
             bt = cecomplex.relative_basis(lvl, h)
-            q = cecomplex.beta_coordinates(lvl, h, bt)
-            assert q * _beta_rows(lvl, h) == bt, (spec, k)
+            assert to_span(k, Matrix.identity(bt.rows)) * _beta_rows(lvl, h) == bt, (spec, k)
 
 
 def _alternating_sum(xs):

@@ -19,7 +19,7 @@ from liecoh.cohomology import (
 )
 from liecoh.extensions import BUILTIN_NAMES, builtin
 from liecoh.gmod import adjoint_module, coadjoint_module, dual_module, trivial_module
-from liecoh.liealg import subalgebra, unit, validate
+from liecoh.liealg import derived_subalgebra, subalgebra, unit, validate
 from liecoh.ratlin import EchelonSpan, Matrix, SubspaceNotContained, quotient_dim
 
 
@@ -293,3 +293,42 @@ def test_the_top_class_of_so_8_1_is_one_stored_entry():
     assert rep.evaluate(tuple(range(28, 36))) == (Q(1),)
     assert rep.evaluate((29, 28) + tuple(range(30, 36))) == (Q(-1),)
     assert peak < 16 * 2**20
+
+
+# -- Hochschild-Serre: the absolute constructors against the relative one --
+
+
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", ["sl2", "so3", "sl2sl2", "sl2_so2_pair", "sl2R_ext",
+                                  "fivedim_ext:1", "fivedim_ext:-3/4", "fivedim_ext:5/2"])
+def test_hochschild_serre_along_the_derived_subalgebra(name):
+    # [g, g] = s is a Levi factor here, so P_{g,V} = P_s * P_{(g,s),V} with
+    # P_s = (1 + t^3)^(dim s / 3) (Hochschild-Serre, 1953): the graded or
+    # full-level complex of g against the quotient complex of g/s, with no
+    # frozen values
+    g = builtin(name).algebra
+    s = derived_subalgebra(g)
+    poincare_s = {3: (1, 0, 0, 1), 6: (1, 0, 0, 2, 0, 0, 1)}[s.dim]
+    for spec, mod in MODULES.items():
+        mod = mod(g)
+        assert betti_sequence(g, mod) == _times(poincare_s, betti_sequence(g, mod, s)), spec
+
+
+def test_a_zero_dimensional_isotropy_is_the_absolute_complex():
+    for name in ("sl2", "heis3", "fivedim_ext:1"):
+        g = builtin(name).algebra
+        zero = subalgebra(g, [])
+        for mod in (trivial_module(g, 1), adjoint_module(g)):
+            for k in range(g.dim + 1):
+                assert cohomology(g, mod, k, zero) == cohomology(g, mod, k), (name, k)
+            assert not cohomology(g, mod, 1, zero).relative
+        assert invariant_volume_form(g, zero) == invariant_volume_form(g, None)
+        assert duality_report(g, zero, trivial_module(g, 1), 1) == duality_report(
+            g, None, trivial_module(g, 1), 1)

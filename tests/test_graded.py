@@ -1,10 +1,11 @@
 """The weight-graded absolute complex: only the weight-zero cells are eliminated.
 
 Every graded result is compared with the full level: Betti numbers and
-representatives with a copy of the full-level absolute branch of
-``cohomology._cohomology_core``, the graded differential with the block of
-the full differential, and the whole Poincare polynomials of sl2, sl3 and
-sl4 with Chevalley-Eilenberg.
+representatives with the greedy pass of ``cohomology._cohomology_core`` run
+here on the full-level differential, as ``cecomplex.reduction`` does for an
+ungraded module, the graded differential with the block of the full
+differential, and the whole Poincare polynomials of sl2, sl3 and sl4 with
+Chevalley-Eilenberg.
 """
 
 import importlib
@@ -94,7 +95,7 @@ SL = {n: _sl(n, 1) for n in (2, 3, 4)}
 
 
 def _full_level_cohomology(lvl):
-    """(betti, representatives) of the full-level absolute branch, as before the grading."""
+    """(betti, representatives) from the full-level differential, with no grading."""
     cocycles = differential_matrix(lvl).kernel()
     span = differential_matrix(lvl.shifted(-1)).transpose()._span()
     betti = cocycles.rows - span.rank
@@ -209,7 +210,7 @@ def test_graded_cohomology_builds_no_full_level_differential(monkeypatch):
     monkeypatch.setattr(cecomplex, "differential_matrix", refuse)
     monkeypatch.setattr(cohomology_module, "differential_matrix", refuse)
     # uncached, so no graded differential computed before the patch can stand in
-    monkeypatch.setattr(cohomology_module, "graded_differential", graded_differential.__wrapped__)
+    monkeypatch.setattr(cecomplex, "graded_differential", graded_differential.__wrapped__)
     uncached = cohomology_module._cohomology_core.__wrapped__
     for k, want in expected.items():
         got = uncached(SL[3], adjoint_module(SL[3]), k, None)
@@ -291,7 +292,7 @@ def test_algebras_without_nonzero_diagonal_weights_take_the_full_level(name, mon
     def refuse(*args):
         raise AssertionError("graded differential assembled")
 
-    monkeypatch.setattr(cohomology_module, "graded_differential", refuse)
+    monkeypatch.setattr(cecomplex, "graded_differential", refuse)
     uncached = cohomology_module._cohomology_core.__wrapped__
     for mod in mods:
         for k in range(g.dim + 1):
