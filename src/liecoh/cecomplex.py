@@ -22,7 +22,7 @@ Conventions, fixed once and used by every operator here:
 * The left wedge with a 1-form, degree k -> k+1, is the transpose of
   ``i_X`` on degree k+1, X having the coordinates of the 1-form.
 * A :class:`Cochain` stores its row (a 1 x space_dim Matrix); ``coords``
-  is a dense view, and a cell's tuple is unranked from its index (``_unrank``).
+  is a dense view.  ``CochainLevel.index`` and ``cell`` rank cells without listing a level.
 
 The relative basis (``relative_basis``) is the canonical RREF basis, as a
 Matrix, of the forms killed by every ``i_X`` and ``L_X`` with X in the
@@ -178,7 +178,16 @@ class CochainLevel:
         return comb(self.algebra.dim, self.degree) * self.vdim if self.degree >= 0 else 0
 
     def index(self, t: tuple[int, ...], m: int) -> int:
-        return _tuple_index(self.algebra.dim, self.degree)[t] * self.vdim + m
+        dim, vdim = self.algebra.dim, self.vdim
+        if not (isinstance(t, tuple) and len(t) == self.degree and 0 <= m < vdim
+                and all(0 <= a < b for a, b in zip(t, t[1:] + (dim,)))):
+            raise ValueError(f"({t!r}, {m!r}) is not a cell of the degree-{self.degree} level")
+        return _rank(dim, t) * vdim + m
+
+    def cell(self, j: int) -> tuple[tuple[int, ...], int]:
+        if not 0 <= j < self.space_dim:
+            raise ValueError(f"cell index {j} out of range 0..{self.space_dim - 1}")
+        return _unrank(self.algebra.dim, self.degree, j // self.vdim), j % self.vdim
 
     def shifted(self, dk: int) -> "CochainLevel":
         return CochainLevel(self.algebra, self.module, self.degree + dk)

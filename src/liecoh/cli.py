@@ -12,7 +12,11 @@ INPUT is either a catalog name (``sl2``, ``heis3``, ``abelian:4``,
 algebra JSON file; see :mod:`liecoh.files` for the format.
 
 Exit codes: 0 success, 1 validation error, 2 parse/usage error,
-3 verification-suite failure.
+3 verification-suite failure.  Every refusal of the library derives from
+:class:`~liecoh.liealg.LieAlgebraError` and exits 1; a
+:class:`~liecoh.files.ParseError` exits 2, and so does a report value with a
+line break in it (an algebra name or an argument), which the report format
+cannot hold.  Each prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -22,13 +26,11 @@ import re
 import sys
 
 from . import extensions, files, gmod, suite, volumes
-from .cecomplex import Cochain, _unrank
-from .cohomology import cohomology
+from .cecomplex import Cochain
+from .cohomology import cohomology, relative_complex
 from .liealg import (
-    AlgebraTooLarge,
     DimensionMismatch,
-    JacobiViolation,
-    SubalgebraNotClosed,
+    LieAlgebraError,
     killing_determinant,
     killing_form,
     structure_report,
@@ -40,7 +42,7 @@ EXIT_PARSE = 2
 EXIT_VERIFY_FAILED = 3
 
 
-class DegreeOutOfRange(Exception):
+class DegreeOutOfRange(LieAlgebraError):
     pass
 
 
@@ -66,14 +68,14 @@ def _emit(report: files.Report, machine: bool) -> None:
 
 
 def _format_cochain(c: Cochain) -> str:
-    """The nonzero terms of c in flat order; each cell's tuple is unranked from its index."""
-    level, names, vdim = c.level, c.level.algebra.basis_names, c.level.vdim
+    """The nonzero terms of c in flat order, each with the cell the level puts at its index."""
+    level, names = c.level, c.level.algebra.basis_names
     terms = []
     for j, coeff in sorted(c.row.sparse_rows[0].items()):
-        t = _unrank(level.algebra.dim, level.degree, j // vdim)
+        t, m = level.cell(j)
         factors = ["^".join(f"{names[i]}*" for i in t)] if t else []
-        if vdim > 1:
-            factors.append(f"v{j % vdim}")
+        if level.vdim > 1:
+            factors.append(f"v{m}")
         terms.append("*".join([files.format_rational(coeff)] + factors))
     return " + ".join(terms) if terms else "0"
 
@@ -107,12 +109,11 @@ def cmd_cohomology(args) -> int:
         raise DimensionMismatch(
             "--relative requires the input to carry an h_subalgebra section"
         )
-    h_used = h if args.relative else None
     if "/" in args.coeffs or "\\" in args.coeffs or args.coeffs.endswith(".json"):
         module = files.load_module(args.coeffs, g)
     else:
         module = gmod.module_from_spec(g, args.coeffs)
-    top = g.dim - (h_used.dim if h_used else 0)
+    h_used, top = relative_complex(g, module, h if args.relative else None)
     if args.degree == "all":
         degrees = list(range(top + 1))
     else:
@@ -259,23 +260,7 @@ def main(argv=None) -> int:
     except files.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (
-        AlgebraTooLarge,
-        JacobiViolation,
-        SubalgebraNotClosed,
-        DimensionMismatch,
-        DegreeOutOfRange,
-        gmod.UnknownModuleSpec,
-        gmod.ModuleTooLarge,
-        gmod.ModuleAxiomViolation,
-        gmod.MixedAlgebras,
-        extensions.UnknownName,
-        extensions.RNotAbelian,
-        extensions.RNotCommutingWithH,
-        extensions.MixingRankDeficient,
-        volumes.ZeroEuler,
-        files.ValueTooLong,
-    ) as exc:
+    except LieAlgebraError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except MemoryError:

@@ -13,7 +13,12 @@ and dim H = |Z| - rank(B) holds exactly when their number matches; any
 other count means B is not inside span(Z).  The chosen kernel rows are
 lifted to the full level at once; each representative is a
 :class:`~liecoh.cecomplex.Cochain` that keeps its row of that Matrix, and
-nothing here is made dense.  A zero-dimensional h counts as no h.
+nothing here is made dense.
+
+Every entry point takes g from the module: ``relative_complex`` is the one
+check of (g, V, h).  It refuses a module or an h over another algebra than
+g with ``gmod.MixedAlgebras``, counts a zero-dimensional h as no h, and
+gives the top degree dim g - dim h.
 
 When the module has a weight grading (:mod:`liecoh.cecomplex`), absolute
 cocycles and coboundaries are taken on the weight-zero cells only, and the
@@ -44,16 +49,15 @@ from .cecomplex import (
     Cochain,
     CochainLevel,
     _pairs_by_target,
-    _tuple_index,
     differential_matrix,
     reduction,
     relative_basis,
 )
-from .liealg import LieAlgebra, Subalgebra, killing_form, structure_report
+from .liealg import LieAlgebra, LieAlgebraError, Subalgebra, killing_form, structure_report
 from .ratlin import Matrix, SubspaceNotContained, _vanishes
 
 
-class NotSemisimple(Exception):
+class NotSemisimple(LieAlgebraError):
     pass
 
 
@@ -74,22 +78,30 @@ def cohomology(
     module_spec: str = "",
 ) -> CohomologyResult:
     """Cohomology in degree k, relative to h when given."""
+    h = relative_complex(g, module, h)[0]
     if not (0 <= k <= g.dim):
         raise ValueError(f"degree {k} out of range 0..{g.dim}")
-    result = _cohomology_core(g, module, k, _relative(g, h)[0])
+    result = _cohomology_core(module, k, h)
     if module_spec:
         result = replace(result, module_spec=module_spec)
     return result
 
 
-def _relative(g: LieAlgebra, h: Subalgebra | None) -> tuple:
-    """(h, dim g - dim h), with None for a zero-dimensional h: its complex is the absolute one."""
+def relative_complex(g: LieAlgebra, module: gmod.GModule, h: Subalgebra | None) -> tuple:
+    """(h, dim g - dim h) for the complex of (g, module, h); a zero-dimensional h is None.
+
+    Raises MixedAlgebras when the module or h lives over another algebra than g.
+    """
+    if module.algebra != g:
+        raise gmod.MixedAlgebras("the coefficient module lives over another algebra than g")
+    if h is not None and h.ambient != g:
+        raise gmod.MixedAlgebras("the subalgebra h lives inside another algebra than g")
     h = h if h is not None and h.dim else None
     return h, g.dim - (h.dim if h is not None else 0)
 
 
 @lru_cache(maxsize=None)
-def _cohomology_core(g, module, k, h) -> CohomologyResult:
+def _cohomology_core(module, k, h) -> CohomologyResult:
     delta, to_span, lift = reduction(module, h)
     kernel = delta(k).kernel()
     cocycles = to_span(k, kernel)
@@ -104,7 +116,7 @@ def _cohomology_core(g, module, k, h) -> CohomologyResult:
         raise SubspaceNotContained(
             f"span of rank {rank_b} is not inside the rank-{cocycles.rows} span"
         )
-    level = CochainLevel(g, module, k)
+    level = CochainLevel(module.algebra, module, k)
     reps = lift(k, Matrix._stack(kernel.cols, ((kernel, i) for i in chosen)))
     rows = (Matrix._new(1, level.space_dim, [r], reps.den) for r in reps.int_rows)
     return CohomologyResult(k, betti, tuple(Cochain(level, r) for r in rows), h is not None)
@@ -118,7 +130,7 @@ def betti_sequence(
 ) -> tuple[int, ...]:
     """Betti numbers for degrees 0..top (default: the relevant top degree)."""
     if top is None:
-        top = _relative(g, h)[1]
+        top = relative_complex(g, module, h)[1]
     return tuple(cohomology(g, module, k, h).betti for k in range(top + 1))
 
 
@@ -139,8 +151,9 @@ def killing_three_form(g: LieAlgebra) -> ThreeFormClass:
         raise NotSemisimple("the Killing 3-form class needs a semisimple algebra")
     level = CochainLevel(g, gmod.trivial_module(g, 1), 3)
     # entry (k, p) of the product is B(e_k, [e_i, e_j]) for the p-th pair (i, j)
-    values, pair = killing_form(g) * _pairs_by_target(g), _tuple_index(g.dim, 2)
-    row = {t: values.int_rows[k].get(pair[i, j], 0) for t, (i, j, k) in enumerate(level.tuples)}
+    values, pairs = killing_form(g) * _pairs_by_target(g), level.shifted(-1)
+    row = {t: values.int_rows[k].get(pairs.index((i, j), 0), 0)
+           for t, (i, j, k) in enumerate(level.tuples)}
     form = Matrix._from_ints(1, level.space_dim, [row], values.den)
     d = differential_matrix(level)
     if not _vanishes([(1, d, form.transpose())], d.rows):
@@ -162,8 +175,9 @@ def invariant_volume_form(g: LieAlgebra, h: Subalgebra | None) -> VolumeFormResu
     Dimension one is the algebraic counterpart of an invariant volume form
     on the corresponding homogeneous space existing uniquely up to scale.
     """
-    h, top = _relative(g, h)
-    level = CochainLevel(g, gmod.trivial_module(g, 1), top)
+    trivial = gmod.trivial_module(g, 1)
+    h, top = relative_complex(g, trivial, h)
+    level = CochainLevel(g, trivial, top)
     basis = Matrix.identity(level.space_dim) if h is None else relative_basis(level, h)
     form = Cochain(level, basis) if basis.rows == 1 else None
     return VolumeFormResult(basis.rows, form)
@@ -181,7 +195,7 @@ def duality_report(
 ) -> DualityReport:
     """Compare betti in degree k with the dual-coefficient betti in the
     complementary degree.  The equality is reported, never assumed."""
-    top = _relative(g, h)[1]
+    top = relative_complex(g, module, h)[1]
     if not (0 <= k <= top):
         raise ValueError(f"degree {k} out of range 0..{top}")
     left = cohomology(g, module, k, h).betti

@@ -19,6 +19,7 @@ from .cohomology import DualityReport, cohomology, duality_report, invariant_vol
 from .liealg import (
     DimensionMismatch,
     LieAlgebra,
+    LieAlgebraError,
     Subalgebra,
     check_dim,
     subalgebra,
@@ -29,19 +30,19 @@ from .ratlin import Matrix, rational, vector
 _ZERO = Fraction(0)
 
 
-class RNotAbelian(Exception):
+class RNotAbelian(LieAlgebraError):
     """The chosen directions do not commute with each other."""
 
 
-class RNotCommutingWithH(Exception):
+class RNotCommutingWithH(LieAlgebraError):
     """The chosen directions do not commute with the compact subalgebra."""
 
 
-class MixingRankDeficient(Exception):
+class MixingRankDeficient(LieAlgebraError):
     """The mixing matrix does not have full row rank."""
 
 
-class UnknownName(Exception):
+class UnknownName(LieAlgebraError):
     pass
 
 

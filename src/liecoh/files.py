@@ -27,7 +27,9 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .liealg import LieAlgebra, Subalgebra, check_dim, subalgebra, validate
+from .liealg import (LieAlgebra, LieAlgebraError, Subalgebra, _checked_algebra, check_dim,
+                     subalgebra)
+from .ratlin import Matrix
 
 FORMAT_VERSION = 1
 REPORT_HEADER = "liecoh-report 1"
@@ -42,7 +44,7 @@ class ParseError(Exception):
     pass
 
 
-class ValueTooLong(Exception):
+class ValueTooLong(LieAlgebraError):
     """A computed rational has more digits than Python converts to text."""
 
 
@@ -116,6 +118,7 @@ def load_algebra_dict(data: dict, where: str = "algebra file"):
         raise ParseError(f"{where}: basis names must be distinct")
     if not isinstance(brackets_raw, dict):
         raise ParseError(f"{where}: brackets must be an object")
+    # one sparse row {index: rational} per bracket (i, j), i < j, in file order
     brackets = {}
     for key, coeffs in brackets_raw.items():
         shown_key = _brief(key)
@@ -133,8 +136,7 @@ def load_algebra_dict(data: dict, where: str = "algebra file"):
             raise ParseError(f"{where}: bracket key {shown_key} repeats the pair ({i},{j})")
         if not isinstance(coeffs, dict):
             raise ParseError(f"{entry} must map indices to rationals")
-        vec = [Fraction(0)] * dim
-        seen = set()
+        row = brackets[i, j] = {}
         for idx, val in coeffs.items():
             shown_idx = _brief(idx)
             try:
@@ -143,15 +145,14 @@ def load_algebra_dict(data: dict, where: str = "algebra file"):
                 raise ParseError(f"{entry} index {shown_idx} is not a count")
             if not (0 <= t < dim):
                 raise ParseError(f"{entry} index {_brief(idx, str)} out of range")
-            if t in seen:
+            if t in row:
                 raise ParseError(f"{entry} index {shown_idx} repeats index {t}")
-            seen.add(t)
             try:
-                vec[t] = parse_rational(val)
+                row[t] = parse_rational(val)
             except ParseError as exc:
                 raise ParseError(f"{entry}[{shown_idx}]: {exc}")
-        brackets[(i, j)] = tuple(vec)
-    g = validate(dim, names, brackets)
+    stacked = Matrix._raw(len(brackets), dim, brackets.values())
+    g = _checked_algebra(dim, tuple(names), list(brackets), stacked)
     h = None
     if "h_subalgebra" in data and data["h_subalgebra"] is not None:
         rows = data["h_subalgebra"]
@@ -231,7 +232,6 @@ def load_module(path, g: LieAlgebra):
     raises ModuleTooLarge before any matrix is built.
     """
     from . import gmod
-    from .ratlin import Matrix
 
     data = _read_json(path)
     where = _brief(path, str)
@@ -271,7 +271,7 @@ class Report:
         else:
             value = str(value)
         if "\n" in value:
-            raise ValueError("report values must be single-line")
+            raise ParseError(f"report value of {key} must be single-line, got {_brief(value)}")
         self.items.append((str(key), value))
 
     def machine_text(self) -> str:

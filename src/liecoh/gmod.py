@@ -22,11 +22,11 @@ from math import comb, lcm
 from typing import Sequence
 
 from . import files
-from .liealg import DimensionMismatch, LieAlgebra, _cached_hash
+from .liealg import DimensionMismatch, LieAlgebra, LieAlgebraError, _cached_hash
 from .ratlin import Matrix, _linear_combination, _vanishes
 
 
-class ModuleAxiomViolation(Exception):
+class ModuleAxiomViolation(LieAlgebraError):
     def __init__(self, i: int, j: int, residual: Matrix):
         self.pair = (i, j)
         self.residual = residual
@@ -35,15 +35,15 @@ class ModuleAxiomViolation(Exception):
         )
 
 
-class MixedAlgebras(Exception):
+class MixedAlgebras(LieAlgebraError):
     pass
 
 
-class UnknownModuleSpec(Exception):
+class UnknownModuleSpec(LieAlgebraError):
     pass
 
 
-class ModuleTooLarge(Exception):
+class ModuleTooLarge(LieAlgebraError):
     pass
 
 

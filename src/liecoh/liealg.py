@@ -28,7 +28,7 @@ _ZERO = Fraction(0)
 
 
 class LieAlgebraError(Exception):
-    pass
+    """The base of every refusal of input: the CLI reports each as a validation error."""
 
 
 class DimensionMismatch(LieAlgebraError):

@@ -125,58 +125,44 @@ def _relative_pair() -> tuple[bool, str]:
     return ok, f"betti={seq} volume_dim={vol}"
 
 
-def _extension_pairs(omit_diagonal: bool):
-    if not omit_diagonal:
-        yield "sl2R_ext", extensions.builtin("sl2R_ext").pair
-        for alpha in ("1", "2", "3", "1/2"):
-            yield f"fivedim_ext:{alpha}", extensions.builtin(f"fivedim_ext:{alpha}").pair
-        return
-    for name in ("sl2R_ext", "fivedim_ext:1"):
-        pair = extensions.builtin(name).pair
-        broken_h = subalgebra(
-            pair.algebra, [v + (Fraction(0),) * pair.rank for v in pair.abelian_basis]
-        )
-        yield name + "(no-diagonal)", extensions.ExtensionPair(
-            pair.algebra, broken_h, pair.abelian_basis, pair.rank,
-            pair.algebra.dim - broken_h.dim,
-        )
+# (row, catalog names, describe(pair, report)); under omit-diagonal a row checks
+# the sabotaged pair of its first name only
+_VANISHING_ROWS = (
+    ("extension-vanishing-3dim", ("sl2R_ext",), lambda pair, rep: (
+        f"b1(adjoint)={rep.betti1_adjoint} "
+        f"b{pair.homogeneous_dim - 1}(coadjoint)={rep.betti_top_minus_one_coadjoint} "
+        f"volume_dim={rep.volume_form_dim}"
+    )),
+    ("extension-vanishing-5dim", tuple(f"fivedim_ext:{a}" for a in ("1", "2", "3", "1/2")),
+     lambda pair, rep: (
+        f"b1={rep.betti1_adjoint} "
+        f"b{pair.homogeneous_dim - 1}={rep.betti_top_minus_one_coadjoint} "
+        f"vol={rep.volume_form_dim} dual_equal={'yes' if rep.duality.equal else 'no'}"
+    )),
+)
 
 
-def _extension_vanishing(
-    prefix: str, omit_diagonal: bool, describe: Callable[..., str]
-) -> Callable[[], tuple[bool, str]]:
-    def check() -> tuple[bool, str]:
-        pairs = [p for p in _extension_pairs(omit_diagonal) if p[0].startswith(prefix)]
-        ok = True
-        details = []
-        for name, pair in pairs:
+def _vanishing_rows(omit_diagonal: bool) -> list[SuiteRow]:
+    def check(names, describe) -> tuple[bool, str]:
+        ok, details = True, []
+        for name in names[:1] if omit_diagonal else names:
+            pair = extensions.builtin(name).pair
+            if omit_diagonal:
+                name, pair = name + "(no-diagonal)", _without_diagonal(pair)
             rep = extensions.verify_vanishing(pair)
             ok = ok and rep.passed
             details.append(f"{name}: {describe(pair, rep)}")
         return ok, "; ".join(details)
 
-    return check
+    return [_row(row, lambda: check(names, describe)) for row, names, describe in _VANISHING_ROWS]
 
 
-def _vanishing_rows(omit_diagonal: bool) -> list[SuiteRow]:
-    def three_dim(pair, rep) -> str:
-        return (
-            f"b1(adjoint)={rep.betti1_adjoint} "
-            f"b{pair.homogeneous_dim - 1}(coadjoint)={rep.betti_top_minus_one_coadjoint} "
-            f"volume_dim={rep.volume_form_dim}"
-        )
-
-    def five_dim(pair, rep) -> str:
-        return (
-            f"b1={rep.betti1_adjoint} "
-            f"b{pair.homogeneous_dim - 1}={rep.betti_top_minus_one_coadjoint} "
-            f"vol={rep.volume_form_dim} dual_equal={'yes' if rep.duality.equal else 'no'}"
-        )
-
-    return [
-        _row("extension-vanishing-3dim", _extension_vanishing("sl2R", omit_diagonal, three_dim)),
-        _row("extension-vanishing-5dim", _extension_vanishing("fivedim", omit_diagonal, five_dim)),
-    ]
+def _without_diagonal(pair: extensions.ExtensionPair) -> extensions.ExtensionPair:
+    """The pair with isotropy spanned by its abelian directions alone, no central part."""
+    pad = (Fraction(0),) * pair.rank
+    broken_h = subalgebra(pair.algebra, [v + pad for v in pair.abelian_basis])
+    return extensions.ExtensionPair(pair.algebra, broken_h, pair.abelian_basis, pair.rank,
+                                    pair.algebra.dim - broken_h.dim)
 
 
 def _sample_bases() -> tuple[LieAlgebra, ...]:

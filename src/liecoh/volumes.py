@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .liealg import LieAlgebraError
 from .ratlin import rational
 
 
-class ZeroEuler(Exception):
+class ZeroEuler(LieAlgebraError):
     pass
 
 

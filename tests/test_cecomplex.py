@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import pickle
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -95,6 +96,45 @@ def test_unrank_inverts_rank_on_every_tuple():
         for k in range(dim + 1):
             for i, t in enumerate(tuple_basis(dim, k)):
                 assert cecomplex._rank(dim, t) == i and cecomplex._unrank(dim, k, i) == t
+
+
+def test_index_and_cell_invert_each_other_on_every_cell():
+    for name, spec in (("heis3", "trivial"), ("sl2", "adjoint"), ("abelian:4", "trivial:2")):
+        g = builtin(name).algebra
+        for k in range(g.dim + 1):
+            lvl = CochainLevel(g, module_from_spec(g, spec), k)
+            cells = [(t, m) for t in lvl.tuples for m in range(lvl.vdim)]
+            assert [lvl.cell(j) for j in range(lvl.space_dim)] == cells
+            assert [lvl.index(t, m) for t, m in cells] == list(range(lvl.space_dim))
+
+
+@pytest.mark.parametrize("t, m", [((1, 0), 0), ((0, 0), 0), ((0, 3), 0), ((-1, 0), 0),
+                                  ((0,), 0), ((0, 1, 2), 0), ([0, 1], 0), ((0, 1), 3),
+                                  ((0, 1), -1)])
+def test_index_refuses_what_is_not_a_cell(t, m):
+    lvl = level("sl2", "adjoint", 2)
+    with pytest.raises(ValueError):
+        lvl.index(t, m)
+
+
+def test_cell_refuses_an_index_outside_the_level():
+    lvl = level("sl2", "adjoint", 2)
+    for j in (-1, lvl.space_dim):
+        with pytest.raises(ValueError):
+            lvl.cell(j)
+
+
+def test_a_basis_cochain_is_placed_without_listing_the_level():
+    g = builtin("abelian:22").algebra
+    lvl = CochainLevel(g, trivial_module(g, 1), 11)
+    caches = (cecomplex._tuple_index, cecomplex.tuple_basis)
+    before = [cache.cache_info().currsize for cache in caches]
+    start = time.perf_counter()
+    c = basis_cochain(lvl, tuple(range(11)))
+    assert time.perf_counter() - start < 0.01
+    # listing the 705432 tuples of this level takes about a second and 190 MiB
+    assert [cache.cache_info().currsize for cache in caches] == before
+    assert c.row.int_rows[0] == {0: 1} and lvl.cell(0) == (tuple(range(11)), 0)
 
 
 def test_differential_of_h_star():
@@ -525,8 +565,8 @@ def test_relative_subspace_builds_no_full_level_operator(monkeypatch):
     monkeypatch.setattr(cohomology_module, "relative_basis", uncached)
     for case, want in zip(cases, expected):
         lvl = level(*case)
-        got = cohomology_module._cohomology_core.__wrapped__(
-            lvl.algebra, lvl.module, lvl.degree, builtin(case[0]).h)
+        got = cohomology_module._cohomology_core.__wrapped__(lvl.module, lvl.degree,
+                                                             builtin(case[0]).h)
         assert (got.betti, [c.coords for c in got.cocycle_representatives]) == want, case
 
 

@@ -400,11 +400,13 @@ def test_oversized_module_file_is_rejected_before_allocation(capsys, tmp_path, m
 
 @pytest.mark.parametrize("source", ["catalog", "file"])
 def test_oversized_algebra_is_rejected_before_validation(capsys, tmp_path, monkeypatch, source):
-    def must_not_validate(*args, **kwargs):
-        raise AssertionError("an oversized algebra reached validate")
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("an oversized algebra reached an algebra constructor")
 
-    for module in (liealg, extensions, files):
-        monkeypatch.setattr(module, "validate", must_not_validate)
+    # the catalog builds through validate, an algebra file through _checked_algebra
+    for module, name in ((liealg, "validate"), (extensions, "validate"),
+                         (liealg, "_checked_algebra"), (files, "_checked_algebra")):
+        monkeypatch.setattr(module, name, must_not_build)
     n = liealg.MAX_DIM + 1
     if source == "catalog":
         target = f"abelian:{n}"
@@ -614,8 +616,7 @@ def test_self_check_sees_a_sign_flip_in_the_last_builtin_only(capsys, monkeypatc
 
 
 def test_self_check_fails_when_omitting_the_diagonal_is_harmless(capsys, monkeypatch):
-    intact_pairs = suite._extension_pairs
-    monkeypatch.setattr(suite, "_extension_pairs", lambda omit_diagonal: intact_pairs(False))
+    monkeypatch.setattr(suite, "_without_diagonal", lambda pair: pair)
     assert _self_check_detail(capsys) == (
         "flip-coadjoint-sign breaks operator identities: yes; "
         "omit-diagonal breaks vanishing: NO"

@@ -18,7 +18,13 @@ from liecoh.cohomology import (
     killing_three_form,
 )
 from liecoh.extensions import BUILTIN_NAMES, builtin
-from liecoh.gmod import adjoint_module, coadjoint_module, dual_module, trivial_module
+from liecoh.gmod import (
+    MixedAlgebras,
+    adjoint_module,
+    coadjoint_module,
+    dual_module,
+    trivial_module,
+)
 from liecoh.liealg import derived_subalgebra, subalgebra, unit, validate
 from liecoh.ratlin import EchelonSpan, Matrix, SubspaceNotContained, quotient_dim
 
@@ -332,3 +338,26 @@ def test_a_zero_dimensional_isotropy_is_the_absolute_complex():
         assert invariant_volume_form(g, zero) == invariant_volume_form(g, None)
         assert duality_report(g, zero, trivial_module(g, 1), 1) == duality_report(
             g, None, trivial_module(g, 1), 1)
+
+
+def test_a_module_over_another_algebra_is_refused():
+    # abelian:3 has the dimension of sl2, so only the check tells them apart;
+    # H^1(sl2; sl2) = 0, where the unchecked abelian action gives 9
+    g, other = builtin("sl2").algebra, builtin("abelian:3").algebra
+    module = adjoint_module(other)
+    calls = (lambda: cohomology(g, module, 1), lambda: betti_sequence(g, module),
+             lambda: duality_report(g, None, module, 1))
+    for call in calls:
+        with pytest.raises(MixedAlgebras, match="module"):
+            call()
+    assert cohomology(g, adjoint_module(g), 1).betti == 0
+
+
+def test_an_isotropy_inside_another_algebra_is_refused():
+    g, h = builtin("sl2").algebra, builtin("sl2R_ext").h
+    module = trivial_module(g, 1)
+    calls = (lambda: cohomology(g, module, 1, h), lambda: betti_sequence(g, module, h),
+             lambda: duality_report(g, h, module, 1), lambda: invariant_volume_form(g, h))
+    for call in calls:
+        with pytest.raises(MixedAlgebras, match="subalgebra"):
+            call()
