@@ -334,11 +334,10 @@ def weight_grading(module: gmod.GModule) -> tuple | None:
     alphas = [[_diagonal_entry(g.brackets[h], a) for h in cartan] for a in range(g.dim)]
     if not any(map(any, alphas)):
         return None
-    if not module.axiom_holds:
-        try:
-            gmod.check_module_axiom(module)
-        except gmod.ModuleAxiomViolation:
-            return None
+    try:
+        gmod.check_module_axiom(module)
+    except gmod.ModuleAxiomViolation:
+        return None
     mus = [[_diagonal_entry(module.actions[h], m) for h in cartan] for m in range(module.vdim)]
     weights, module_weights = [0] * g.dim, [0] * module.vdim
     radix = 1

@@ -31,6 +31,7 @@ from .cohomology import cohomology, relative_complex
 from .liealg import (
     DimensionMismatch,
     LieAlgebraError,
+    _brief,
     killing_determinant,
     killing_form,
     structure_report,
@@ -110,7 +111,7 @@ def cmd_cohomology(args) -> int:
             "--relative requires the input to carry an h_subalgebra section"
         )
     if "/" in args.coeffs or "\\" in args.coeffs or args.coeffs.endswith(".json"):
-        module = files.load_module(args.coeffs, g)
+        module = gmod.load_module(args.coeffs, g)
     else:
         module = gmod.module_from_spec(g, args.coeffs)
     h_used, top = relative_complex(g, module, h if args.relative else None)
@@ -120,7 +121,7 @@ def cmd_cohomology(args) -> int:
         try:
             k = _integer(args.degree)
         except argparse.ArgumentTypeError:
-            shown = files._brief(args.degree)
+            shown = _brief(args.degree)
             raise DegreeOutOfRange(f"degree must be an integer or 'all', got {shown}")
         if not (0 <= k <= top):
             raise DegreeOutOfRange(f"degree {k} out of range 0..{top}")
@@ -150,16 +151,16 @@ def cmd_volume(args) -> int:
     report = files.Report()
     report.add("command", f"volume {args.kind}")
     if args.kind == "seifert":
-        if args.chi is None or args.e is None:
-            raise DegreeOutOfRange("volume seifert needs --chi and --e")
+        if args.chi is None or args.e is None or args.n is not None:
+            raise files.ParseError("volume seifert needs --chi and --e, and takes no --n")
         coeff = volumes.seifert_volume_coefficient(
             files.parse_rational(args.chi), files.parse_rational(args.e)
         )
         report.add("chi", args.chi)
         report.add("e", args.e)
     else:
-        if args.n is None or args.e is None:
-            raise DegreeOutOfRange("volume sl2tilde needs --n and --e")
+        if args.n is None or args.e is None or args.chi is not None:
+            raise files.ParseError("volume sl2tilde needs --n and --e, and takes no --chi")
         coeff = volumes.sl2tilde_volume_coefficient(args.n, files.parse_rational(args.e))
         report.add("n", args.n)
         report.add("e", args.e)
@@ -189,7 +190,7 @@ def _integer(text: str) -> int:
     try:
         count = files.parse_count(text[1:] if sign in ("+", "-") else text)
     except files.ParseError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {files._brief(text)}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {_brief(text)}")
     return -count if sign == "-" else count
 
 

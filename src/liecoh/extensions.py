@@ -21,6 +21,8 @@ from .liealg import (
     LieAlgebra,
     LieAlgebraError,
     Subalgebra,
+    _brief,
+    _checked_algebra,
     check_dim,
     subalgebra,
     validate,
@@ -70,6 +72,8 @@ def central_extension(
     rank; direction i contributes the isotropy generator
     ``r_i + sum_a mixing[a][i] c_a``.
     """
+    if h is not None and h.ambient != g:
+        raise gmod.MixedAlgebras("the subalgebra h lives inside another algebra than g")
     r_vecs = [vector(v) for v in abelian_basis]
     if any(len(v) != g.dim for v in r_vecs):
         raise DimensionMismatch("abelian direction has wrong length")
@@ -93,11 +97,13 @@ def central_extension(
         raise MixingRankDeficient("mixing matrix has linearly dependent rows")
 
     dim_ext = g.dim + rank
+    check_dim(dim_ext, "the algebra")
     names = g.basis_names + tuple(f"c{a + 1}" for a in range(rank))
-    pad = (_ZERO,) * rank  # validate keeps the nonzero brackets only
-    pairs = ((i, j) for i in range(g.dim) for j in range(i + 1, g.dim))
-    extended = validate(dim_ext, names, {(i, j): g.brackets[i].row(j) + pad for i, j in pairs})
+    pairs = [(i, j) for i in range(g.dim) for j in range(i + 1, g.dim)]
+    stacked = Matrix._stack(dim_ext, ((g.brackets[i], j) for i, j in pairs))
+    extended = _checked_algebra(dim_ext, names, pairs, stacked)
 
+    pad = (_ZERO,) * rank
     iso_vectors = [hb + pad for hb in (h.vectors if h is not None else ())]
     iso_vectors += [r + mix.column(i) for i, r in enumerate(r_vecs)]
     isotropy = subalgebra(extended, iso_vectors)
@@ -155,9 +161,9 @@ def _abelian(count: str) -> tuple:
         n = files.parse_count(count)
     except files.ParseError:
         raise UnknownName(
-            f"the dimension of abelian must be a count such as 3, not {files._brief(count)}"
+            f"the dimension of abelian must be a count such as 3, not {_brief(count)}"
         )
-    check_dim(n, f"catalog algebra {files._brief('abelian:' + count)}")
+    check_dim(n, f"catalog algebra {_brief('abelian:' + count)}")
     g = validate(n, tuple(f"a{i + 1}" for i in range(n)), {})
     return g, None, Annotations(semisimple=(n == 0)), None
 
@@ -170,7 +176,7 @@ def _fivedim_ext(slope: str) -> tuple:
     if not alpha:
         raise UnknownName(
             "the slope of fivedim_ext must be a nonzero rational such as 2 or 1/2, "
-            f"not {files._brief(slope)}; "
+            f"not {_brief(slope)}; "
             "irrational slopes are not supported by this exact engine"
         )
     k1 = (0, 1, -1, 0, 0, 0)
@@ -219,7 +225,7 @@ def builtin(name: str) -> CatalogEntry:
         parts = _CATALOG[name]()
     else:
         raise UnknownName(
-            f"unknown catalog name {files._brief(name)}; known: {', '.join(BUILTIN_NAMES)}"
+            f"unknown catalog name {_brief(name)}; known: {', '.join(BUILTIN_NAMES)}"
         )
     return CatalogEntry(name, *parts)
 

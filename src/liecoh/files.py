@@ -27,8 +27,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .liealg import (LieAlgebra, LieAlgebraError, Subalgebra, _checked_algebra, check_dim,
-                     subalgebra)
+from .liealg import (LieAlgebra, LieAlgebraError, Subalgebra, _brief, _checked_algebra,
+                     check_dim, subalgebra)
 from .ratlin import Matrix
 
 FORMAT_VERSION = 1
@@ -37,7 +37,6 @@ REPORT_HEADER = "liecoh-report 1"
 # re.ASCII: \d would also match every Unicode digit, which int() and Fraction() take
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
 _BRACKET_KEY_RE = re.compile(r"\[(\d+),(\d+)\]", re.ASCII)  # fullmatch: no trailing newline
-_BRIEF_LIMIT = 40
 
 
 class ParseError(Exception):
@@ -46,15 +45,6 @@ class ParseError(Exception):
 
 class ValueTooLong(LieAlgebraError):
     """A computed rational has more digits than Python converts to text."""
-
-
-def _brief(value, show=repr) -> str:
-    """show(value) for messages, at most 40 characters: a long one is cut and given its length."""
-    text = show(value)
-    if len(text) <= _BRIEF_LIMIT:
-        return text
-    suffix = f"… ({len(str(value))} characters)"
-    return text[: _BRIEF_LIMIT - len(suffix)] + suffix
 
 
 def parse_rational(text) -> Fraction:
@@ -221,40 +211,6 @@ def algebra_digest(g: LieAlgebra, h: Subalgebra | None = None) -> str:
     """Stable short digest of the algebra data, for report provenance."""
     canonical = json.dumps(algebra_to_dict(g, h, name=""), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-def load_module(path, g: LieAlgebra):
-    """Load a coefficient module given by explicit action matrices.
-
-    Format: ``{"format": 1, "vdim": n, "actions": [M_1, ..., M_dim]}``
-    with one row-major n x n rational matrix per algebra basis vector.
-    A module whose largest cochain level would exceed ``gmod.MAX_LEVEL_DIM``
-    raises ModuleTooLarge before any matrix is built.
-    """
-    from . import gmod
-
-    data = _read_json(path)
-    where = _brief(path, str)
-    if not isinstance(data, dict) or data.get("format") != FORMAT_VERSION:
-        raise ParseError(f"{where}: missing or unsupported format version")
-    vdim = data.get("vdim")
-    actions_raw = data.get("actions")
-    if not _is_count(vdim):
-        raise ParseError(f"{where}: vdim must be a nonnegative integer")
-    gmod._check_level_dim(g, vdim, where)
-    if not isinstance(actions_raw, list) or len(actions_raw) != g.dim:
-        raise ParseError(f"{where}: actions must list one matrix per algebra basis vector")
-    actions = []
-    for i, rows in enumerate(actions_raw):
-        if not isinstance(rows, list) or len(rows) != vdim or any(
-            not isinstance(r, list) or len(r) != vdim for r in rows
-        ):
-            raise ParseError(f"{where}: actions[{i}] must be a {vdim}x{vdim} matrix")
-        try:
-            actions.append(Matrix(vdim, vdim, [[parse_rational(x) for x in r] for r in rows]))
-        except ParseError as exc:
-            raise ParseError(f"{where}: actions[{i}]: {exc}")
-    return gmod.make_module(g, vdim, actions)
 
 
 @dataclass

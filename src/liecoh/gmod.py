@@ -5,9 +5,9 @@ A module is one square matrix per algebra basis vector; the defining axiom
 exactly by :func:`make_module` and every constructor built on it.  The
 trivial, adjoint and coadjoint modules are built without it: zero matrices
 satisfy it, and for ad it is the Jacobi identity, which
-:func:`~liecoh.liealg.validate` has already checked.  All of these record
-that the axiom holds (``GModule.axiom_holds``); a bare ``GModule(...)``
-does not, so code that needs the axiom checks it first.  The coadjoint
+:func:`~liecoh.liealg.validate` has already checked.  Code that relies on
+the axiom, such as ``cecomplex.weight_grading``, calls
+:func:`check_module_axiom` itself.  The coadjoint
 convention used throughout is the one where the action of x on a covector w
 is ``w([. , x])``, whose matrix is ``-ad(x)^T``; all sign-sensitive operator
 identities in :mod:`liecoh.cecomplex` depend on this choice.
@@ -15,14 +15,14 @@ identities in :mod:`liecoh.cecomplex` depend on this choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 from typing import Sequence
 
 from . import files
-from .liealg import DimensionMismatch, LieAlgebra, LieAlgebraError, _cached_hash
+from .liealg import DimensionMismatch, LieAlgebra, LieAlgebraError, _brief, _cached_hash
 from .ratlin import Matrix, _linear_combination, _vanishes
 
 
@@ -57,7 +57,7 @@ def _check_level_dim(g: LieAlgebra, vdim: int, spec: str) -> None:
     level_dim = vdim * comb(g.dim, g.dim // 2)
     if level_dim > MAX_LEVEL_DIM:
         raise ModuleTooLarge(
-            f"module {files._brief(spec)} gives cochain levels of dimension {level_dim}, "
+            f"module {_brief(spec)} gives cochain levels of dimension {level_dim}, "
             f"over the limit of {MAX_LEVEL_DIM}"
         )
 
@@ -67,15 +67,12 @@ def _check_level_dim(g: LieAlgebra, vdim: int, spec: str) -> None:
 class GModule:
     """Plain data container; use the constructors below to get validation.
 
-    ``axiom_holds`` is True when the constructor checked the module axiom
-    or it holds by construction; it takes no part in equality or hashing.
     The hash is computed once per instance (``liealg._cached_hash``).
     """
 
     algebra: LieAlgebra
     vdim: int
     actions: tuple[Matrix, ...]
-    axiom_holds: bool = field(default=False, compare=False, repr=False)
 
 
 def make_module(g: LieAlgebra, vdim: int, actions: Sequence[Matrix]) -> GModule:
@@ -84,8 +81,9 @@ def make_module(g: LieAlgebra, vdim: int, actions: Sequence[Matrix]) -> GModule:
         raise DimensionMismatch(f"{len(actions)} action matrices for a {g.dim}-dim algebra")
     if any((m.rows, m.cols) != (vdim, vdim) for m in actions):
         raise DimensionMismatch("action matrix is not vdim x vdim")
-    check_module_axiom(GModule(g, vdim, actions))
-    return GModule(g, vdim, actions, axiom_holds=True)
+    mod = GModule(g, vdim, actions)
+    check_module_axiom(mod)
+    return mod
 
 
 def check_module_axiom(mod: GModule) -> None:
@@ -108,7 +106,7 @@ def check_module_axiom(mod: GModule) -> None:
 
 @lru_cache(maxsize=None)
 def trivial_module(g: LieAlgebra, n: int = 1) -> GModule:
-    return GModule(g, n, tuple(Matrix.zero(n, n) for _ in range(g.dim)), axiom_holds=True)
+    return GModule(g, n, tuple(Matrix.zero(n, n) for _ in range(g.dim)))
 
 
 @lru_cache(maxsize=None)
@@ -119,7 +117,7 @@ def adjoint_module(g: LieAlgebra) -> GModule:
     which every algebra from :func:`~liecoh.liealg.validate` satisfies (the
     zero algebra trivially).  The test suite checks it on the catalog.
     """
-    return GModule(g, g.dim, tuple(b.transpose() for b in g.brackets), axiom_holds=True)
+    return GModule(g, g.dim, tuple(b.transpose() for b in g.brackets))
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +127,7 @@ def coadjoint_module(g: LieAlgebra) -> GModule:
     Built without the module-axiom check: this is the dual of
     :func:`adjoint_module`, and the dual of a module is a module.
     """
-    return GModule(g, g.dim, tuple(-b for b in g.brackets), axiom_holds=True)
+    return GModule(g, g.dim, tuple(-b for b in g.brackets))
 
 
 def dual_module(mod: GModule) -> GModule:
@@ -178,7 +176,7 @@ def module_from_spec(g: LieAlgebra, spec: str) -> GModule:
             n = files.parse_count(spec.split(":", 1)[1])
         except files.ParseError:
             raise UnknownModuleSpec(
-                f"bad trivial module rank in {files._brief(spec)}; use a count such as 2"
+                f"bad trivial module rank in {_brief(spec)}; use a count such as 2"
             )
         _check_level_dim(g, n, spec)
         return trivial_module(g, n)
@@ -196,9 +194,40 @@ def module_from_spec(g: LieAlgebra, spec: str) -> GModule:
     if spec.startswith("sum:"):
         parts = spec.split(":", 1)[1].split("+")
         if len(parts) < 2:
-            raise UnknownModuleSpec(f"sum spec needs at least two summands: {files._brief(spec)}")
+            raise UnknownModuleSpec(f"sum spec needs at least two summands: {_brief(spec)}")
         summands = [module_from_spec(g, p) for p in parts]
         _check_level_dim(g, sum(m.vdim for m in summands), spec)
         return direct_sum(summands)
-    raise UnknownModuleSpec(f"unknown module spec {files._brief(spec)}")
+    raise UnknownModuleSpec(f"unknown module spec {_brief(spec)}")
 
+
+def load_module(path, g: LieAlgebra) -> GModule:
+    """Load a coefficient module given by explicit action matrices.
+
+    Format: ``{"format": 1, "vdim": n, "actions": [M_1, ..., M_dim]}``
+    with one row-major n x n rational matrix per algebra basis vector.
+    A module whose largest cochain level would exceed ``MAX_LEVEL_DIM``
+    raises ModuleTooLarge before any matrix is built.
+    """
+    data = files._read_json(path)
+    where = _brief(path, str)
+    if not isinstance(data, dict) or data.get("format") != files.FORMAT_VERSION:
+        raise files.ParseError(f"{where}: missing or unsupported format version")
+    vdim = data.get("vdim")
+    actions_raw = data.get("actions")
+    if not files._is_count(vdim):
+        raise files.ParseError(f"{where}: vdim must be a nonnegative integer")
+    _check_level_dim(g, vdim, where)
+    if not isinstance(actions_raw, list) or len(actions_raw) != g.dim:
+        raise files.ParseError(f"{where}: actions must list one matrix per algebra basis vector")
+    actions = []
+    for i, rows in enumerate(actions_raw):
+        if not isinstance(rows, list) or len(rows) != vdim or any(
+            not isinstance(r, list) or len(r) != vdim for r in rows
+        ):
+            raise files.ParseError(f"{where}: actions[{i}] must be a {vdim}x{vdim} matrix")
+        try:
+            actions.append(Matrix(vdim, vdim, [[files.parse_rational(x) for x in r] for r in rows]))
+        except files.ParseError as exc:
+            raise files.ParseError(f"{where}: actions[{i}]: {exc}")
+    return make_module(g, vdim, actions)

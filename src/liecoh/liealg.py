@@ -31,6 +31,18 @@ class LieAlgebraError(Exception):
     """The base of every refusal of input: the CLI reports each as a validation error."""
 
 
+_BRIEF_LIMIT = 40
+
+
+def _brief(value, show=repr) -> str:
+    """show(value) for messages, at most 40 characters: a long one is cut and given its length."""
+    text = show(value)
+    if len(text) <= _BRIEF_LIMIT:
+        return text
+    suffix = f"… ({len(str(value))} characters)"
+    return text[: _BRIEF_LIMIT - len(suffix)] + suffix
+
+
 class DimensionMismatch(LieAlgebraError):
     pass
 
@@ -117,8 +129,6 @@ class LieAlgebra:
 def check_dim(dim: int, where: str) -> None:
     """Reject an algebra before its bracket table is built if dim is too big."""
     if dim > MAX_DIM:
-        from .files import _brief  # files imports this module
-
         shown = _brief(dim, str)
         raise AlgebraTooLarge(f"{where} has dimension {shown}, over the limit of {MAX_DIM}")
 
@@ -345,16 +355,14 @@ def induced_algebra(g: LieAlgebra, basis: Matrix, names: Sequence[str]) -> LieAl
 
 @lru_cache(maxsize=None)
 def structure_report(g: LieAlgebra) -> StructureReport:
-    """Semisimplicity (Cartan criterion), center, derived subalgebra, reductivity."""
+    """Semisimplicity (Cartan criterion), center, derived subalgebra, reductivity.
+
+    Reductive: rad g = z(g), where rad g = [g, g]^⊥ for the Killing form, so one rank decides.
+    """
     semisimple = killing_form(g).rank() == g.dim
     center = center_of(g)
     derived = derived_subalgebra(g)
-    both = ((b, i) for b in (center.basis, derived.basis) for i in range(b.rows))
-    direct_sum = center.dim + derived.dim == g.dim and Matrix._stack(g.dim, both).rank() == g.dim
-    reductive = False
-    if direct_sum:
-        derived_alg = induced_algebra(g, derived.basis, [f"d{i}" for i in range(derived.dim)])
-        reductive = killing_form(derived_alg).rank() == derived_alg.dim
+    reductive = g.dim - (derived.basis * killing_form(g)).rank() == center.dim
     return StructureReport(semisimple, center, derived, reductive)
 
 

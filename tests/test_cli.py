@@ -482,6 +482,18 @@ def test_volume_zero_euler_rejected(capsys):
     assert "Euler" in err
 
 
+@pytest.mark.parametrize("argv, fragment", [
+    (["volume", "seifert", "--chi", "1"], "volume seifert needs --chi and --e"),
+    (["volume", "sl2tilde", "--e", "1"], "volume sl2tilde needs --n and --e"),
+    (["volume", "seifert", "--chi", "1", "--e", "1", "--n", "3"], "takes no --n"),
+    (["volume", "sl2tilde", "--n", "1", "--e", "1", "--chi", "1"], "takes no --chi"),
+], ids=["seifert-without-e", "sl2tilde-without-n", "seifert-with-n", "sl2tilde-with-chi"])
+def test_volume_usage_errors_exit_2_with_one_line(capsys, argv, fragment):
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1 and fragment in err
+
+
 # -- integers over Python's digit limit ------------------------------
 
 

@@ -15,7 +15,7 @@ from liecoh.extensions import (
     central_extension,
     verify_vanishing,
 )
-from liecoh.gmod import adjoint_module, coadjoint_module, module_from_spec
+from liecoh.gmod import MixedAlgebras, adjoint_module, coadjoint_module, module_from_spec
 from liecoh.liealg import DimensionMismatch, structure_report, subalgebra, unit
 
 K1 = (0, 1, -1)  # the rotation direction E - F inside sl2
@@ -71,6 +71,15 @@ def test_central_extension_rejects_rank_deficient_mixing():
         central_extension(g, None, [k1, k2], 2, [[1, 1], [2, 2]])
     with pytest.raises(DimensionMismatch):
         central_extension(g, None, [k1, k2], 1, [[1]])
+
+
+def test_central_extension_refuses_an_h_of_another_algebra():
+    # sl2sl2's h once ended in a ValueError from zip; abelian:3's was read in sl2's coordinates
+    g = builtin("sl2").algebra
+    for name, vector in (("sl2sl2", (0, 1, -1, 0, 0, 0)), ("abelian:3", K1)):
+        h = subalgebra(builtin(name).algebra, [vector])
+        with pytest.raises(MixedAlgebras):
+            central_extension(g, h, [K1], 1, [[1]])
 
 
 def test_builtin_catalog_names():

@@ -249,26 +249,30 @@ def test_gate_refuses_a_weight_compatible_non_module():
     assert [cohomology(g, mod, k).betti for k in (0, 3)] == [0, 0]
 
 
-def test_grading_checks_the_axiom_only_where_no_constructor_did(monkeypatch):
+def test_every_graded_module_is_checked_once_and_a_non_module_is_refused(monkeypatch):
     g = builtin("sl2").algebra
-    vouched = [trivial_module(g, 1), adjoint_module(g), coadjoint_module(g),
-               module_from_spec(g, "dual:adjoint"), module_from_spec(g, "sum:trivial+adjoint")]
+    modules = [trivial_module(g, 1), adjoint_module(g), coadjoint_module(g),
+               module_from_spec(g, "sum:trivial+adjoint"), _doubled_e(g),
+               suite.flipped_coadjoint_module(g), GModule(g, g.dim, adjoint_module(g).actions)]
     checked = []
     real = gmod.check_module_axiom
     monkeypatch.setattr(gmod, "check_module_axiom", lambda mod: checked.append(mod) or real(mod))
-    grading = weight_grading.__wrapped__  # uncached
-    assert all(grading(mod) is not None for mod in vouched) and checked == []
-    # a bare GModule carries no such record: checked, and refused when it is no module
-    bare = GModule(g, g.dim, adjoint_module(g).actions)
-    assert grading(bare) == grading(adjoint_module(g)) and checked == [bare]
-    for mod in (_doubled_e(g), suite.flipped_coadjoint_module(g)):
-        assert grading(mod) is None and checked[-1] is mod
+    weight_grading.cache_clear()
+    for _ in range(2):
+        gradings = [weight_grading(mod) for mod in modules]
+    # the bare GModule equals the adjoint module: one check and one grading serve both
+    assert len(checked) == len(set(modules)) == 6 and set(checked) == set(modules)
+    assert None not in gradings[:4] and gradings[4:6] == [None, None]
+    assert gradings[6] == gradings[1]
+    # the flipped coadjoint action is no module, whatever was graded before it
+    with pytest.raises(SubspaceNotContained):
+        betti_sequence(g, suite.flipped_coadjoint_module(g))
 
 
-def test_one_suite_run_checks_the_module_axiom_82_times():
+def test_one_suite_run_checks_the_module_axiom_84_times():
     # a fresh interpreter, so every cache starts cold as in one verify-paper run;
-    # weight_grading leaves out the trivial and adjoint modules of sl2, which
-    # make_module never checked and which hold the axiom by construction
+    # make_module checks each module it builds, and weight_grading each module
+    # it grades, the trivial and adjoint modules of sl2 among them
     code = (
         "from liecoh import gmod, suite\n"
         "calls, real = [], gmod.check_module_axiom\n"
@@ -278,7 +282,7 @@ def test_one_suite_run_checks_the_module_axiom_82_times():
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(_SRC)},
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "82"
+    assert run.stdout == "84"
 
 
 @pytest.mark.parametrize("name", ["so3", "heis3", "abelian:3", "abelian:0"])

@@ -583,3 +583,67 @@ def test_bracket_and_ad_matrix_reject_a_vector_of_the_wrong_length():
             g.ad_matrix(x)
         with pytest.raises(ValueError):
             g.bracket(x, (0, 1, 0))
+
+
+# -- reductivity: rad g = z(g), against the definition through [g, g] ----
+
+
+def _reference_reductive(g):
+    """z + [g, g] is direct and the Killing form of [g, g], as an algebra, is nondegenerate."""
+    center, derived = liealg.center_of(g), liealg.derived_subalgebra(g)
+    stacked = Matrix.from_rows(center.vectors + derived.vectors) if g.dim else Matrix.zero(0, 0)
+    if center.dim + derived.dim != g.dim or stacked.rank() != g.dim:
+        return False
+    d = liealg.induced_algebra(g, derived.basis, [f"d{i}" for i in range(derived.dim)])
+    return killing_form(d).rank() == d.dim
+
+
+# (dim, brackets i < j, reductive): sl2 and so3 simple, b2 = [x, y] = y, the
+# standard sl2 ⋉ R^2, r3 = [x, y] = y, [x, z] = y + z
+_PIECES = {
+    "sl2": (3, SL2_BRACKETS, True),
+    "so3": (3, {(0, 1): (0, 0, 1), (0, 2): (0, -1, 0), (1, 2): (1, 0, 0)}, True),
+    "heis3": (3, {(0, 1): (0, 0, 1)}, False),
+    "b2": (2, {(0, 1): (0, 1)}, False),
+    "abelian1": (1, {}, True),
+    "abelian2": (2, {}, True),
+    "sl2xR2": (5, {**{k: v + (0, 0) for k, v in SL2_BRACKETS.items()},
+                   (0, 3): (0, 0, 0, 1, 0), (0, 4): (0, 0, 0, 0, -1),
+                   (1, 4): (0, 0, 0, 1, 0), (2, 3): (0, 0, 0, 0, 1)}, False),
+    "r3": (3, {(0, 1): (0, 1, 0), (0, 2): (0, 1, 1)}, False),
+}
+
+
+def _direct_sum(names):
+    dim, brackets, offset = sum(_PIECES[n][0] for n in names), {}, 0
+    for n in names:
+        d, table, _ = _PIECES[n]
+        for (i, j), v in table.items():
+            brackets[i + offset, j + offset] = (0,) * offset + tuple(v) + (0,) * (dim - offset - d)
+        offset += d
+    return validate(dim, [f"e{i}" for i in range(dim)], brackets)
+
+
+@given(st.lists(st.sampled_from(sorted(_PIECES)), min_size=1, max_size=3)
+       .filter(lambda names: sum(_PIECES[n][0] for n in names) <= 8),
+       st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_reductive_is_rad_equal_center_in_any_basis(names, rng):
+    g = _direct_sum(names)
+    cols = [[Q(rng.randint(-1, 1)) + (r == c) for r in range(g.dim)] for c in range(g.dim)]
+    if Matrix.from_columns(cols).rank() == g.dim:
+        g = change_of_basis(g, cols)
+    expected = all(_PIECES[n][2] for n in names)
+    assert structure_report.__wrapped__(g).is_reductive == _reference_reductive(g) == expected
+
+
+@pytest.mark.parametrize("name", _CATALOG + ["abelian:0"])
+def test_structure_report_builds_no_induced_algebra(name, monkeypatch):
+    g = builtin(name).algebra
+    expected = _reference_reductive(g)
+
+    def refuse(*args):
+        raise AssertionError("structure_report built an induced algebra")
+
+    monkeypatch.setattr(liealg, "induced_algebra", refuse)
+    assert structure_report.__wrapped__(g).is_reductive == expected

@@ -7,6 +7,9 @@
 * Cell layout: only ``cecomplex`` reads the tuple ranking (``_rank``,
   ``_unrank``, ``_tuple_index``); every other module asks a
   ``CochainLevel`` for ``index`` or ``cell``.
+* Modules: a ``GModule`` is its algebra, dimension and action matrices
+  only; whether the module axiom holds is ``gmod.check_module_axiom``'s to
+  say, not a field's.
 """
 
 import ast
@@ -72,3 +75,10 @@ def test_only_cecomplex_reads_the_cell_ranking():
                 continue
             readers.update(f"{module}:{name}" for name in names & _CELL_RANKING)
     assert sorted(r for r in readers if not r.startswith("cecomplex:")) == []
+
+
+def test_a_module_is_its_algebra_dimension_and_actions_only():
+    (cls,) = (node for node in ast.walk(_TREES["gmod"])
+              if isinstance(node, ast.ClassDef) and node.name == "GModule")
+    fields = [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
+    assert fields == ["algebra", "vdim", "actions"]
