@@ -56,15 +56,17 @@ g/h), and a batch of X is a Matrix with one row per X.  Both are put over
 the common denominator once per call, so the assembly and the identity
 checks on its output build no Fraction.
 
-Caching: ``tuple_basis``/``_tuple_index``, the incidence tables
-``_faces`` and ``_cofaces``, ``_pairs_by_target``, the differential, the
-graded differential and its cells, the degree -1 map, the relative bases
-and their dense views are cached per level, the weights once per module
-and the data of g/h once per pair; ``reduction`` keeps nothing across
-calls, so the small relative delta is rebuilt on each call, which costs
-less than the memory to keep it.
+Caching: ``tuple_basis``, the incidence tables ``_faces`` and
+``_cofaces``, ``_pairs_by_target``, the differential, the graded
+differential and its cells, the degree -1 map, the relative bases and
+their dense views are cached per level, the weights once per module and
+the data of g/h once per pair; ``reduction`` keeps nothing across calls,
+so the small relative delta is rebuilt on each call, which costs less
+than the memory to keep it.  No tuple-to-index dict is kept: a tuple is
+placed by ``_rank``, and the full-level delta indexes its targets inline.
 ``_faces(dim, k)`` gives, for each k-tuple s and position q, s[q] and the
-index of s without it; ``_cofaces(dim, k)`` gives, for each k-tuple r, the
+index of s without it; ``_cofaces(dim, k)``, derived from
+``_faces(dim, k + 1)`` as its inverse, gives, for each k-tuple r, the
 insert position and the index of r with a for every a not in r.  The
 cores of i_X, L_X and the degree -1 map read these tables, so an L_X
 bracket term is one coface lookup with sign (-1)^(q+pos).  ``i_X`` and
@@ -100,11 +102,6 @@ def tuple_basis(dim: int, k: int) -> tuple[tuple[int, ...], ...]:
     if k < 0 or k > dim:
         return ()
     return tuple(combinations(range(dim), k))
-
-
-@lru_cache(maxsize=None)
-def _tuple_index(dim: int, k: int) -> dict:
-    return {t: i for i, t in enumerate(tuple_basis(dim, k))}
 
 
 def _rank(dim: int, t: tuple[int, ...]) -> int:
@@ -264,7 +261,8 @@ def _differential_core(
     By default the cells are every cell of both levels, in the flat order.
     """
     if cells is None:
-        cells = ((s, range(vdim)) for s in tuple_basis(dim, k)), _tuple_index(dim, k + 1)
+        targets = {t: i for i, t in enumerate(tuple_basis(dim, k + 1))}
+        cells = ((s, range(vdim)) for s in tuple_basis(dim, k)), targets
     sources, out_index = cells
     out: list[dict] = [{} for _ in range(len(out_index) * vdim)]
     den = lcm(by_target.den, *(a.den for a in actions))
@@ -297,13 +295,11 @@ def _differential_core(
             for (a, b), coef in by_target[sq]:
                 if a in rest_set or b in rest_set:
                     continue
-                _, t1 = _insert(rest, a)
-                _, t = _insert(t1, b)
-                # 1-based positions of a and b inside t
-                i = t.index(a) + 1
-                j = t.index(b) + 1
-                # (-1)^(i+j), times (-1)^q for sorting (sq, rest) into s
-                terms.append((out_index[t] * vdim, coef if (i + j + q) % 2 == 0 else -coef))
+                pa, t1 = _insert(rest, a)
+                pb, t = _insert(t1, b)
+                # a < b sit at the 0-based positions pa, pb of t: (-1)^(i+j) for
+                # their 1-based positions, times (-1)^q for sorting (sq, rest) into s
+                terms.append((out_index[t] * vdim, coef if (pa + pb + q) % 2 == 0 else -coef))
         for m in ms:
             for column, base, even in inserts:
                 for mm, v in column[m].items():
@@ -321,30 +317,32 @@ def weight_grading(module: gmod.GModule) -> tuple | None:
     The Cartan part H is the basis vectors e_h whose bracket matrix and
     module action are both diagonal: alpha_a(h) is the e_a-coefficient of
     [e_h, e_a], mu_m(h) the e_m-coefficient of e_h . e_m.  The weights are
-    packed into integers, one balanced digit per h after clearing its
-    denominators, with digits wide enough that every sum and difference met
-    below compares equal exactly when the weight vectors do.  None, for the
-    full level, when H is empty, every alpha_a is zero, or the module axiom
-    fails.
+    packed into integers, one balanced digit per h: the integer diagonals of
+    ad(e_h) and of its action over their common denominator, a positive
+    multiple of alpha(h) and mu(h) that keeps every equality and sign.  The
+    digits are wide enough that every sum and difference met below compares
+    equal exactly when the weight vectors do.  None, for the full level,
+    when H is empty, every alpha_a is zero, or the module axiom fails.
     """
     g = module.algebra
     cartan = [
         h for h in range(g.dim) if _is_diagonal(g.brackets[h]) and _is_diagonal(module.actions[h])
     ]
-    alphas = [[_diagonal_entry(g.brackets[h], a) for h in cartan] for a in range(g.dim)]
-    if not any(map(any, alphas)):
+    # a diagonal ad(e_h) is zero exactly when every alpha_a(h) is
+    if all(g.brackets[h].is_zero() for h in cartan):
         return None
     try:
         gmod.check_module_axiom(module)
     except gmod.ModuleAxiomViolation:
         return None
-    mus = [[_diagonal_entry(module.actions[h], m) for h in cartan] for m in range(module.vdim)]
     weights, module_weights = [0] * g.dim, [0] * module.vdim
     radix = 1
-    for i in range(len(cartan)):
-        den = lcm(*(w[i].denominator for w in alphas + mus))
-        alpha = [int(w[i] * den) for w in alphas]
-        mu = [int(w[i] * den) for w in mus]
+    for h in cartan:
+        # the diagonals of ad(e_h) and of its action, over one denominator
+        ad, act = g.brackets[h], module.actions[h]
+        den = lcm(ad.den, act.den)
+        alpha = [ad.int_rows[a].get(a, 0) * (den // ad.den) for a in range(g.dim)]
+        mu = [act.int_rows[m].get(m, 0) * (den // act.den) for m in range(module.vdim)]
         for a, x in enumerate(alpha):
             weights[a] += x * radix
         for m, x in enumerate(mu):
@@ -357,10 +355,6 @@ def weight_grading(module: gmod.GModule) -> tuple | None:
 
 def _is_diagonal(m: Matrix) -> bool:
     return all(r.keys() <= {i} for i, r in enumerate(m.int_rows))
-
-
-def _diagonal_entry(m: Matrix, i: int) -> Fraction:
-    return Fraction(m.int_rows[i].get(i, 0), m.den)
 
 
 @lru_cache(maxsize=None)
@@ -528,24 +522,23 @@ def _lie_derivative_core(
 @lru_cache(maxsize=None)
 def _faces(dim: int, k: int) -> tuple:
     """For each k-tuple s, in order: (s[q], index of s without s[q]) for each position q."""
-    index = _tuple_index(dim, k - 1)
     return tuple(
-        tuple((a, index[s[:q] + s[q + 1 :]]) for q, a in enumerate(s)) for s in tuple_basis(dim, k)
+        tuple((a, _rank(dim, s[:q] + s[q + 1 :])) for q, a in enumerate(s))
+        for s in tuple_basis(dim, k)
     )
 
 
 @lru_cache(maxsize=None)
 def _cofaces(dim: int, k: int) -> tuple:
-    """For each k-tuple r, in order: {a: (insert position, index of r with a)} for a not in r."""
-    index = _tuple_index(dim, k + 1)
-    out = []
-    for r in tuple_basis(dim, k):
-        entries = {}
-        for a in range(dim):
-            if a not in r:
-                pos, t = _insert(r, a)
-                entries[a] = (pos, index[t])
-        out.append(entries)
+    """For each k-tuple r, in order: {a: (insert position, index of r with a)} for a not in r.
+
+    The inverse of ``_faces(dim, k + 1)``: a (k+1)-tuple t without t[q] is r
+    exactly when inserting t[q] into r puts it at position q and gives t.
+    """
+    out: list[dict] = [{} for _ in tuple_basis(dim, k)]
+    for ti, face in enumerate(_faces(dim, k + 1)):
+        for q, (a, ri) in enumerate(face):
+            out[ri][a] = (q, ti)
     return tuple(out)
 
 

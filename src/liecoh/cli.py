@@ -136,7 +136,7 @@ def cmd_cohomology(args) -> int:
     if args.relative:
         # algebra-level model: matches invariant forms for connected isotropy
         report.add("note", "relative cohomology assumes a connected isotropy subgroup")
-    results = [cohomology(g, module, k, h_used, module_spec=args.coeffs) for k in degrees]
+    results = [cohomology(g, module, k, h_used) for k in degrees]
     for res in results:
         report.add(f"betti[{res.degree}]", res.betti)
     if args.representatives:

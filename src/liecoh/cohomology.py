@@ -13,7 +13,10 @@ and dim H = |Z| - rank(B) holds exactly when their number matches; any
 other count means B is not inside span(Z).  The chosen kernel rows are
 lifted to the full level at once; each representative is a
 :class:`~liecoh.cecomplex.Cochain` that keeps its row of that Matrix, and
-nothing here is made dense.
+nothing here is made dense.  ``cohomology`` is that path, one call per
+degree, and nothing is cached per result: the differentials, cells and
+relative bases it reads are cached per level in :mod:`liecoh.cecomplex`,
+so a repeated call redoes only the elimination.
 
 Every entry point takes g from the module: ``relative_complex`` is the one
 check of (g, V, h).  It refuses a module or an h over another algebra than
@@ -41,8 +44,7 @@ what it would pick on the full level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 
 from . import gmod
 from .cecomplex import (
@@ -67,41 +69,15 @@ class CohomologyResult:
     betti: int
     cocycle_representatives: tuple[Cochain, ...]
     relative: bool
-    module_spec: str = ""
 
 
 def cohomology(
-    g: LieAlgebra,
-    module: gmod.GModule,
-    k: int,
-    h: Subalgebra | None = None,
-    module_spec: str = "",
+    g: LieAlgebra, module: gmod.GModule, k: int, h: Subalgebra | None = None
 ) -> CohomologyResult:
     """Cohomology in degree k, relative to h when given."""
     h = relative_complex(g, module, h)[0]
     if not (0 <= k <= g.dim):
         raise ValueError(f"degree {k} out of range 0..{g.dim}")
-    result = _cohomology_core(module, k, h)
-    if module_spec:
-        result = replace(result, module_spec=module_spec)
-    return result
-
-
-def relative_complex(g: LieAlgebra, module: gmod.GModule, h: Subalgebra | None) -> tuple:
-    """(h, dim g - dim h) for the complex of (g, module, h); a zero-dimensional h is None.
-
-    Raises MixedAlgebras when the module or h lives over another algebra than g.
-    """
-    if module.algebra != g:
-        raise gmod.MixedAlgebras("the coefficient module lives over another algebra than g")
-    if h is not None and h.ambient != g:
-        raise gmod.MixedAlgebras("the subalgebra h lives inside another algebra than g")
-    h = h if h is not None and h.dim else None
-    return h, g.dim - (h.dim if h is not None else 0)
-
-
-@lru_cache(maxsize=None)
-def _cohomology_core(module, k, h) -> CohomologyResult:
     delta, to_span, lift = reduction(module, h)
     kernel = delta(k).kernel()
     cocycles = to_span(k, kernel)
@@ -122,15 +98,24 @@ def _cohomology_core(module, k, h) -> CohomologyResult:
     return CohomologyResult(k, betti, tuple(Cochain(level, r) for r in rows), h is not None)
 
 
+def relative_complex(g: LieAlgebra, module: gmod.GModule, h: Subalgebra | None) -> tuple:
+    """(h, dim g - dim h) for the complex of (g, module, h); a zero-dimensional h is None.
+
+    Raises MixedAlgebras when the module or h lives over another algebra than g.
+    """
+    if module.algebra != g:
+        raise gmod.MixedAlgebras("the coefficient module lives over another algebra than g")
+    if h is not None and h.ambient != g:
+        raise gmod.MixedAlgebras("the subalgebra h lives inside another algebra than g")
+    h = h if h is not None and h.dim else None
+    return h, g.dim - (h.dim if h is not None else 0)
+
+
 def betti_sequence(
-    g: LieAlgebra,
-    module: gmod.GModule,
-    h: Subalgebra | None = None,
-    top: int | None = None,
+    g: LieAlgebra, module: gmod.GModule, h: Subalgebra | None = None
 ) -> tuple[int, ...]:
-    """Betti numbers for degrees 0..top (default: the relevant top degree)."""
-    if top is None:
-        top = relative_complex(g, module, h)[1]
+    """Betti numbers for degrees 0..dim g - dim h, the top degree of the complex."""
+    top = relative_complex(g, module, h)[1]
     return tuple(cohomology(g, module, k, h).betti for k in range(top + 1))
 
 

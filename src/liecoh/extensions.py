@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import files, gmod
-from .cohomology import DualityReport, cohomology, duality_report, invariant_volume_form
+from .cohomology import DualityReport, cohomology, invariant_volume_form, relative_complex
 from .liealg import (
     DimensionMismatch,
     LieAlgebra,
@@ -246,18 +246,23 @@ def verify_vanishing(pair: ExtensionPair) -> VanishingReport:
     vanishes, the complementary-degree coadjoint cohomology vanishes, and
     the top-degree relative space is one-dimensional (a unique invariant
     volume form up to scale).  Failures are reported, never raised.
+
+    Each Betti number is computed once.  The top degree n is dim g - dim h
+    of the complex itself (``relative_complex``), not the carried
+    ``pair.homogeneous_dim``.  The coadjoint module is the dual of the
+    adjoint one, so the duality of degree 1 compares the two numbers
+    already computed: b_1(g, h; g) with b_{n-1}(g, h; g*).
     """
     g, h = pair.algebra, pair.isotropy
     adj = gmod.adjoint_module(g)
+    top = relative_complex(g, adj, h)[1]
     b1 = cohomology(g, adj, 1, h).betti
-    top = pair.homogeneous_dim
     b_top = cohomology(g, gmod.coadjoint_module(g), top - 1, h).betti
-    dual = duality_report(g, h, adj, 1)
     vol = invariant_volume_form(g, h).dim_top_relative
     return VanishingReport(
         betti1_adjoint=b1,
         betti_top_minus_one_coadjoint=b_top,
-        duality=dual,
+        duality=DualityReport(b1, b_top, b1 == b_top),
         volume_form_dim=vol,
         passed=(b1 == 0 and b_top == 0 and vol == 1),
     )

@@ -42,6 +42,7 @@ from liecoh.liealg import DimensionMismatch, change_of_basis, subalgebra, unit, 
 from liecoh.cohomology import betti_sequence
 from liecoh.ratlin import Matrix, solve_columns
 from liecoh.suite import check_operator_identities, random_identity_sample
+from test_graded import SL
 
 # the package's ``cohomology`` attribute is the function, not its module
 cohomology_module = importlib.import_module("liecoh.cohomology")
@@ -127,7 +128,7 @@ def test_cell_refuses_an_index_outside_the_level():
 def test_a_basis_cochain_is_placed_without_listing_the_level():
     g = builtin("abelian:22").algebra
     lvl = CochainLevel(g, trivial_module(g, 1), 11)
-    caches = (cecomplex._tuple_index, cecomplex.tuple_basis)
+    caches = (cecomplex.tuple_basis,)
     before = [cache.cache_info().currsize for cache in caches]
     start = time.perf_counter()
     c = basis_cochain(lvl, tuple(range(11)))
@@ -413,6 +414,53 @@ def test_relative_path_reads_integer_rows_only(monkeypatch):
     assert sum(b.rows for b, _, _ in got) > 0
 
 
+def test_graded_path_reads_integer_rows_only(monkeypatch):
+    # the weights, the weight-zero cells and the graded delta build no
+    # Fraction in cecomplex and read no dense view, as on the relative path
+    cases = [adjoint_module(SL[3]), trivial_module(SL[4], 1)]
+
+    def graded_data():
+        out = []
+        for mod in cases:
+            levels = [CochainLevel(mod.algebra, mod, k) for k in range(-1, mod.algebra.dim + 1)]
+            out.append((cecomplex.weight_grading(mod),
+                        [cecomplex.weight_zero_cells(lvl) for lvl in levels],
+                        [cecomplex.graded_differential(lvl) for lvl in levels]))
+        return out
+
+    want = graded_data()
+    _refuse_fractions(monkeypatch, cecomplex)
+    # uncached, so the weights, cells and graded deltas are built again under the patch
+    for name in ("weight_grading", "weight_zero_cells", "graded_differential", "_pairs_by_target"):
+        monkeypatch.setattr(cecomplex, name, getattr(cecomplex, name).__wrapped__)
+    got = graded_data()
+    assert got == want
+    assert all(grading is not None and any(cells) for grading, cells, _ in got)
+
+
+def _reference_incidence(dim, k):
+    """(_faces(dim, k), _cofaces(dim, k)) built with ``_insert`` and tuple-index dicts."""
+    down, up = ({t: i for i, t in enumerate(tuple_basis(dim, j))} for j in (k - 1, k + 1))
+    faces = tuple(tuple((a, down[s[:q] + s[q + 1:]]) for q, a in enumerate(s))
+                  for s in tuple_basis(dim, k))
+    cofaces = []
+    for r in tuple_basis(dim, k):
+        entries = {}
+        for a in range(dim):
+            if a not in r:
+                pos, t = cecomplex._insert(r, a)
+                entries[a] = (pos, up[t])
+        cofaces.append(entries)
+    return faces, tuple(cofaces)
+
+
+def test_faces_and_cofaces_match_the_tables_built_from_index_dicts():
+    for dim in range(8):
+        for k in range(-1, dim + 2):
+            want = _reference_incidence(dim, k)
+            assert (cecomplex._faces(dim, k), cecomplex._cofaces(dim, k)) == want, (dim, k)
+
+
 def test_coadjoint_only_sweep_finds_every_failure_of_the_sign_flip():
     # the self-check reruns only these steps: under the flip they must
     # fail exactly where the full sweep does, in the same order
@@ -565,8 +613,7 @@ def test_relative_subspace_builds_no_full_level_operator(monkeypatch):
     monkeypatch.setattr(cohomology_module, "relative_basis", uncached)
     for case, want in zip(cases, expected):
         lvl = level(*case)
-        got = cohomology_module._cohomology_core.__wrapped__(lvl.module, lvl.degree,
-                                                             builtin(case[0]).h)
+        got = cohomology_module.cohomology(lvl.algebra, lvl.module, lvl.degree, builtin(case[0]).h)
         assert (got.betti, [c.coords for c in got.cocycle_representatives]) == want, case
 
 

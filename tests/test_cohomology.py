@@ -76,10 +76,10 @@ def test_representatives_are_cocycles_and_independent():
             assert boundary_span.add(Matrix.from_rows([rep.coords]).int_rows[0])
 
 
-def test_module_spec_is_carried():
+def test_an_absolute_result_is_not_relative():
     g = builtin("sl2").algebra
-    res = cohomology(g, adjoint_module(g), 1, module_spec="adjoint")
-    assert res.module_spec == "adjoint" and not res.relative
+    res = cohomology(g, adjoint_module(g), 1)
+    assert not res.relative
 
 
 def test_euler_characteristic_identity():

@@ -1,10 +1,13 @@
 """Central-extension pairs, the catalog, and the vanishing reports."""
 
+import dataclasses
+import importlib
 from fractions import Fraction as Q
 
 import pytest
 
-from liecoh.cohomology import betti_sequence, cohomology, invariant_volume_form
+from liecoh import extensions, gmod
+from liecoh.cohomology import betti_sequence, cohomology, duality_report, invariant_volume_form
 from liecoh.extensions import (
     ExtensionPair,
     MixingRankDeficient,
@@ -17,6 +20,9 @@ from liecoh.extensions import (
 )
 from liecoh.gmod import MixedAlgebras, adjoint_module, coadjoint_module, module_from_spec
 from liecoh.liealg import DimensionMismatch, structure_report, subalgebra, unit
+
+# the package's ``cohomology`` attribute is the function, not its module
+cohomology_module = importlib.import_module("liecoh.cohomology")
 
 K1 = (0, 1, -1)  # the rotation direction E - F inside sl2
 
@@ -170,3 +176,48 @@ def test_negative_control_center_only_isotropy():
     b2 = cohomology(g, coadjoint_module(g), 2, h_center).betti
     vol = invariant_volume_form(g, h_center).dim_top_relative
     assert (b1, b2, vol) == (0, 0, 1)
+
+
+def _rank2_pair():
+    g = builtin("sl2sl2").algebra
+    return central_extension(g, None, [(0, 1, -1, 0, 0, 0), (0, 0, 0, 0, 1, -1)], 2,
+                             [[1, Q(-1, 2)], [2, 3]])
+
+
+_VANISHING_PAIRS = ["sl2R_ext", "fivedim_ext:1", "fivedim_ext:2", "fivedim_ext:3",
+                    "fivedim_ext:1/2", "fivedim_ext:-3/4", "fivedim_ext:5/2", "rank2"]
+
+
+@pytest.mark.parametrize("name", _VANISHING_PAIRS)
+def test_vanishing_duality_is_the_duality_report_of_degree_one(name):
+    # the report derives the duality from its own two Betti numbers; the
+    # reference recomputes them through the dual of the adjoint module
+    pair = _rank2_pair() if name == "rank2" else builtin(name).pair
+    g, h = pair.algebra, pair.isotropy
+    rep = verify_vanishing(pair)
+    assert rep.duality == duality_report(g, h, adjoint_module(g), 1)
+    assert (rep.duality.left, rep.duality.right) == (
+        rep.betti1_adjoint, rep.betti_top_minus_one_coadjoint)
+
+
+def test_vanishing_reads_the_top_degree_of_the_complex_not_the_carried_one():
+    pair = builtin("fivedim_ext:1").pair
+    assert pair.homogeneous_dim == 5
+    wrong = dataclasses.replace(pair, homogeneous_dim=4)
+    assert verify_vanishing(wrong) == verify_vanishing(pair)
+    assert verify_vanishing(pair).passed
+
+
+def test_vanishing_computes_each_betti_number_once(monkeypatch):
+    calls = []
+    real = extensions.cohomology
+
+    def refuse(*args):
+        raise AssertionError("the duality was recomputed")
+
+    monkeypatch.setattr(extensions, "cohomology", lambda *a: calls.append(a[2:]) or real(*a))
+    monkeypatch.setattr(cohomology_module, "duality_report", refuse)
+    monkeypatch.setattr(gmod, "dual_module", refuse)
+    pair = builtin("fivedim_ext:2").pair
+    assert verify_vanishing(pair).passed
+    assert calls == [(1, pair.isotropy), (pair.homogeneous_dim - 1, pair.isotropy)]

@@ -1,10 +1,14 @@
 """Module constructors and the exact bracket-relation check."""
 
+import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense import apply, kernel_basis
+from liecoh import suite
 from liecoh.cohomology import cohomology
 from liecoh.extensions import BUILTIN_NAMES, builtin
 from liecoh.gmod import (
@@ -93,9 +97,19 @@ def test_dual_of_trivial_is_trivial():
 
 
 def test_dual_of_adjoint_equals_coadjoint():
-    for name in ("sl2", "so3", "heis3"):
+    # verify_vanishing reads the coadjoint module as the dual of the adjoint one
+    for name in _CATALOG:
         g = builtin(name).algebra
-        assert dual_module(adjoint_module(g)) == coadjoint_module(g)
+        assert dual_module(adjoint_module(g)) == coadjoint_module(g), name
+
+
+@given(st.sampled_from(range(len(suite._sample_bases()))), st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_dual_of_adjoint_equals_coadjoint_in_any_basis(which, seed):
+    base = suite._sample_bases()[which]
+    cols = suite._random_invertible(random.Random(seed), base.dim)
+    g = change_of_basis(base, [tuple(row[j] for row in cols) for j in range(base.dim)])
+    assert dual_module(adjoint_module(g)) == coadjoint_module(g)
 
 
 def test_double_dual_is_identity():

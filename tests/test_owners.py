@@ -5,8 +5,8 @@
   except ``files.ParseError`` (a parse error, exit 2) and
   ``ratlin.SubspaceNotContained`` (an invariant of the elimination engine).
 * Cell layout: only ``cecomplex`` reads the tuple ranking (``_rank``,
-  ``_unrank``, ``_tuple_index``); every other module asks a
-  ``CochainLevel`` for ``index`` or ``cell``.
+  ``_unrank``); every other module asks a ``CochainLevel`` for ``index``
+  or ``cell``.
 * Modules: a ``GModule`` is its algebra, dimension and action matrices
   only; whether the module axiom holds is ``gmod.check_module_axiom``'s to
   say, not a field's.
@@ -20,7 +20,7 @@ _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liecoh"
 _TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(_PACKAGE.glob("*.py"))}
 _REFUSAL_BASE = "LieAlgebraError"
 _NOT_REFUSALS = {"ParseError", "SubspaceNotContained"}
-_CELL_RANKING = {"_rank", "_unrank", "_tuple_index"}
+_CELL_RANKING = {"_rank", "_unrank"}
 
 
 def _base_name(node):
