@@ -34,7 +34,7 @@ g/h, so the only kernel taken is on C(n - dim h, k) * vdim coordinates.
 ``reduction``, the one function that picks the cells a (g, V, h) complex
 eliminates, takes the relative complex on the beta coordinates of the
 relative basis, a relative form's entries at the all-free tuples, with the
-core of ``differential_matrix`` run on g/h.
+core of ``differential_matrix`` run on g/h (``relative_differential``).
 
 The absolute complex is graded by weight when the basis has a Cartan
 part: basis vectors e_h whose bracket matrix and module action are both
@@ -57,13 +57,14 @@ the common denominator once per call, so the assembly and the identity
 checks on its output build no Fraction.
 
 Caching: ``tuple_basis``, the incidence tables ``_faces`` and
-``_cofaces``, ``_pairs_by_target``, the differential, the graded
-differential and its cells, the degree -1 map, the relative bases and
-their dense views are cached per level, the weights once per module and
-the data of g/h once per pair; ``reduction`` keeps nothing across calls,
-so the small relative delta is rebuilt on each call, which costs less
-than the memory to keep it.  No tuple-to-index dict is kept: a tuple is
-placed by ``_rank``, and the full-level delta indexes its targets inline.
+``_cofaces``, ``_pairs_by_target``, the differential, the graded and the
+relative differential, the graded cells, the degree -1 map, the relative
+bases and their dense views are cached per level, the weights once per
+module and the data of g/h once per pair; ``reduction`` keeps nothing.
+A seed-1 relative-ext pass asks for 88 relative deltas, 46 distinct,
+which hold about 190 KiB (paper-suite: 34, 32 distinct, 100 KiB).  No
+tuple-to-index dict is kept: a tuple is placed by ``_rank``, and the
+full-level delta indexes its targets inline.
 ``_faces(dim, k)`` gives, for each k-tuple s and position q, s[q] and the
 index of s without it; ``_cofaces(dim, k)``, derived from
 ``_faces(dim, k + 1)`` as its inverse, gives, for each k-tuple r, the
@@ -630,7 +631,8 @@ def relative_basis(level: CochainLevel, h: Subalgebra) -> Matrix:
         beta = {(): 1}
         for c in reversed(t):
             beta = _wedge(annihilator.int_rows[c], beta)
-        beta_rows += ({_rank(g.dim, s) * vdim + m: v for s, v in beta.items()} for m in range(vdim))
+        cells = [(_rank(g.dim, s) * vdim, v) for s, v in beta.items()]
+        beta_rows += ({base + m: v for base, v in cells} for m in range(vdim))
     betas = Matrix._from_ints(n_rel, level.space_dim, beta_rows, annihilator.den ** max(k, 0))
     return _rref((kernel * betas)._span())[1]
 
@@ -639,6 +641,26 @@ def relative_basis(level: CochainLevel, h: Subalgebra) -> Matrix:
 def relative_subspace(level: CochainLevel, h: Subalgebra) -> tuple:
     """Dense view of :func:`relative_basis`: its rows as tuples of Fractions."""
     return relative_basis(level, h).entries
+
+
+def _beta_coordinates(level: CochainLevel, h: Subalgebra) -> Matrix:
+    """Q_k, bt = relative_basis in beta coordinates: bt's entries at the all-free tuples."""
+    bt, g, vdim = relative_basis(level, h), level.algebra, level.vdim
+    columns = list(_quotient(g, h)[1])
+    bases = [_rank(g.dim, tuple(columns[c] for c in t)) * vdim
+             for t in tuple_basis(len(columns), level.degree)]
+    cols = [base + m for base in bases for m in range(vdim)]
+    rows = [{j: r[col] for j, col in enumerate(cols) if col in r} for r in bt.int_rows]
+    return Matrix._new(bt.rows, len(cols), rows, bt.den)
+
+
+@lru_cache(maxsize=None)
+def relative_differential(level: CochainLevel, h: Subalgebra) -> Matrix:
+    """delta_q Q_k^T, delta_q the core of ``differential_matrix`` run on g/h (``_quotient``)."""
+    _, free, by_target, _ = _quotient(level.algebra, h)
+    actions = [level.module.actions[f] for f in free]
+    core = _differential_core(len(free), level.degree, level.vdim, by_target, actions)
+    return core * _beta_coordinates(level, h).transpose()
 
 
 def reduction(module: gmod.GModule, h: Subalgebra | None) -> tuple:
@@ -652,25 +674,8 @@ def reduction(module: gmod.GModule, h: Subalgebra | None) -> tuple:
     """
     g, vdim, level = module.algebra, module.vdim, partial(CochainLevel, module.algebra, module)
     if h is not None:
-        _, free, by_target, _ = _quotient(g, h)
-        columns, actions, betas = list(free), [module.actions[f] for f in free], {}
-
-        def beta(k):
-            # Q_k, the beta coordinates of bt: beta_T is 1 at the all-free tuple
-            # of T and 0 at the others, so they are bt's entries there
-            if k not in betas:
-                bt = relative_basis(level(k), h)
-                cols = [_rank(g.dim, tuple(columns[c] for c in t)) * vdim + m
-                        for t in tuple_basis(len(columns), k) for m in range(vdim)]
-                rows = [{j: r[col] for j, col in enumerate(cols) if col in r} for r in bt.int_rows]
-                betas[k] = Matrix._new(bt.rows, len(cols), rows, bt.den)
-            return betas[k]
-
-        def delta(k):
-            # a relative form reads [e_fa, e_fb] as sum_c alpha_c([e_fa, e_fb]) e_fc
-            return _differential_core(len(free), k, vdim, by_target, actions) * beta(k).transpose()
-
-        return (delta, lambda k, rows: rows * beta(k),
+        return (lambda k: relative_differential(level(k), h),
+                lambda k, rows: rows * _beta_coordinates(level(k), h),
                 lambda k, rows: rows * relative_basis(level(k), h))
     if weight_grading(module) is None:
         return lambda k: differential_matrix(level(k)), _unchanged, _unchanged

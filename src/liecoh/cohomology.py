@@ -14,9 +14,10 @@ other count means B is not inside span(Z).  The chosen kernel rows are
 lifted to the full level at once; each representative is a
 :class:`~liecoh.cecomplex.Cochain` that keeps its row of that Matrix, and
 nothing here is made dense.  ``cohomology`` is that path, one call per
-degree, and nothing is cached per result: the differentials, cells and
-relative bases it reads are cached per level in :mod:`liecoh.cecomplex`,
-so a repeated call redoes only the elimination.
+degree, and nothing is cached per result: the differentials (full,
+graded and relative), cells and relative bases it reads are cached per
+level in :mod:`liecoh.cecomplex`, so a repeated call redoes only the
+elimination.
 
 Every entry point takes g from the module: ``relative_complex`` is the one
 check of (g, V, h).  It refuses a module or an h over another algebra than

@@ -251,18 +251,20 @@ def verify_vanishing(pair: ExtensionPair) -> VanishingReport:
     of the complex itself (``relative_complex``), not the carried
     ``pair.homogeneous_dim``.  The coadjoint module is the dual of the
     adjoint one, so the duality of degree 1 compares the two numbers
-    already computed: b_1(g, h; g) with b_{n-1}(g, h; g*).
+    already computed: b_1(g, h; g) with b_{n-1}(g, h; g*).  When h is all
+    of g, n = 0: b_{-1} reads 0, a degree outside the complex, and the pair
+    does not pass, as a point has no rigidity statement.
     """
     g, h = pair.algebra, pair.isotropy
     adj = gmod.adjoint_module(g)
     top = relative_complex(g, adj, h)[1]
     b1 = cohomology(g, adj, 1, h).betti
-    b_top = cohomology(g, gmod.coadjoint_module(g), top - 1, h).betti
+    b_top = cohomology(g, gmod.coadjoint_module(g), top - 1, h).betti if top else 0
     vol = invariant_volume_form(g, h).dim_top_relative
     return VanishingReport(
         betti1_adjoint=b1,
         betti_top_minus_one_coadjoint=b_top,
         duality=DualityReport(b1, b_top, b1 == b_top),
         volume_form_dim=vol,
-        passed=(b1 == 0 and b_top == 0 and vol == 1),
+        passed=(top > 0 and b1 == 0 and b_top == 0 and vol == 1),
     )

@@ -406,9 +406,10 @@ def test_relative_path_reads_integer_rows_only(monkeypatch):
 
     want = relative_data()
     _refuse_fractions(monkeypatch, cecomplex)
-    # uncached, so the data of g/h and the relative bases are built again under the patch
-    monkeypatch.setattr(cecomplex, "_quotient", cecomplex._quotient.__wrapped__)
-    monkeypatch.setattr(cecomplex, "relative_basis", cecomplex.relative_basis.__wrapped__)
+    # uncached, so the data of g/h, the relative bases and the relative deltas
+    # are built again under the patch
+    for name in ("_quotient", "relative_basis", "relative_differential"):
+        monkeypatch.setattr(cecomplex, name, getattr(cecomplex, name).__wrapped__)
     got = relative_data()
     assert got == want
     assert sum(b.rows for b, _, _ in got) > 0
@@ -608,8 +609,10 @@ def test_relative_subspace_builds_no_full_level_operator(monkeypatch):
     expected = [_full_level_relative_cohomology(level(*case), builtin(case[0]).h) for case in cases]
     monkeypatch.setattr(cecomplex, "differential_matrix", refuse)
     monkeypatch.setattr(cohomology_module, "differential_matrix", refuse)
-    # uncached, so no basis computed before the patch can stand in
+    # uncached, so no basis or delta computed before the patch can stand in
     monkeypatch.setattr(cecomplex, "relative_basis", uncached)
+    monkeypatch.setattr(cecomplex, "relative_differential",
+                        cecomplex.relative_differential.__wrapped__)
     monkeypatch.setattr(cohomology_module, "relative_basis", uncached)
     for case, want in zip(cases, expected):
         lvl = level(*case)
@@ -687,6 +690,40 @@ def test_beta_coordinates_are_the_entries_at_the_all_free_tuples(pair):
             lvl = CochainLevel(g, mod, k)
             bt = cecomplex.relative_basis(lvl, h)
             assert to_span(k, Matrix.identity(bt.rows)) * _beta_rows(lvl, h) == bt, (spec, k)
+
+
+@pytest.mark.parametrize("name", [n for n in _catalog_names() if builtin(n).h is not None])
+def test_cached_relative_differential_is_the_uncached_one(name):
+    # the cache is keyed by hashed levels: after the traffic of every module
+    # and degree, each delta it returns is the one a fresh build gives
+    g, h = builtin(name).algebra, builtin(name).h
+    mods = [module_from_spec(g, spec) for spec in ("trivial", "adjoint", "coadjoint")]
+    for mod in mods:
+        betti_sequence(g, mod, h)
+    for mod in mods:
+        for k in range(-1, g.dim + 1):
+            lvl = CochainLevel(g, mod, k)
+            assert cecomplex.relative_differential(lvl, h) == (
+                cecomplex.relative_differential.__wrapped__(lvl, h)), (mod, k)
+
+
+def test_relative_degree_all_assembles_each_quotient_delta_once(monkeypatch, capsys):
+    # cohomology in degree k reads delta(k) and delta(k - 1); cached per
+    # (level, h), the core of g/h runs once per degree -1..top, not twice
+    entry = builtin("fivedim_ext:1")
+    by_target = cecomplex._quotient(entry.algebra, entry.h)[2]
+    real, degrees = cecomplex._differential_core, []
+
+    def core(dim, k, vdim, targets, actions, cells=None):
+        if targets is by_target:
+            degrees.append(k)
+        return real(dim, k, vdim, targets, actions, cells)
+
+    cecomplex.relative_differential.cache_clear()
+    monkeypatch.setattr(cecomplex, "_differential_core", core)
+    argv = ["cohomology", "fivedim_ext:1", "--coeffs", "adjoint", "--relative", "--degree", "all"]
+    assert cli.main(argv) == 0
+    assert sorted(degrees) == list(range(-1, entry.algebra.dim - entry.h.dim + 1))
 
 
 def _alternating_sum(xs):

@@ -221,3 +221,15 @@ def test_vanishing_computes_each_betti_number_once(monkeypatch):
     pair = builtin("fivedim_ext:2").pair
     assert verify_vanishing(pair).passed
     assert calls == [(1, pair.isotropy), (pair.homogeneous_dim - 1, pair.isotropy)]
+
+
+def test_vanishing_reports_a_pair_of_top_degree_zero():
+    # h = g: the complex is one point, so b_{top-1} is a degree outside it
+    # and reads 0, and the pair does not pass
+    g = builtin("sl2R_ext").algebra
+    h = subalgebra(g, [unit(g.dim, i) for i in range(g.dim)])
+    rep = verify_vanishing(ExtensionPair(g, h, (), 1, 0))
+    assert (rep.betti1_adjoint, rep.betti_top_minus_one_coadjoint) == (0, 0)
+    assert rep.duality.equal
+    assert rep.volume_form_dim == 1
+    assert not rep.passed
