@@ -58,9 +58,10 @@ checks on its output build no Fraction.
 
 Caching: ``tuple_basis``, the incidence tables ``_faces`` and
 ``_cofaces``, ``_pairs_by_target``, the differential, the graded and the
-relative differential, the graded cells, the degree -1 map, the relative
-bases and their dense views are cached per level, the weights once per
-module and the data of g/h once per pair; ``reduction`` keeps nothing.
+relative differential, the graded cells, the relative bases and their
+dense views are cached per level, the weights once per module, the data
+of g/h once per pair and the unit batch i_{e_0..e_(n-1)} on scalar forms
+once per (dim, k) (``_unit_interior_products``); ``reduction`` keeps nothing.
 A seed-1 relative-ext pass asks for 88 relative deltas, 46 distinct,
 which hold about 190 KiB (paper-suite: 34, 32 distinct, 100 KiB).  No
 tuple-to-index dict is kept: a tuple is placed by ``_rank``, and the
@@ -68,11 +69,11 @@ full-level delta indexes its targets inline.
 ``_faces(dim, k)`` gives, for each k-tuple s and position q, s[q] and the
 index of s without it; ``_cofaces(dim, k)``, derived from
 ``_faces(dim, k + 1)`` as its inverse, gives, for each k-tuple r, the
-insert position and the index of r with a for every a not in r.  The
-cores of i_X, L_X and the degree -1 map read these tables, so an L_X
-bracket term is one coface lookup with sign (-1)^(q+pos).  ``i_X`` and
-``L_X`` are built on each call, for the rows X of a Matrix in one pass over
-the level (``_interior_products``, ``_lie_derivatives``); the public
+insert position and the index of r with a for every a not in r.  Only
+the cores of i_X and L_X read these tables (an L_X bracket term is one
+coface lookup with sign (-1)^(q+pos)); J stacks the unit batch of i_X.
+``i_X`` and ``L_X`` are built on each call, for the rows X of a Matrix in
+one pass (``_interior_products``, ``_lie_derivatives``); the public
 ``interior_product_matrix``, ``lie_derivative_matrix`` and
 ``wedge_one_form_matrix`` parse their X into a batch of one.
 ``suite._Operators`` memoises them for one identity sweep.  Relative work
@@ -427,16 +428,17 @@ def _coordinates(level: CochainLevel, x: Sequence) -> Matrix:
 
 def interior_product_matrix(level: CochainLevel, x: Sequence) -> Matrix:
     """Matrix of i_X: degree k -> k-1, linear in X."""
-    return _interior_products(level, _coordinates(level, x))[0]
+    xs = _coordinates(level, x)
+    return _interior_products(level.algebra.dim, level.degree, level.vdim, xs)[0]
 
 
-def _interior_products(level: CochainLevel, xs: Matrix) -> list[Matrix]:
-    """The matrix of i_X for each row X of the Matrix xs, from one walk over the faces.
+def _interior_products(dim: int, k: int, vdim: int, xs: Matrix) -> list[Matrix]:
+    """i_X on the k-cochains of a dim-dimensional space, with vdim-dimensional values.
 
-    The X share the denominator xs.den; row a of xs transposed is
-    {X: integer a-coordinate} for the X with a nonzero a-coordinate.
+    One Matrix per row X of xs, from one walk over the faces.  The X share
+    the denominator xs.den; row a of xs transposed is {X: integer
+    a-coordinate} for the X with a nonzero a-coordinate.
     """
-    dim, k, vdim = level.algebra.dim, level.degree, level.vdim
     n_out = comb(dim, k - 1) * vdim if k >= 1 else 0
     outs: list[list[dict]] = [[{} for _ in range(n_out)] for _ in range(xs.rows)]
     by_index = xs.transpose().int_rows
@@ -449,7 +451,13 @@ def _interior_products(level: CochainLevel, xs: Matrix) -> list[Matrix]:
                 out, sgn = outs[x], a if q % 2 == 0 else -a
                 for m in range(vdim):
                     out[base + m][col + m] = sgn
-    return [Matrix._new(n_out, level.space_dim, out, xs.den) for out in outs]
+    return [Matrix._new(n_out, len(_faces(dim, k)) * vdim, out, xs.den) for out in outs]
+
+
+@lru_cache(maxsize=None)
+def _unit_interior_products(dim: int, k: int) -> tuple[Matrix, ...]:
+    """i_{e_0}, ..., i_{e_(dim-1)} on scalar k-forms: one batch of the unit vectors."""
+    return tuple(_interior_products(dim, k, 1, Matrix.identity(dim)))
 
 
 def lie_derivative_matrix(level: CochainLevel, x: Sequence) -> Matrix:
@@ -546,21 +554,14 @@ def _cofaces(dim: int, k: int) -> tuple:
 def j_map_matrix(g: LieAlgebra, k: int) -> Matrix:
     """Degree -1 map from scalar k-forms to coadjoint-valued (k-1)-forms.
 
-    Column (S); row ((T, x)) carries w(x, T) for the basis form w = S.
+    Column (S); row ((T, x)) carries w(x, T) for the basis form w = S: as
+    J w = sum_x e^x (x) i_{e_x} w, it is row T of i_{e_x}.
     """
     if not (1 <= k <= g.dim):
         raise ValueError(f"degree {k} out of range for the degree-lowering map")
-    return _j_map_core(g.dim, k)
-
-
-@lru_cache(maxsize=None)
-def _j_map_core(dim: int, k: int) -> Matrix:
-    out: list[dict] = [{} for _ in range(comb(dim, k - 1) * dim)]
-    faces = _faces(dim, k)
-    for si, face in enumerate(faces):
-        for q, (sq, ri) in enumerate(face):
-            out[ri * dim + sq][si] = 1 if q % 2 == 0 else -1
-    return Matrix._new(len(out), len(faces), out, 1)
+    units = _unit_interior_products(g.dim, k)
+    rows = ((units[x], t) for t in range(comb(g.dim, k - 1)) for x in range(g.dim))
+    return Matrix._stack(comb(g.dim, k), rows)
 
 
 def wedge_one_form_matrix(level: CochainLevel, covector: Sequence) -> Matrix:
@@ -649,9 +650,9 @@ def _beta_coordinates(level: CochainLevel, h: Subalgebra) -> Matrix:
     columns = list(_quotient(g, h)[1])
     bases = [_rank(g.dim, tuple(columns[c] for c in t)) * vdim
              for t in tuple_basis(len(columns), level.degree)]
-    cols = [base + m for base in bases for m in range(vdim)]
-    rows = [{j: r[col] for j, col in enumerate(cols) if col in r} for r in bt.int_rows]
-    return Matrix._new(bt.rows, len(cols), rows, bt.den)
+    at = {cell: j for j, cell in enumerate(base + m for base in bases for m in range(vdim))}
+    rows = [{at[cell]: v for cell, v in r.items() if cell in at} for r in bt.int_rows]
+    return Matrix._new(bt.rows, len(at), rows, bt.den)
 
 
 @lru_cache(maxsize=None)

@@ -23,6 +23,7 @@ from .liealg import (
     Subalgebra,
     _brief,
     _checked_algebra,
+    _pair_brackets,
     check_dim,
     subalgebra,
     validate,
@@ -77,17 +78,17 @@ def central_extension(
     r_vecs = [vector(v) for v in abelian_basis]
     if any(len(v) != g.dim for v in r_vecs):
         raise DimensionMismatch("abelian direction has wrong length")
-    for a in range(len(r_vecs)):
-        for b in range(a + 1, len(r_vecs)):
-            if any(g.bracket(r_vecs[a], r_vecs[b])):
-                raise RNotAbelian(f"directions {a} and {b} do not commute")
-    if h is not None:
-        for hb in h.vectors:
-            for i, r in enumerate(r_vecs):
-                if any(g.bracket(hb, r)):
-                    raise RNotCommutingWithH(
-                        f"direction {i} does not commute with the subalgebra"
-                    )
+    # the brackets of every pair a < b of the rows of h followed by the directions, one batch
+    vecs = [*(h.vectors if h is not None else ()), *r_vecs]
+    n_h = len(vecs) - len(r_vecs)
+    pairs, brackets = _pair_brackets(g, Matrix(len(vecs), g.dim, vecs))
+    clashes = [(a - n_h, b - n_h) for (a, b), w in zip(pairs, brackets.int_rows)
+               if w and b >= n_h]
+    for a, b in clashes:
+        if a >= 0:
+            raise RNotAbelian(f"directions {a} and {b} do not commute")
+    if clashes:
+        raise RNotCommutingWithH(f"direction {clashes[0][1]} does not commute with the subalgebra")
     mix = Matrix.from_rows([[rational(x) for x in row] for row in mixing])
     if mix.rows != rank or mix.cols != len(r_vecs):
         raise DimensionMismatch(

@@ -23,9 +23,10 @@ Each exact identity of the sweep (square-zero, Cartan, the doubled
 differential and the three relations of the degree-lowering map) is one
 call of the fused check ``ratlin._vanishes`` on sum c A B = 0, so no
 product or difference is built as a Matrix.  The doubled differential reads
-the basis batches L_{e_0..e_{n-1}} and i_{e_0..e_{n-1}} one degree up,
-whose transposes are the wedges with e^0..e^{n-1}, from one pass over the
-level each.
+the basis batch L_{e_0..e_{n-1}}, from one pass over the level, and the
+transposes of the batch i_{e_0..e_{n-1}} one degree up, the wedges with
+e^0..e^{n-1}; that batch is ``cecomplex._unit_interior_products``, cached
+per (dim, k), which the degree-lowering map is stacked from too.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from typing import Callable
 from . import extensions, gmod, volumes
 from .cecomplex import (
     CochainLevel,
-    _interior_products,
     _lie_derivatives,
+    _unit_interior_products,
     differential_matrix,
     interior_product_matrix,
     j_map_matrix,
@@ -249,7 +250,7 @@ def _doubled_differential_holds(g: LieAlgebra, k: int) -> bool:
     tlevel = CochainLevel(g, gmod.trivial_module(g, 1), k)
     d = differential_matrix(tlevel)
     units = Matrix.identity(g.dim)
-    wedges = [i.transpose() for i in _interior_products(tlevel.shifted(1), units)]
+    wedges = [i.transpose() for i in _unit_interior_products(g.dim, k + 1)]
     terms = [(1, w, lie) for w, lie in zip(wedges, _lie_derivatives(tlevel, units))]
     return _vanishes([*terms, (-2, d, None)], d.rows)
 

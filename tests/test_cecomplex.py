@@ -350,6 +350,23 @@ def test_operator_identity_sweep_is_pinned(factory):
     assert digest == _SWEEP_DIGESTS[factory]
 
 
+def test_operator_identity_sweep_builds_each_unit_batch_once(monkeypatch):
+    # the doubled differential and J read one cached batch i_{e_0..e_(n-1)} on
+    # scalar k-forms: one sweep builds it once per (dim, k), never elsewhere
+    builds = []
+    core = cecomplex._interior_products
+
+    def recording(dim, k, vdim, xs):
+        if vdim == 1 and xs == Matrix.identity(dim):
+            builds.append((dim, k))
+        return core(dim, k, vdim, xs)
+
+    monkeypatch.setattr(cecomplex, "_interior_products", recording)
+    cecomplex._unit_interior_products.cache_clear()
+    suite.run_operator_identity_suite()
+    assert len(builds) == len(set(builds)) == 27
+
+
 def _refuse_fractions(monkeypatch, module):
     """Make building a Fraction in module, or reading a Fraction view of a Matrix, raise."""
 
@@ -378,7 +395,8 @@ def test_identity_sweep_reads_integer_rows_only(name, monkeypatch):
     # uncached, so no operator built before the patch can stand in
     monkeypatch.setattr(suite, "differential_matrix", differential_matrix.__wrapped__)
     monkeypatch.setattr(cecomplex, "_pairs_by_target", cecomplex._pairs_by_target.__wrapped__)
-    monkeypatch.setattr(cecomplex, "_j_map_core", cecomplex._j_map_core.__wrapped__)
+    monkeypatch.setattr(cecomplex, "_unit_interior_products",
+                        cecomplex._unit_interior_products.__wrapped__)
     # mixed denominators in X, so the operators' common denominators are not 1
     ops = suite._Operators(tuple(Q((-1) ** i * (i + 1), 2 + i % 2) for i in range(g.dim)))
     for k in range(g.dim + 1):
@@ -758,19 +776,22 @@ def _reference(m):
 
 @pytest.mark.parametrize(
     "name", [n for n in _catalog_names() if builtin(n).algebra.dim <= 7])
-def test_batch_cores_match_the_formulas_on_every_basis_cochain(name):
+def test_batch_cores_match_the_formulas_on_every_basis_cochain(name, monkeypatch):
     g = builtin(name).algebra
     xs, batch = _batch(g, name)
     for spec in ("trivial", "adjoint", "coadjoint"):
         for k in range(g.dim + 1):
             lvl = level(name, spec, k)
-            interior = cecomplex._interior_products(lvl, batch)
+            interior = cecomplex._interior_products(g.dim, k, lvl.vdim, batch)
             lie = cecomplex._lie_derivatives(lvl, batch)
             for x, i_x, l_x in zip(xs, interior, lie):
                 assert _reference(i_x) == dense.interior_product(lvl, x), (spec, k, x)
                 assert _reference(l_x) == dense.lie_derivative(lvl, x), (spec, k, x)
+    # uncached, so J is stacked from a unit batch built here
+    monkeypatch.setattr(cecomplex, "_unit_interior_products",
+                        cecomplex._unit_interior_products.__wrapped__)
     for k in range(1, g.dim + 1):
-        assert _reference(cecomplex._j_map_core.__wrapped__(g.dim, k)) == dense.j_map(g, k), k
+        assert _reference(j_map_matrix(g, k)) == dense.j_map(g, k), k
 
 
 @pytest.mark.parametrize("name", _catalog_names())
@@ -780,11 +801,11 @@ def test_a_batch_of_three_is_three_batches_of_one(name):
     for spec in ("trivial", "adjoint", "coadjoint"):
         for k in range(-1, g.dim + 2):
             lvl = level(name, spec, k)
-            assert cecomplex._interior_products(lvl, batch) == [
+            assert cecomplex._interior_products(g.dim, k, lvl.vdim, batch) == [
                 interior_product_matrix(lvl, x) for x in xs], (spec, k)
             assert cecomplex._lie_derivatives(lvl, batch) == [
                 lie_derivative_matrix(lvl, x) for x in xs], (spec, k)
-            up = cecomplex._interior_products(lvl.shifted(1), batch)
+            up = cecomplex._interior_products(g.dim, k + 1, lvl.vdim, batch)
             assert [i.transpose() for i in up] == [
                 wedge_one_form_matrix(lvl, x) for x in xs], (spec, k)
 

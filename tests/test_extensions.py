@@ -19,7 +19,7 @@ from liecoh.extensions import (
     verify_vanishing,
 )
 from liecoh.gmod import MixedAlgebras, adjoint_module, coadjoint_module, module_from_spec
-from liecoh.liealg import DimensionMismatch, structure_report, subalgebra, unit
+from liecoh.liealg import DimensionMismatch, LieAlgebra, structure_report, subalgebra, unit
 
 # the package's ``cohomology`` attribute is the function, not its module
 cohomology_module = importlib.import_module("liecoh.cohomology")
@@ -67,6 +67,33 @@ def test_central_extension_rejects_noncommuting_with_h():
     h = subalgebra(g, [(1, 0, 0)])  # span(H)
     with pytest.raises(RNotCommutingWithH):
         central_extension(g, h, [(0, 1, 0)], 1, [[1]])  # [H,E] = 2E
+
+
+def test_central_extension_brackets_every_pair_in_one_batch(monkeypatch):
+    # the commutation checks bracket the rows of h and the directions in one
+    # batch, not pair by pair; refusals keep their class, message and order
+    names = ("sl2R_ext", "fivedim_ext:1", "fivedim_ext:-3/4")
+    want = {name: builtin(name).pair for name in names}
+
+    def refuse(*args):
+        raise AssertionError("single-pair bracket")
+
+    monkeypatch.setattr(LieAlgebra, "bracket", refuse)
+    for name in names:
+        assert builtin.__wrapped__(name).pair == want[name], name
+    sl2, sl2sl2 = builtin("sl2").algebra, builtin("sl2sl2").algebra
+    span_h = subalgebra(sl2, [(1, 0, 0)])
+    with pytest.raises(RNotAbelian, match="^directions 0 and 1 do not commute$"):
+        central_extension(sl2, None, [(0, 1, 0), (0, 0, 1)], 1, [[1, 1]])
+    with pytest.raises(RNotCommutingWithH, match="^direction 0 does not commute with the"):
+        central_extension(sl2, span_h, [(0, 1, 0)], 1, [[1]])
+    # H2 commutes with H1 and E1, but [H1, E1] = 2 E1: the second direction fails
+    span_h1 = subalgebra(sl2sl2, [unit(6, 0)])
+    with pytest.raises(RNotCommutingWithH, match="^direction 1 does not commute with the"):
+        central_extension(sl2sl2, span_h1, [unit(6, 3), unit(6, 1)], 1, [[1, 1]])
+    # E and F fail both checks: the directions among themselves are checked first
+    with pytest.raises(RNotAbelian, match="^directions 0 and 1 do not commute$"):
+        central_extension(sl2, span_h, [(0, 1, 0), (0, 0, 1)], 1, [[1, 1]])
 
 
 def test_central_extension_rejects_rank_deficient_mixing():

@@ -10,6 +10,12 @@
 * Modules: a ``GModule`` is its algebra, dimension and action matrices
   only; whether the module axiom holds is ``gmod.check_module_axiom``'s to
   say, not a field's.
+* Incidence: only the cores of i_X and L_X and ``_cofaces`` walk the face
+  table ``cecomplex._faces``; the degree -1 map and the wedges with e^x
+  read the cached unit batch of i_X.
+* Brackets: the library brackets Matrix rows in batches
+  (``liealg._pair_brackets``); the single-pair ``LieAlgebra.bracket`` is
+  for callers outside it.
 """
 
 import ast
@@ -21,6 +27,8 @@ _TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(_PACKAGE.glo
 _REFUSAL_BASE = "LieAlgebraError"
 _NOT_REFUSALS = {"ParseError", "SubspaceNotContained"}
 _CELL_RANKING = {"_rank", "_unrank"}
+_FACE_WALKERS = {"cecomplex:_interior_products", "cecomplex:_lie_derivative_core",
+                 "cecomplex:_cofaces"}
 
 
 def _base_name(node):
@@ -82,3 +90,30 @@ def test_a_module_is_its_algebra_dimension_and_actions_only():
               if isinstance(node, ast.ClassDef) and node.name == "GModule")
     fields = [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
     assert fields == ["algebra", "vdim", "actions"]
+
+
+def _names(node):
+    """The names a node reads: a Name, an attribute, or an imported alias."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return {node.name} if isinstance(node, ast.alias) else set()
+
+
+def test_only_the_interior_and_lie_cores_walk_the_faces():
+    readers = set()
+    for module, tree in _TREES.items():
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            if any("_faces" in _names(node) for node in ast.walk(top)):
+                readers.add(f"{module}:{owner}")
+    assert readers == _FACE_WALKERS
+
+
+def test_the_library_calls_no_single_pair_bracket():
+    calls = sorted(f"{module}:{node.lineno}" for module, tree in _TREES.items()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "bracket")
+    assert calls == []
