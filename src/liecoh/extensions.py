@@ -89,6 +89,10 @@ def central_extension(
             raise RNotAbelian(f"directions {a} and {b} do not commute")
     if clashes:
         raise RNotCommutingWithH(f"direction {clashes[0][1]} does not commute with the subalgebra")
+    lengths = {len(row) for row in mixing}
+    if len(lengths) > 1:
+        raise DimensionMismatch(f"mixing matrix must be {rank}x{len(r_vecs)}, "
+                                f"got rows of {min(lengths)} to {max(lengths)} entries")
     mix = Matrix.from_rows([[rational(x) for x in row] for row in mixing])
     if mix.rows != rank or mix.cols != len(r_vecs):
         raise DimensionMismatch(
@@ -118,23 +122,14 @@ def central_extension(
 
 
 @dataclass(frozen=True)
-class Annotations:
-    semisimple: bool | None = None
-    # (module spec, betti by degree); relative when the entry carries h
-    expected_betti: tuple = ()
-
-
-@dataclass(frozen=True)
 class CatalogEntry:
     name: str
     algebra: LieAlgebra
     h: Subalgebra | None
-    annotations: Annotations
-    pair: ExtensionPair | None = None
+    pair: ExtensionPair | None
 
 
 _SL2_BRACKETS = {(0, 1): (0, 2, 0), (0, 2): (0, 0, -2), (1, 2): (1, 0, 0)}
-_SIMPLE_BETTI = (("trivial", (1, 0, 0, 1)), ("adjoint", (0, 0, 0, 0)))
 
 
 def _sl2() -> LieAlgebra:
@@ -147,17 +142,7 @@ def _sl2sl2() -> LieAlgebra:
     return validate(6, ("H1", "E1", "F1", "H2", "E2", "F2"), brackets)
 
 
-def _sl2_so2_pair() -> tuple:
-    g = _sl2()
-    annotations = Annotations(semisimple=True, expected_betti=(("trivial", (1, 0, 1)),))
-    return g, subalgebra(g, [(0, 1, -1)]), annotations, None
-
-
-def _pair_parts(pair: ExtensionPair) -> tuple:
-    return pair.algebra, pair.isotropy, Annotations(), pair
-
-
-def _abelian(count: str) -> tuple:
+def _abelian(count: str) -> LieAlgebra:
     try:
         n = files.parse_count(count)
     except files.ParseError:
@@ -165,11 +150,10 @@ def _abelian(count: str) -> tuple:
             f"the dimension of abelian must be a count such as 3, not {_brief(count)}"
         )
     check_dim(n, f"catalog algebra {_brief('abelian:' + count)}")
-    g = validate(n, tuple(f"a{i + 1}" for i in range(n)), {})
-    return g, None, Annotations(semisimple=(n == 0)), None
+    return validate(n, tuple(f"a{i + 1}" for i in range(n)), {})
 
 
-def _fivedim_ext(slope: str) -> tuple:
+def _fivedim_ext(slope: str) -> ExtensionPair:
     try:
         alpha = files.parse_rational(slope)
     except files.ParseError:
@@ -182,34 +166,22 @@ def _fivedim_ext(slope: str) -> tuple:
         )
     k1 = (0, 1, -1, 0, 0, 0)
     k2 = (0, 0, 0, 0, 1, -1)
-    return _pair_parts(central_extension(_sl2sl2(), None, [k1, k2], 1, [[1, alpha]]))
+    return central_extension(_sl2sl2(), None, [k1, k2], 1, [[1, alpha]])
 
 
-# catalog name -> builder of (algebra, h, annotations, pair), in catalog order.
-# A family is keyed "<head>:<argument>"; its builder parses the text after the colon.
+# catalog name -> builder of the one LieAlgebra, Subalgebra (of its ambient
+# algebra) or ExtensionPair the name stands for, in catalog order.  A family is
+# keyed "<head>:<argument>"; its builder parses the text after the colon.
 _CATALOG = {
-    "sl2": lambda: (_sl2(), None, Annotations(semisimple=True, expected_betti=_SIMPLE_BETTI), None),
-    "so3": lambda: (
-        validate(3, ("X", "Y", "Z"), {(0, 1): (0, 0, 1), (0, 2): (0, -1, 0), (1, 2): (1, 0, 0)}),
-        None,
-        Annotations(semisimple=True, expected_betti=_SIMPLE_BETTI),
-        None,
+    "sl2": _sl2,
+    "so3": lambda: validate(
+        3, ("X", "Y", "Z"), {(0, 1): (0, 0, 1), (0, 2): (0, -1, 0), (1, 2): (1, 0, 0)}
     ),
-    "sl2sl2": lambda: (
-        _sl2sl2(),
-        None,
-        Annotations(semisimple=True, expected_betti=(("trivial", (1, 0, 0, 2, 0, 0, 1)),)),
-        None,
-    ),
-    "heis3": lambda: (
-        validate(3, ("X", "Y", "Z"), {(0, 1): (0, 0, 1)}),
-        None,
-        Annotations(semisimple=False, expected_betti=(("trivial", (1, 2, 2, 1)),)),
-        None,
-    ),
+    "sl2sl2": _sl2sl2,
+    "heis3": lambda: validate(3, ("X", "Y", "Z"), {(0, 1): (0, 0, 1)}),
     "abelian:n": _abelian,
-    "sl2_so2_pair": _sl2_so2_pair,
-    "sl2R_ext": lambda: _pair_parts(central_extension(_sl2(), None, [(0, 1, -1)], 1, [[1]])),
+    "sl2_so2_pair": lambda: subalgebra(_sl2(), [(0, 1, -1)]),
+    "sl2R_ext": lambda: central_extension(_sl2(), None, [(0, 1, -1)], 1, [[1]]),
     "fivedim_ext:alpha": _fivedim_ext,
 }
 BUILTIN_NAMES = tuple(_CATALOG)
@@ -221,14 +193,18 @@ def builtin(name: str) -> CatalogEntry:
     """Look up a built-in algebra or pair by its stable catalog name."""
     head, colon, argument = name.partition(":")
     if colon and head in _FAMILIES:
-        parts = _FAMILIES[head](argument)
+        built = _FAMILIES[head](argument)
     elif name in _CATALOG:
-        parts = _CATALOG[name]()
+        built = _CATALOG[name]()
     else:
         raise UnknownName(
             f"unknown catalog name {_brief(name)}; known: {', '.join(BUILTIN_NAMES)}"
         )
-    return CatalogEntry(name, *parts)
+    if isinstance(built, ExtensionPair):
+        return CatalogEntry(name, built.algebra, built.isotropy, built)
+    if isinstance(built, Subalgebra):
+        return CatalogEntry(name, built.ambient, built, None)
+    return CatalogEntry(name, built, None, None)
 
 
 @dataclass(frozen=True)

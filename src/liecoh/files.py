@@ -245,9 +245,6 @@ class Report:
                 return v
         raise KeyError(key)
 
-    def __eq__(self, other):
-        return isinstance(other, Report) and self.items == other.items
-
 
 def parse_report(text: str) -> Report:
     """Parse machine-format report text back into a Report."""

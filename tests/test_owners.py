@@ -16,11 +16,16 @@
 * Brackets: the library brackets Matrix rows in batches
   (``liealg._pair_brackets``); the single-pair ``LieAlgebra.bracket`` is
   for callers outside it.
+* Catalog: a row of ``extensions._CATALOG`` builds one algebra, subalgebra
+  or extension pair, and ``extensions.builtin`` reads the entry's
+  algebra, h and pair from it.
 """
 
 import ast
 import builtins
 from pathlib import Path
+
+from liecoh.extensions import BUILTIN_NAMES, builtin
 
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liecoh"
 _TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(_PACKAGE.glob("*.py"))}
@@ -90,6 +95,24 @@ def test_a_module_is_its_algebra_dimension_and_actions_only():
               if isinstance(node, ast.ClassDef) and node.name == "GModule")
     fields = [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
     assert fields == ["algebra", "vdim", "actions"]
+
+
+def test_a_catalog_entry_is_its_name_algebra_h_and_pair_only():
+    (cls,) = (node for node in ast.walk(_TREES["extensions"])
+              if isinstance(node, ast.ClassDef) and node.name == "CatalogEntry")
+    fields = [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
+    assert fields == ["name", "algebra", "h", "pair"]
+
+
+def test_a_catalog_entry_reads_its_parts_from_the_one_object_built():
+    names = [n.replace(":n", ":3").replace(":alpha", ":2") for n in BUILTIN_NAMES]
+    assert "abelian:3" in names and "fivedim_ext:2" in names
+    for name in names:
+        entry = builtin(name)
+        if entry.pair is not None:
+            assert entry.pair.isotropy is entry.h, name
+        if entry.h is not None:
+            assert entry.h.ambient == entry.algebra, name
 
 
 def _names(node):
