@@ -58,14 +58,19 @@ checks on its output build no Fraction.
 
 Caching: ``tuple_basis``, the incidence tables ``_faces`` and
 ``_cofaces``, ``_pairs_by_target``, the differential, the graded and the
-relative differential, the graded cells, the relative bases and their
-dense views are cached per level, the weights once per module, the data
-of g/h once per pair and the unit batch i_{e_0..e_(n-1)} on scalar forms
-once per (dim, k) (``_unit_interior_products``); ``reduction`` keeps nothing.
-A seed-1 relative-ext pass asks for 88 relative deltas, 46 distinct,
-which hold about 190 KiB (paper-suite: 34, 32 distinct, 100 KiB).  No
-tuple-to-index dict is kept: a tuple is placed by ``_rank``, and the
-full-level delta indexes its targets inline.
+relative differential, the kernel of each reduced delta
+(``reduced_kernel``), the graded cells, the relative bases and their
+dense views are cached per level, and so are the kernel K of L_h and K
+delta_q^T, which the relative basis and delta are built from and the
+relative certificate of ``cohomology`` reads.  The weights are cached
+once per module, the data of g/h once per pair and the unit batch
+i_{e_0..e_(n-1)} on scalar forms once per (dim, k)
+(``_unit_interior_products``); ``reduction`` keeps nothing.  A seed-1
+relative-ext pass asks for 114 relative deltas and 88 kernels, 46
+distinct of each, which hold about 190 and 50 KiB (paper-suite: 55 and
+74, 32 and 57 distinct; 100 and 50 KiB).  No tuple-to-index dict is
+kept: a tuple is placed by ``_rank``, and the full-level delta indexes
+its targets inline.
 ``_faces(dim, k)`` gives, for each k-tuple s and position q, s[q] and the
 index of s without it; ``_cofaces(dim, k)``, derived from
 ``_faces(dim, k + 1)`` as its inverse, gives, for each k-tuple r, the
@@ -586,8 +591,7 @@ def _quotient(g: LieAlgebra, h: Subalgebra) -> tuple:
     rows X_i of h.basis.
     """
     annihilator = h.basis.kernel()
-    # the kernel puts f after every pivot alpha_f touches
-    free = {max(a): c for c, a in enumerate(annihilator.int_rows)}
+    free = {f: c for c, f in enumerate(annihilator._free_columns())}
     columns = list(free)
     pairs = tuple_basis(len(free), 2)
     brackets = Matrix._stack(g.dim, ((g.brackets[columns[a]], columns[b]) for a, b in pairs))
@@ -619,12 +623,10 @@ def relative_basis(level: CochainLevel, h: Subalgebra) -> Matrix:
       rows and re-echelonised, is the unique RREF basis of the joint kernel.
     """
     g, k, vdim = level.algebra, level.degree, level.vdim
-    annihilator, free, _, lie = _quotient(g, h)
+    annihilator, free = _quotient(g, h)[:2]
     quotient_tuples = tuple_basis(len(free), k)
-    # the quotient L_X, one block per basis vector X of h, from one batch
-    blocks = _lie_derivative_core(len(free), k, level.module, h.basis, lie)
     n_rel = len(quotient_tuples) * vdim
-    kernel = Matrix._stack(n_rel, ((b, i) for b in blocks for i in range(b.rows))).kernel()
+    kernel = _basic_kernel(level, h)
     # the horizontal forms beta_T (x) e_m in the coordinates of the full level,
     # integer rows over den^k for the annihilator's den (no tuples when k < 0)
     beta_rows = []
@@ -636,6 +638,19 @@ def relative_basis(level: CochainLevel, h: Subalgebra) -> Matrix:
         beta_rows += ({base + m: v for base, v in cells} for m in range(vdim))
     betas = Matrix._from_ints(n_rel, level.space_dim, beta_rows, annihilator.den ** max(k, 0))
     return _rref((kernel * betas)._span())[1]
+
+
+@lru_cache(maxsize=None)
+def _basic_kernel(level: CochainLevel, h: Subalgebra) -> Matrix:
+    """The kernel of L_h, the quotient L_X of ``relative_basis`` stacked, X over the basis of h.
+
+    Its rows span the h-basic forms in beta coordinates; the blocks of L_h
+    come from one batch.
+    """
+    _, free, _, lie = _quotient(level.algebra, h)
+    blocks = _lie_derivative_core(len(free), level.degree, level.module, h.basis, lie)
+    n_rel = len(tuple_basis(len(free), level.degree)) * level.vdim
+    return Matrix._stack(n_rel, ((b, i) for b in blocks for i in range(b.rows))).kernel()
 
 
 @lru_cache(maxsize=None)
@@ -656,12 +671,33 @@ def _beta_coordinates(level: CochainLevel, h: Subalgebra) -> Matrix:
 
 
 @lru_cache(maxsize=None)
-def relative_differential(level: CochainLevel, h: Subalgebra) -> Matrix:
-    """delta_q Q_k^T, delta_q the core of ``differential_matrix`` run on g/h (``_quotient``)."""
+def _basic_differential(level: CochainLevel, h: Subalgebra) -> Matrix:
+    """K delta_q^T, for the kernel K of L_h (``_basic_kernel``).
+
+    delta_q is the core of ``differential_matrix`` run on g/h (``_quotient``).
+    """
     _, free, by_target, _ = _quotient(level.algebra, h)
     actions = [level.module.actions[f] for f in free]
     core = _differential_core(len(free), level.degree, level.vdim, by_target, actions)
-    return core * _beta_coordinates(level, h).transpose()
+    return _basic_kernel(level, h) * core.transpose()
+
+
+@lru_cache(maxsize=None)
+def relative_differential(level: CochainLevel, h: Subalgebra) -> Matrix:
+    """delta_q Q_k^T, the transpose of R K delta_q^T (``_basic_differential``).
+
+    The rows of Q_k are basic, so Q_k = R K for R, the entries of Q_k at the
+    free columns of K.
+    """
+    basic = _basic_kernel(level, h)
+    r = _at_columns(_beta_coordinates(level, h), basic._free_columns())
+    return (r * _basic_differential(level, h)).transpose()
+
+
+def _at_columns(m: Matrix, columns: Sequence[int]) -> Matrix:
+    """The entries of m at the given columns, column i of the result being columns[i]."""
+    rows = [{i: r[c] for i, c in enumerate(columns) if c in r} for r in m.int_rows]
+    return Matrix._new(m.rows, len(columns), rows, m.den)
 
 
 def reduction(module: gmod.GModule, h: Subalgebra | None) -> tuple:
@@ -692,6 +728,16 @@ def reduction(module: gmod.GModule, h: Subalgebra | None) -> tuple:
 
 def _unchanged(k: int, rows: Matrix) -> Matrix:
     return rows
+
+
+@lru_cache(maxsize=None)
+def reduced_kernel(level: CochainLevel, h: Subalgebra | None) -> Matrix:
+    """``kernel()`` of the delta that ``reduction(level.module, h)`` gives in this degree.
+
+    Degree k reads it for the cocycles Z and degree k + 1 for
+    rank(B) = cols - nullity, so each reduced delta is eliminated once.
+    """
+    return reduction(level.module, h)[0](level.degree).kernel()
 
 
 def _wedge(alpha: dict, form: dict) -> dict:

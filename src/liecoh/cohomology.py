@@ -3,21 +3,26 @@
 Dimensions are kernel/image ranks of exact matrices, so every number here
 is an integer fact, not an approximation.  Every degree takes one path over
 the reduced complex of (g, V, h) (``cecomplex.reduction``), in integer rows
-(:class:`~liecoh.ratlin.Matrix`) from the operators to one
-:class:`~liecoh.ratlin.EchelonSpan` pass: the coboundaries B, the rows of
-delta(k - 1) transposed, are added first, which gives rank(B), and then,
-greedily, the canonical cocycle basis Z, the rows of ``delta(k).kernel()``
-mapped by to_span.  The cocycles that enlarge the span are the
-representatives, so they are deterministic and safe to freeze in tests,
-and dim H = |Z| - rank(B) holds exactly when their number matches; any
-other count means B is not inside span(Z).  The chosen kernel rows are
-lifted to the full level at once; each representative is a
-:class:`~liecoh.cecomplex.Cochain` that keeps its row of that Matrix, and
-nothing here is made dense.  ``cohomology`` is that path, one call per
-degree, and nothing is cached per result: the differentials (full,
-graded and relative), cells and relative bases it reads are cached per
-level in :mod:`liecoh.cecomplex`, so a repeated call redoes only the
-elimination.
+(:class:`~liecoh.ratlin.Matrix`), and each reduced delta is eliminated
+once: ``cecomplex.reduced_kernel`` keeps the canonical kernel of delta(k)
+per level.  Degree k reads it for the cocycle basis Z, and degree k + 1
+for rank(B) = rank delta(k) = cols - nullity, so dim H = |Z| - rank(B).
+That count needs B inside Z, which ``_coboundaries_are_cocycles``
+certifies with products that vanish; when it fails, cohomology raises
+SubspaceNotContained.  When b_k > 0, the representatives are the cocycles
+that enlarge the span of B in one greedy
+:class:`~liecoh.ratlin.EchelonSpan` pass: B's span holds the coboundaries
+at the pivot columns of delta(k - 1), the cocycles, the kernel rows mapped
+by to_span, are added in kernel order, and the pass stops once b_k are
+chosen, since the rest lie in the span.  So the representatives are
+deterministic and safe to freeze in tests; when b_k = 0 no span is built.
+The chosen kernel rows are lifted to the full level at once; each
+representative is a :class:`~liecoh.cecomplex.Cochain` that keeps its row
+of that Matrix, and nothing here is made dense.  ``cohomology`` is that
+path, one call per degree, and nothing is cached per result: the
+differentials (full, graded and relative), their kernels, cells and
+relative bases it reads are cached per level in :mod:`liecoh.cecomplex`,
+so a repeated call redoes only the certificate and the greedy pass.
 
 Every entry point takes g from the module: ``relative_complex`` is the one
 check of (g, V, h).  It refuses a module or an h over another algebra than
@@ -40,19 +45,27 @@ g/h: with Q those of the relative basis bt and delta_q the differential of
 g/h, delta is delta_q Q^T, Z is K Q for its kernel rows K, B is
 Q_{k-1} delta_q^T, and the representatives, rows of K bt, are full-level
 forms.  The map to beta coordinates is injective, so the greedy pass picks
-what it would pick on the full level.
+what it would pick on the full level.  Z is the vectors that delta_q kills
+inside the row space of Q, the kernel of the stacked quotient L_X (L_h),
+so B lies in Z exactly when delta_q and L_h both kill B: that is the
+relative certificate, as delta(k) delta(k - 1) = 0 is the absolute one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from . import gmod
 from .cecomplex import (
     Cochain,
     CochainLevel,
+    _at_columns,
+    _basic_differential,
+    _basic_kernel,
     _pairs_by_target,
     differential_matrix,
+    reduced_kernel,
     reduction,
     relative_basis,
 )
@@ -80,23 +93,53 @@ def cohomology(
     if not (0 <= k <= g.dim):
         raise ValueError(f"degree {k} out of range 0..{g.dim}")
     delta, to_span, lift = reduction(module, h)
-    kernel = delta(k).kernel()
-    cocycles = to_span(k, kernel)
-    span = delta(k - 1).transpose()._span()
-    rank_b = span.rank
+    level = CochainLevel(module.algebra, module, k)
+    kernel, previous = reduced_kernel(level, h), reduced_kernel(level.shifted(-1), h)
     # the cocycles are independent (a kernel basis, or its image under the
     # injective map to beta coordinates), so |Z| - rank(B) is the quotient dimension
-    betti = cocycles.rows - rank_b
-    chosen = [i for i, v in enumerate(cocycles.int_rows) if span.add(v)]
-    if len(chosen) != betti:
-        # rank(Z + B) > rank(Z): some coboundary is not a cocycle
+    rank_b = previous.cols - previous.rows
+    betti = kernel.rows - rank_b
+    if not _coboundaries_are_cocycles(delta, level, h):
         raise SubspaceNotContained(
-            f"span of rank {rank_b} is not inside the rank-{cocycles.rows} span"
+            f"span of rank {rank_b} is not inside the rank-{kernel.rows} span"
         )
-    level = CochainLevel(module.algebra, module, k)
+    chosen = []
+    if betti:
+        # a basis of B: the coboundaries at the pivot columns of delta(k - 1)
+        free = set(previous._free_columns())
+        coboundaries = delta(k - 1).transpose()
+        span = Matrix._stack(coboundaries.cols, (
+            (coboundaries, p) for p in range(coboundaries.rows) if p not in free))._span()
+        # B is inside Z, so the greedy pass is done once betti cocycles are chosen
+        cocycles = to_span(k, kernel).int_rows
+        chosen = list(islice((i for i, v in enumerate(cocycles) if span.add(v)), betti))
     reps = lift(k, Matrix._stack(kernel.cols, ((kernel, i) for i in chosen)))
     rows = (Matrix._new(1, level.space_dim, [r], reps.den) for r in reps.int_rows)
     return CohomologyResult(k, betti, tuple(Cochain(level, r) for r in rows), h is not None)
+
+
+def _coboundaries_are_cocycles(delta, level: CochainLevel, h: Subalgebra | None) -> bool:
+    """True when B lies in Z at this level, for the delta of ``reduction(level.module, h)``.
+
+    On the full level and the weight-zero cells, B is in Z exactly when
+    delta(k) delta(k - 1) = 0.  On the beta coordinates, delta(k) =
+    delta_q Q_k^T does not compose with delta(k - 1), whose columns are the
+    coboundaries in beta coordinates: they are cocycles exactly when L_h
+    kills them (they are h-basic) and so does delta_q (they are closed).
+    L_h kills a coboundary c exactly when c lies in the row space of the
+    kernel K of L_h, that is, when c is the sum of the rows of K, each 1 at
+    its free column f, times c_f; then c delta_q^T is that sum of the rows
+    of K delta_q^T.  Both are the cached operators the relative basis and
+    delta are built from, so nothing is built twice.
+    """
+    k = level.degree
+    coboundaries = delta(k - 1)
+    if h is None:
+        return _vanishes([(1, delta(k), coboundaries)], delta(k).rows)
+    basic, rows = _basic_kernel(level, h), coboundaries.transpose()
+    at_free = _at_columns(rows, basic._free_columns())
+    return (_vanishes([(1, at_free, basic), (-1, rows, None)], rows.rows)
+            and _vanishes([(1, at_free, _basic_differential(level, h))], rows.rows))
 
 
 def relative_complex(g: LieAlgebra, module: gmod.GModule, h: Subalgebra | None) -> tuple:

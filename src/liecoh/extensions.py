@@ -45,6 +45,10 @@ class MixingRankDeficient(LieAlgebraError):
     """The mixing matrix does not have full row rank."""
 
 
+class MixingNotRational(LieAlgebraError):
+    """A mixing entry is not an exact rational."""
+
+
 class UnknownName(LieAlgebraError):
     pass
 
@@ -89,11 +93,15 @@ def central_extension(
             raise RNotAbelian(f"directions {a} and {b} do not commute")
     if clashes:
         raise RNotCommutingWithH(f"direction {clashes[0][1]} does not commute with the subalgebra")
+    for row in mixing:
+        if not isinstance(row, (list, tuple)):
+            raise DimensionMismatch(
+                f"mixing matrix must be {rank}x{len(r_vecs)}, got {_brief(row)} as a row")
     lengths = {len(row) for row in mixing}
     if len(lengths) > 1:
         raise DimensionMismatch(f"mixing matrix must be {rank}x{len(r_vecs)}, "
                                 f"got rows of {min(lengths)} to {max(lengths)} entries")
-    mix = Matrix.from_rows([[rational(x) for x in row] for row in mixing])
+    mix = Matrix.from_rows([[_mixing_entry(x) for x in row] for row in mixing])
     if mix.rows != rank or mix.cols != len(r_vecs):
         raise DimensionMismatch(
             f"mixing matrix must be {rank}x{len(r_vecs)}, got {mix.rows}x{mix.cols}"
@@ -119,6 +127,13 @@ def central_extension(
         rank=rank,
         homogeneous_dim=extended.dim - isotropy.dim,
     )
+
+
+def _mixing_entry(x) -> Fraction:
+    try:
+        return rational(x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise MixingNotRational(f"mixing entry {_brief(x)} is not an exact rational") from None
 
 
 @dataclass(frozen=True)

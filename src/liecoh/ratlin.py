@@ -29,13 +29,17 @@ longer calls; they stay while ``perfbench/tracer.py`` traces them by name.
 There is one elimination loop, :meth:`EchelonSpan._residual`: it reduces a
 sparse primitive integer row (gcd-stripped after every combination)
 against the rows already stored.
-A matrix is eliminated by one forward pass over its integer rows in input
-order; :meth:`Matrix.rank` stops there, while :meth:`Matrix.rref`,
-:meth:`Matrix.kernel` and :func:`solve_columns` add a back-substitution
-from the last pivot upward (:meth:`EchelonSpan.reduced`) and put the
-reduced rows over the lcm of their pivot entries (:func:`_rref`).  Reduced
-row echelon form over a field is unique, so every result below is
-canonical whatever the row order.
+A matrix is eliminated by one forward pass over its integer rows,
+shortest first (:meth:`Matrix._span`): rows sorted by nonzero count make
+short pivot rows and so keep the fill-in down, a static, row-only form of
+the Markowitz ordering (Duff, Erisman and Reid, *Direct Methods for Sparse
+Matrices*, ch. 7).  :meth:`Matrix.rank` stops there, while
+:meth:`Matrix.rref`, :meth:`Matrix.kernel` and :func:`solve_columns` add a
+back-substitution from the last pivot upward (:meth:`EchelonSpan.reduced`)
+and put the reduced rows over the lcm of their pivot entries
+(:func:`_rref`).  Reduced row echelon form over a field is unique, so
+every result below is canonical whatever the row order; the order changes
+only the cost.
 """
 
 from __future__ import annotations
@@ -270,11 +274,16 @@ class Matrix:
     # -- elimination-backed queries ------------------------------------
 
     def _span(self) -> "EchelonSpan":
-        """The forward pass: every nonzero integer row added in input order."""
+        """The forward pass: the nonzero integer rows added shortest first.
+
+        The rows go in sorted by nonzero count, a stable sort: short rows
+        make short pivot rows, which keeps the fill-in of the later rows
+        down.  The span, and so every result read from it, does not depend
+        on the order.
+        """
         span = EchelonSpan(self.cols)
-        for r in self.int_rows:
-            if r:
-                span.add(r)
+        for r in sorted(filter(None, self.int_rows), key=len):
+            span.add(r)
         return span
 
     def rank(self) -> int:
@@ -302,6 +311,13 @@ class Matrix:
                 if j != p:
                     basis[j][p] = -v
         return Matrix._new(len(basis), self.cols, list(basis.values()), red.den)
+
+    def _free_columns(self) -> list[int]:
+        """For a :meth:`kernel` basis, the free column of each row, in order: its last entry.
+
+        Row f is 1 at f and nonzero elsewhere only at pivot columns before f.
+        """
+        return [max(r) for r in self.int_rows]
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
         """Dense view of :meth:`kernel`; kept for the tracer (module docstring)."""

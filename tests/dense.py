@@ -7,7 +7,8 @@ hand-written vectors use the dense Fraction tuples below instead.
 no code with the sparse matrix product.
 
 ``product``, ``combination`` and ``transpose`` are a reference for the
-matrix arithmetic that shares no code with ratlin: a reference matrix is
+matrix arithmetic, and ``rref``, ``kernel`` and ``solve`` one for
+elimination (dense Gauss-Jordan), that share no code with ratlin: a reference matrix is
 ``(rows, cols, entries)``, entries a tuple of row tuples of Fractions, so
 that 0 x n and n x 0 shapes keep their sizes.  ``interior_product``,
 ``lie_derivative`` and ``j_map`` are reference matrices of the cochain
@@ -67,6 +68,52 @@ def combination(terms, rows: int, cols: int):
 def transpose(a):
     rows, cols, x = a
     return cols, rows, tuple(tuple(x[i][j] for i in range(rows)) for j in range(cols))
+
+
+def rref(a):
+    """(nonzero RREF rows, pivot columns) of a reference matrix, by Gauss-Jordan."""
+    _, cols, entries = a
+    m = [list(r) for r in entries]
+    pivots: list[int] = []
+    for c in range(cols):
+        i = len(pivots)
+        r = next((r for r in range(i, len(m)) if m[r][c]), None)
+        if r is None:
+            continue
+        m[i], m[r] = m[r], m[i]
+        m[i] = [x / m[i][c] for x in m[i]]
+        for j in range(len(m)):
+            if j != i and m[j][c]:
+                f = m[j][c]
+                m[j] = [x - f * y for x, y in zip(m[j], m[i])]
+        pivots.append(c)
+    return [tuple(r) for r in m[: len(pivots)]], pivots
+
+
+def kernel(a) -> list[tuple[Fraction, ...]]:
+    """The kernel basis that is the unit vector at each free column f, read off ``rref``."""
+    cols = a[1]
+    red, pivots = rref(a)
+    out = []
+    for f in (f for f in range(cols) if f not in pivots):
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for p, r in zip(pivots, red):
+            v[p] = -r[f]
+        out.append(tuple(v))
+    return out
+
+
+def solve(a, b):
+    """X with a X = b, free variables zero, from ``rref`` of [a | b]; None if inconsistent."""
+    (rows, n, x), (_, m, y) = a, b
+    red, pivots = rref((rows, n + m, tuple(r + s for r, s in zip(x, y))))
+    if any(p >= n for p in pivots):
+        return None
+    out = [(Fraction(0),) * m for _ in range(n)]
+    for p, r in zip(pivots, red):
+        out[p] = r[n:]
+    return tuple(out)
 
 
 # -- i_X, L_X and J straight from their formulas -------------------------

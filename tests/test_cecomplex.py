@@ -424,9 +424,10 @@ def test_relative_path_reads_integer_rows_only(monkeypatch):
 
     want = relative_data()
     _refuse_fractions(monkeypatch, cecomplex)
-    # uncached, so the data of g/h, the relative bases and the relative deltas
-    # are built again under the patch
-    for name in ("_quotient", "relative_basis", "relative_differential"):
+    # uncached, so the data of g/h, the kernel of L_h, the relative bases and
+    # the relative deltas are built again under the patch
+    for name in ("_quotient", "_basic_kernel", "relative_basis", "_basic_differential",
+                 "relative_differential"):
         monkeypatch.setattr(cecomplex, name, getattr(cecomplex, name).__wrapped__)
     got = relative_data()
     assert got == want
@@ -627,10 +628,11 @@ def test_relative_subspace_builds_no_full_level_operator(monkeypatch):
     expected = [_full_level_relative_cohomology(level(*case), builtin(case[0]).h) for case in cases]
     monkeypatch.setattr(cecomplex, "differential_matrix", refuse)
     monkeypatch.setattr(cohomology_module, "differential_matrix", refuse)
-    # uncached, so no basis or delta computed before the patch can stand in
+    # uncached, so no basis, kernel of L_h or delta computed before the patch
+    # can stand in
     monkeypatch.setattr(cecomplex, "relative_basis", uncached)
-    monkeypatch.setattr(cecomplex, "relative_differential",
-                        cecomplex.relative_differential.__wrapped__)
+    for name in ("_basic_kernel", "_basic_differential", "relative_differential"):
+        monkeypatch.setattr(cecomplex, name, getattr(cecomplex, name).__wrapped__)
     monkeypatch.setattr(cohomology_module, "relative_basis", uncached)
     for case, want in zip(cases, expected):
         lvl = level(*case)
@@ -711,23 +713,29 @@ def test_beta_coordinates_are_the_entries_at_the_all_free_tuples(pair):
 
 
 @pytest.mark.parametrize("name", [n for n in _catalog_names() if builtin(n).h is not None])
-def test_cached_relative_differential_is_the_uncached_one(name):
-    # the cache is keyed by hashed levels: after the traffic of every module
-    # and degree, each delta it returns is the one a fresh build gives
+def test_cached_relative_differential_is_the_uncached_one(name, monkeypatch):
+    # the caches are keyed by hashed levels: after the traffic of every module
+    # and degree, each delta they give is delta_q Q_k^T built afresh, with no
+    # cached basis, kernel of L_h or K delta_q^T
     g, h = builtin(name).algebra, builtin(name).h
     mods = [module_from_spec(g, spec) for spec in ("trivial", "adjoint", "coadjoint")]
     for mod in mods:
         betti_sequence(g, mod, h)
-    for mod in mods:
-        for k in range(-1, g.dim + 1):
-            lvl = CochainLevel(g, mod, k)
-            assert cecomplex.relative_differential(lvl, h) == (
-                cecomplex.relative_differential.__wrapped__(lvl, h)), (mod, k)
+    levels = [CochainLevel(g, mod, k) for mod in mods for k in range(-1, g.dim + 1)]
+    cached = [cecomplex.relative_differential(lvl, h) for lvl in levels]
+    for fn in ("_basic_kernel", "relative_basis"):
+        monkeypatch.setattr(cecomplex, fn, getattr(cecomplex, fn).__wrapped__)
+    _, free, by_target, _ = cecomplex._quotient(g, h)
+    for lvl, got in zip(levels, cached):
+        actions = [lvl.module.actions[f] for f in free]
+        core = cecomplex._differential_core(len(free), lvl.degree, lvl.vdim, by_target, actions)
+        assert got == core * cecomplex._beta_coordinates(lvl, h).transpose(), lvl
 
 
 def test_relative_degree_all_assembles_each_quotient_delta_once(monkeypatch, capsys):
-    # cohomology in degree k reads delta(k) and delta(k - 1); cached per
-    # (level, h), the core of g/h runs once per degree -1..top, not twice
+    # cohomology in degree k reads delta(k) and delta(k - 1), and its
+    # certificate K delta_q(k)^T; cached per (level, h), the core of g/h runs
+    # once per degree -1..top, not twice
     entry = builtin("fivedim_ext:1")
     by_target = cecomplex._quotient(entry.algebra, entry.h)[2]
     real, degrees = cecomplex._differential_core, []
@@ -738,6 +746,7 @@ def test_relative_degree_all_assembles_each_quotient_delta_once(monkeypatch, cap
         return real(dim, k, vdim, targets, actions, cells)
 
     cecomplex.relative_differential.cache_clear()
+    cecomplex._basic_differential.cache_clear()
     monkeypatch.setattr(cecomplex, "_differential_core", core)
     argv = ["cohomology", "fivedim_ext:1", "--coeffs", "adjoint", "--relative", "--degree", "all"]
     assert cli.main(argv) == 0

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from dense import apply, columns, kernel_basis
-from liecoh import suite
+from liecoh import cecomplex, cli, files, suite
 from liecoh.cecomplex import CochainLevel, differential_matrix, relative_subspace, tuple_basis
 from liecoh.cohomology import (
     NotSemisimple,
@@ -19,6 +19,7 @@ from liecoh.cohomology import (
 )
 from liecoh.extensions import BUILTIN_NAMES, builtin
 from liecoh.gmod import (
+    GModule,
     MixedAlgebras,
     adjoint_module,
     coadjoint_module,
@@ -27,6 +28,7 @@ from liecoh.gmod import (
 )
 from liecoh.liealg import derived_subalgebra, subalgebra, unit, validate
 from liecoh.ratlin import EchelonSpan, Matrix, SubspaceNotContained, quotient_dim
+from test_graded import SL, _doubled_e
 
 
 def test_betti_sl2_trivial():
@@ -361,3 +363,144 @@ def test_an_isotropy_inside_another_algebra_is_refused():
     for call in calls:
         with pytest.raises(MixedAlgebras, match="subalgebra"):
             call()
+
+
+# -- each reduced delta eliminated once, and the square-zero certificate ----
+
+
+def _elimination_traffic(monkeypatch, argv):
+    """Run the CLI; per degree, the matrices given a forward pass and the cocycles reduced.
+
+    A cocycle is reduced by an ``EchelonSpan.add`` outside every forward pass.
+    """
+    passes, reduced, state = {}, {}, {"degree": None, "depth": 0}
+    real_span, real_add, real_cohomology = Matrix._span, EchelonSpan.add, cli.cohomology
+
+    def span(self):
+        passes.setdefault(state["degree"], []).append(self)
+        state["depth"] += 1
+        try:
+            return real_span(self)
+        finally:
+            state["depth"] -= 1
+
+    def add(self, row):
+        if not state["depth"]:
+            reduced[state["degree"]] = reduced.get(state["degree"], 0) + 1
+        return real_add(self, row)
+
+    def degree(g, module, k, h=None):
+        state["degree"] = k
+        return real_cohomology(g, module, k, h)
+
+    monkeypatch.setattr(Matrix, "_span", span)
+    monkeypatch.setattr(EchelonSpan, "add", add)
+    monkeypatch.setattr(cli, "cohomology", degree)
+    cecomplex.reduced_kernel.cache_clear()
+    assert cli.main(argv) == 0
+    monkeypatch.undo()
+    return passes, reduced
+
+
+@pytest.mark.parametrize("case", ["sl3 graded", "fivedim_ext:1 relative"])
+def test_each_reduced_delta_is_eliminated_once(case, tmp_path, monkeypatch, capsys):
+    # degree k reads the kernel of delta(k) for Z and that of delta(k - 1) for
+    # rank(B); a coboundary is added to a span only to pick representatives,
+    # once per degree with b_k > 0 and from the rank(B) independent columns
+    if case == "sl3 graded":
+        path = tmp_path / "sl3.json"
+        files.save_algebra(path, SL[3], name="sl3")
+        g, h, argv = files.load_algebra(path)[0], None, [str(path)]
+    else:
+        entry = builtin("fivedim_ext:1")
+        g, h, argv = entry.algebra, entry.h, ["fivedim_ext:1", "--relative"]
+    passes, reduced = _elimination_traffic(
+        monkeypatch, ["cohomology", *argv, "--coeffs", "adjoint", "--degree", "all"])
+    betti = [int(line.split()[1]) for line in capsys.readouterr().out.splitlines()
+             if line.startswith("betti[")]
+    delta = cecomplex.reduction(adjoint_module(g), h)[0]
+    for k, b in enumerate(betti):
+        previous = delta(k - 1)
+        rank_b = previous.cols - previous.kernel().rows
+        coboundaries = {frozenset(r.items()) for r in previous.transpose().sparse_rows if r}
+        spans = [m for m in passes.get(k, ()) if m.rows and m.cols == previous.rows
+                 and all(frozenset(r.items()) in coboundaries for r in m.sparse_rows)]
+        assert [m.rows for m in spans] == ([rank_b] if b and rank_b else []), k
+        assert (reduced.get(k, 0) == 0) if b == 0 else (b <= reduced[k]), k
+    every_pass = [m for ms in passes.values() for m in ms]
+    for k in range(-1, len(betti)):
+        assert sum(m == delta(k) for m in every_pass) == 1, k
+    if case == "sl3 graded":
+        assert betti == [0] * 9 and not reduced
+
+
+# the refusals of the greedy pass that the certificate replaced: (name, module,
+# relative) -> {degree: (rank(B), |Z|)}; every other degree returns
+_REFUSALS = {
+    ("sl2", "flipped", False): {1: (3, 5), 2: (4, 6)},
+    ("sl2", "doubled_e", False): {1: (3, 1), 2: (8, 6)},
+    ("so3", "flipped", False): {1: (3, 5), 2: (4, 6)},
+    ("so3", "doubled_e", False): {1: (3, 2), 2: (7, 6)},
+    ("sl2sl2", "flipped", False): {1: (6, 10), 2: (26, 12), 3: (78, 42), 4: (78, 64),
+                                   5: (26, 30)},
+    ("sl2sl2", "doubled_e", False): {1: (6, 4), 2: (32, 24), 3: (66, 54), 4: (66, 58),
+                                     5: (32, 30)},
+    ("sl2_so2_pair", "flipped", False): {1: (3, 5), 2: (4, 6)},
+    ("sl2_so2_pair", "flipped", True): {1: (1, 2)},
+    ("sl2_so2_pair", "doubled_e", False): {1: (3, 1), 2: (8, 6)},
+    ("sl2_so2_pair", "doubled_e", True): {1: (1, 0)},
+    ("sl2R_ext", "flipped", False): {1: (3, 6), 2: (10, 14), 3: (10, 13)},
+    ("sl2R_ext", "flipped", True): {1: (1, 2), 2: (2, 4)},
+    ("sl2R_ext", "doubled_e", False): {1: (3, 2), 2: (14, 10), 3: (14, 13)},
+    ("sl2R_ext", "doubled_e", True): {1: (1, 0), 2: (2, 2)},
+    ("fivedim_ext:1", "flipped", False): {1: (6, 11), 2: (38, 28), 3: (119, 71),
+                                          4: (174, 126), 5: (119, 109), 6: (38, 43)},
+    ("fivedim_ext:1", "flipped", True): {1: (2, 4), 2: (3, 4), 3: (6, 5), 4: (5, 7)},
+    ("fivedim_ext:1", "doubled_e", False): {1: (6, 5), 2: (44, 34), 3: (113, 95),
+                                            4: (150, 132), 5: (113, 103), 6: (44, 43)},
+    ("fivedim_ext:1", "doubled_e", True): {1: (2, 1), 2: (4, 5), 3: (3, 3), 4: (5, 4)},
+}
+
+
+def test_the_certificate_refuses_exactly_where_the_greedy_pass_did():
+    # delta_k delta_(k-1) = 0 on absolute cells, and delta_q and L_h killing
+    # the coboundaries on relative ones, hold exactly where B lies in Z: the
+    # non-modules (flipped coadjoint, doubled E) are refused with the counts
+    # of the greedy pass, every module is not
+    modules = {"trivial": lambda g: trivial_module(g, 1), "adjoint": adjoint_module,
+               "coadjoint": coadjoint_module, "flipped": suite.flipped_coadjoint_module,
+               "doubled_e": _doubled_e}
+    for name in [n.replace(":n", ":3").replace(":alpha", ":1") for n in BUILTIN_NAMES]:
+        entry = builtin(name)
+        g = entry.algebra
+        for spec, make in modules.items():
+            mod = make(g)
+            for h in (None, entry.h) if entry.h is not None else (None,):
+                refusals = _REFUSALS.get((name, spec, h is not None), {})
+                for k in range(g.dim + 1):
+                    if k not in refusals:
+                        cohomology(g, mod, k, h)
+                        continue
+                    with pytest.raises(SubspaceNotContained) as info:
+                        cohomology(g, mod, k, h)
+                    assert str(info.value) == (
+                        "span of rank %d is not inside the rank-%d span" % refusals[k])
+
+
+def test_the_relative_certificate_refuses_basic_coboundaries_that_are_not_closed():
+    # on abelian:3 with h = <e_0> acting by zero every form is h-basic, while
+    # rho(e_1) and rho(e_2) do not commute: delta^2 != 0 on the coboundaries
+    # of degree 1, which only the delta_q half of the relative check can see
+    g = builtin("abelian:3").algebra
+    h = subalgebra(g, [unit(3, 0)])
+    raising = Matrix.from_rows([[0, 1], [0, 0]])
+    mod = GModule(g, 2, (Matrix.zero(2, 2), raising, raising.transpose()))
+    for sub, refusals in ((None, {1: (2, 2), 2: (4, 4)}), (h, {1: (2, 2)})):
+        for k in range(g.dim + 1):
+            if k not in refusals:
+                assert cohomology(g, mod, k, sub).betti == 0
+                continue
+            with pytest.raises(SubspaceNotContained) as info:
+                cohomology(g, mod, k, sub)
+            assert str(info.value) == (
+                "span of rank %d is not inside the rank-%d span" % refusals[k])

@@ -10,6 +10,7 @@ from liecoh import extensions, gmod
 from liecoh.cohomology import betti_sequence, cohomology, duality_report, invariant_volume_form
 from liecoh.extensions import (
     ExtensionPair,
+    MixingNotRational,
     MixingRankDeficient,
     RNotAbelian,
     RNotCommutingWithH,
@@ -123,6 +124,18 @@ def test_central_extension_refuses_ragged_mixing():
         central_extension(g, None, [k1, k2], 1, [[1, 2], [3]])
     with pytest.raises(DimensionMismatch, match="^mixing matrix must be 1x2, got 1x1$"):
         central_extension(g, None, [k1, k2], 1, [[1]])
+
+
+def test_central_extension_refuses_a_flat_or_non_numeric_mixing():
+    # a flat list once ended in a TypeError from len, a non-numeric entry in a
+    # ValueError from Fraction
+    g = builtin("sl2").algebra
+    with pytest.raises(DimensionMismatch, match="^mixing matrix must be 1x1, got 1 as a row$"):
+        central_extension(g, None, [(0, 1, -1)], 1, [1])
+    for entry, shown in (("x", "'x'"), (1.5, "1.5"), ("1/0", "'1/0'")):
+        with pytest.raises(MixingNotRational) as info:
+            central_extension(g, None, [(0, 1, -1)], 1, [[entry]])
+        assert str(info.value) == f"mixing entry {shown} is not an exact rational"
 
 
 def test_central_extension_refuses_an_h_of_another_algebra():

@@ -288,6 +288,32 @@ def test_kernel_and_solve_agree_with_sympy(tall, data):
     _check_solve(sympy, a, b)
 
 
+def _permuted(m, order):
+    return Matrix._new(m.rows, m.cols, [m.int_rows[i] for i in order], m.den)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_elimination_does_not_depend_on_the_row_order(data):
+    # the forward pass adds rows shortest first, so a row permutation reaches
+    # it in another order: rank, rref, kernel and solve_columns must still be
+    # the unpermuted results and those of the dense Gauss-Jordan reference
+    m = data.draw(sparse_matrices(max_dim=9))
+    b = data.draw(st.one_of(sparse_matrices(max_dim=3, rows=m.rows),
+                            sparse_matrices(max_dim=3, rows=m.cols).map(lambda x: m * x)))
+    order = data.draw(st.permutations(range(m.rows)))
+    p, pb = _permuted(m, order), _permuted(b, order)
+    ref, ref_b = (m.rows, m.cols, m.entries), (b.rows, b.cols, b.entries)
+    red, pivots = dense.rref(ref)
+    assert p.rank() == m.rank() == len(pivots)
+    assert p.rref() == m.rref()
+    assert m.rref()[1] == tuple(pivots) and m.rref()[0].entries[: len(pivots)] == tuple(red)
+    assert p.kernel() == m.kernel() and m.kernel().entries == tuple(dense.kernel(ref))
+    x, want = solve_columns(m, b), dense.solve(ref, ref_b)
+    assert solve_columns(p, pb) == x
+    assert (x is None) == (want is None) and (x is None or x.entries == want)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_sl2sl2_differentials_agree_with_sympy(k):
     sympy = pytest.importorskip("sympy")
