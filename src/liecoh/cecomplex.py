@@ -57,20 +57,18 @@ the common denominator once per call, so the assembly and the identity
 checks on its output build no Fraction.
 
 Caching: ``tuple_basis``, the incidence tables ``_faces`` and
-``_cofaces``, ``_pairs_by_target``, the differential, the graded and the
-relative differential, the kernel of each reduced delta
-(``reduced_kernel``), the graded cells, the relative bases and their
-dense views are cached per level, and so are the kernel K of L_h and K
-delta_q^T, which the relative basis and delta are built from and the
-relative certificate of ``cohomology`` reads.  The weights are cached
-once per module, the data of g/h once per pair and the unit batch
-i_{e_0..e_(n-1)} on scalar forms once per (dim, k)
-(``_unit_interior_products``); ``reduction`` keeps nothing.  A seed-1
-relative-ext pass asks for 114 relative deltas and 88 kernels, 46
-distinct of each, which hold about 190 and 50 KiB (paper-suite: 55 and
-74, 32 and 57 distinct; 100 and 50 KiB).  No tuple-to-index dict is
-kept: a tuple is placed by ``_rank``, and the full-level delta indexes
-its targets inline.
+``_cofaces``, ``_pairs_by_target``, the full and graded differentials,
+the forward pass of each reduced delta (``reduced_echelon``), the graded
+cells, the relative bases and their dense views are cached per level,
+and so are the kernel K of L_h and K delta_q^T, which the relative
+basis, the ranks and the relative certificate of ``cohomology`` read.
+The weights are cached once per module, the data of g/h once per pair
+and the unit batch i_{e_0..e_(n-1)} on scalar forms once per (dim, k)
+(``_unit_interior_products``); ``reduction`` and the relative delta
+keep nothing.  A seed-1 relative-ext pass asks for 82 passes, 40
+distinct (40 KiB), and builds 24 relative deltas (paper-suite: 68, 51
+and 30 KiB; 6).  No tuple-to-index dict is kept: a tuple is placed by
+``_rank``, and the full-level delta indexes its targets inline.
 ``_faces(dim, k)`` gives, for each k-tuple s and position q, s[q] and the
 index of s without it; ``_cofaces(dim, k)``, derived from
 ``_faces(dim, k + 1)`` as its inverse, gives, for each k-tuple r, the
@@ -682,7 +680,6 @@ def _basic_differential(level: CochainLevel, h: Subalgebra) -> Matrix:
     return _basic_kernel(level, h) * core.transpose()
 
 
-@lru_cache(maxsize=None)
 def relative_differential(level: CochainLevel, h: Subalgebra) -> Matrix:
     """delta_q Q_k^T, the transpose of R K delta_q^T (``_basic_differential``).
 
@@ -731,13 +728,14 @@ def _unchanged(k: int, rows: Matrix) -> Matrix:
 
 
 @lru_cache(maxsize=None)
-def reduced_kernel(level: CochainLevel, h: Subalgebra | None) -> Matrix:
-    """``kernel()`` of the delta that ``reduction(level.module, h)`` gives in this degree.
+def reduced_echelon(level: CochainLevel, h: Subalgebra | None) -> Matrix:
+    """The forward pass of ``reduction(level.module, h)``'s delta(k) (``Matrix._echelon``).
 
-    Degree k reads it for the cocycles Z and degree k + 1 for
-    rank(B) = cols - nullity, so each reduced delta is eliminated once.
+    Relative to h it runs over K delta_q^T, of the same rank as Q_k = R K.
     """
-    return reduction(level.module, h)[0](level.degree).kernel()
+    if h is not None:
+        return _basic_differential(level, h)._echelon()
+    return reduction(level.module, None)[0](level.degree)._echelon()
 
 
 def _wedge(alpha: dict, form: dict) -> dict:

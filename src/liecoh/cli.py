@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from functools import cache
 
 from . import extensions, files, gmod, suite, volumes
 from .cecomplex import Cochain
@@ -194,7 +195,9 @@ def _integer(text: str) -> int:
     return -count if sign == "-" else count
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="liecoh",
         description="Exact Lie-algebra cohomology engine: structural checks, "

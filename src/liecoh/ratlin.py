@@ -37,9 +37,10 @@ Matrices*, ch. 7).  :meth:`Matrix.rank` stops there, while
 :meth:`Matrix.rref`, :meth:`Matrix.kernel` and :func:`solve_columns` add a
 back-substitution from the last pivot upward (:meth:`EchelonSpan.reduced`)
 and put the reduced rows over the lcm of their pivot entries
-(:func:`_rref`).  Reduced row echelon form over a field is unique, so
-every result below is canonical whatever the row order; the order changes
-only the cost.
+(:func:`_rref`), which :func:`_kernel` also runs on a pass made earlier
+and frozen by :meth:`Matrix._echelon`.  Reduced row echelon form over
+a field is unique, so every result below is canonical whatever the row
+order; the order changes only the cost.
 """
 
 from __future__ import annotations
@@ -286,6 +287,11 @@ class Matrix:
             span.add(r)
         return span
 
+    def _echelon(self) -> "Matrix":
+        """The forward pass frozen: its rows in pivot order, which ``EchelonSpan`` takes back."""
+        rows = self._span()._rows
+        return Matrix._new(len(rows), self.cols, [rows[p] for p in sorted(rows)], 1)
+
     def rank(self) -> int:
         return self._span().rank
 
@@ -296,21 +302,8 @@ class Matrix:
         return Matrix._new(self.rows, self.cols, rows, red.den), tuple(pivots)
 
     def kernel(self) -> "Matrix":
-        """Canonical kernel basis, one row per free column f in increasing order.
-
-        Row f is 1 at f and, at each pivot column p, minus the RREF entry of
-        p's row in column f; over the RREF's denominator den, that is den at
-        f and minus the integer entry at p.
-        """
-        pivots, red = _rref(self._span())
-        pivot_set = set(pivots)
-        basis = {f: {f: red.den} for f in range(self.cols) if f not in pivot_set}
-        for p, r in zip(pivots, red.int_rows):
-            # back-substitution leaves a pivot row nonzero only at p and free columns
-            for j, v in r.items():
-                if j != p:
-                    basis[j][p] = -v
-        return Matrix._new(len(basis), self.cols, list(basis.values()), red.den)
+        """Canonical kernel basis: :func:`_kernel` of the forward pass."""
+        return _kernel(self._span())
 
     def _free_columns(self) -> list[int]:
         """For a :meth:`kernel` basis, the free column of each row, in order: its last entry.
@@ -423,15 +416,16 @@ def _combine(row: dict, prow: dict, a: int, b: int) -> dict:
 class EchelonSpan:
     """Incrementally maintained echelon basis of a growing span.
 
-    Rows are primitive integer rows keyed by their leading column; each is
-    zero in the leading columns of the rows stored before it, so reducing a
-    vector against them in increasing pivot order never reintroduces an
-    entry already cleared.
+    Rows are primitive integer rows, never mutated, keyed by their leading
+    column; each is zero in the leading columns of the rows stored before
+    it, so reducing a vector against them in increasing pivot order never
+    reintroduces an entry already cleared.
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, rows: Iterable[dict] = ()):
+        # rows, if any, are those of a Matrix._echelon(): primitive, distinct leading columns
         self.dim = dim
-        self._rows: dict[int, dict] = {}
+        self._rows: dict[int, dict] = {min(r): r for r in rows}
 
     @property
     def rank(self) -> int:
@@ -505,6 +499,24 @@ def _rref(span: EchelonSpan) -> tuple[list[int], Matrix]:
     den = lcm(*(r[p] for p, r in zip(pivots, rows)))
     red = [_scaled(r, den // r[p]) for p, r in zip(pivots, rows)]
     return pivots, Matrix._new(len(red), span.dim, red, den)
+
+
+def _kernel(span: EchelonSpan) -> Matrix:
+    """Canonical basis of the vectors the span's rows kill, one row per free column f in order.
+
+    Row f is 1 at f and, at each pivot column p, minus the RREF entry of
+    p's row in column f; over the RREF's denominator den, that is den at
+    f and minus the integer entry at p.
+    """
+    pivots, red = _rref(span)
+    pivot_set = set(pivots)
+    basis = {f: {f: red.den} for f in range(span.dim) if f not in pivot_set}
+    for p, r in zip(pivots, red.int_rows):
+        # back-substitution leaves a pivot row nonzero only at p and free columns
+        for j, v in r.items():
+            if j != p:
+                basis[j][p] = -v
+    return Matrix._new(len(basis), span.dim, list(basis.values()), red.den)
 
 
 def span_rank(vectors: Sequence[Sequence]) -> int:

@@ -426,8 +426,7 @@ def test_relative_path_reads_integer_rows_only(monkeypatch):
     _refuse_fractions(monkeypatch, cecomplex)
     # uncached, so the data of g/h, the kernel of L_h, the relative bases and
     # the relative deltas are built again under the patch
-    for name in ("_quotient", "_basic_kernel", "relative_basis", "_basic_differential",
-                 "relative_differential"):
+    for name in ("_quotient", "_basic_kernel", "relative_basis", "_basic_differential"):
         monkeypatch.setattr(cecomplex, name, getattr(cecomplex, name).__wrapped__)
     got = relative_data()
     assert got == want
@@ -631,7 +630,7 @@ def test_relative_subspace_builds_no_full_level_operator(monkeypatch):
     # uncached, so no basis, kernel of L_h or delta computed before the patch
     # can stand in
     monkeypatch.setattr(cecomplex, "relative_basis", uncached)
-    for name in ("_basic_kernel", "_basic_differential", "relative_differential"):
+    for name in ("_basic_kernel", "_basic_differential"):
         monkeypatch.setattr(cecomplex, name, getattr(cecomplex, name).__wrapped__)
     monkeypatch.setattr(cohomology_module, "relative_basis", uncached)
     for case, want in zip(cases, expected):
@@ -715,8 +714,8 @@ def test_beta_coordinates_are_the_entries_at_the_all_free_tuples(pair):
 @pytest.mark.parametrize("name", [n for n in _catalog_names() if builtin(n).h is not None])
 def test_cached_relative_differential_is_the_uncached_one(name, monkeypatch):
     # the caches are keyed by hashed levels: after the traffic of every module
-    # and degree, each delta they give is delta_q Q_k^T built afresh, with no
-    # cached basis, kernel of L_h or K delta_q^T
+    # and degree, each delta built from them is delta_q Q_k^T built afresh,
+    # with no cached basis, kernel of L_h or K delta_q^T
     g, h = builtin(name).algebra, builtin(name).h
     mods = [module_from_spec(g, spec) for spec in ("trivial", "adjoint", "coadjoint")]
     for mod in mods:
@@ -733,9 +732,9 @@ def test_cached_relative_differential_is_the_uncached_one(name, monkeypatch):
 
 
 def test_relative_degree_all_assembles_each_quotient_delta_once(monkeypatch, capsys):
-    # cohomology in degree k reads delta(k) and delta(k - 1), and its
-    # certificate K delta_q(k)^T; cached per (level, h), the core of g/h runs
-    # once per degree -1..top, not twice
+    # cohomology in degree k ranks K delta_q(k)^T and reads K delta_q(k - 1)^T
+    # for rank(B) and the certificate; cached per (level, h), the core of g/h
+    # runs once per degree 0..top, not twice, and degree 0 has no coboundaries
     entry = builtin("fivedim_ext:1")
     by_target = cecomplex._quotient(entry.algebra, entry.h)[2]
     real, degrees = cecomplex._differential_core, []
@@ -745,12 +744,12 @@ def test_relative_degree_all_assembles_each_quotient_delta_once(monkeypatch, cap
             degrees.append(k)
         return real(dim, k, vdim, targets, actions, cells)
 
-    cecomplex.relative_differential.cache_clear()
     cecomplex._basic_differential.cache_clear()
+    cecomplex.reduced_echelon.cache_clear()
     monkeypatch.setattr(cecomplex, "_differential_core", core)
     argv = ["cohomology", "fivedim_ext:1", "--coeffs", "adjoint", "--relative", "--degree", "all"]
     assert cli.main(argv) == 0
-    assert sorted(degrees) == list(range(-1, entry.algebra.dim - entry.h.dim + 1))
+    assert sorted(degrees) == list(range(entry.algebra.dim - entry.h.dim + 1))
 
 
 def _alternating_sum(xs):

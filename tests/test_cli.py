@@ -4,7 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction as Q
 from pathlib import Path
@@ -20,6 +22,7 @@ from liecoh.cli import (
     EXIT_VALIDATION,
     EXIT_VERIFY_FAILED,
     _looks_like_catalog_name,
+    build_parser,
     main,
 )
 from liecoh.cohomology import betti_sequence
@@ -309,6 +312,22 @@ def test_cohomology_catalog_name_with_rational_slope(capsys):
     )
     assert code == EXIT_OK
     assert files.parse_report(out).get("betti[4]") == "0"
+
+
+def test_one_parser_serves_every_call_in_a_process():
+    # the parser is built once; each call on it prints what a fresh process
+    # prints, a usage error between two calls included
+    assert build_parser() is build_parser()
+    calls = (["check", "sl2"], ["cohomology", "sl2"],
+             ["cohomology", "fivedim_ext:1", "--coeffs", "adjoint", "--relative", "--degree", "1"])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for argv in calls:
+        in_process = _run_uncaptured(argv)
+        assert _run_uncaptured(["no-such-command"])[0] == EXIT_PARSE
+        fresh = subprocess.run([sys.executable, "-m", "liecoh.cli", *argv], capture_output=True,
+                               text=True, timeout=300, env={**os.environ, "PYTHONPATH": src})
+        assert in_process[:2] == (fresh.returncode, fresh.stdout), argv
+        assert in_process[0] == EXIT_OK
 
 
 def test_cohomology_relative_requires_subalgebra(capsys):

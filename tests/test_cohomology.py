@@ -1,11 +1,13 @@
 """Betti numbers, distinguished classes, volume forms, duality reports."""
 
+import importlib
 import tracemalloc
 from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
 
+import dense
 from dense import apply, columns, kernel_basis
 from liecoh import cecomplex, cli, files, suite
 from liecoh.cecomplex import CochainLevel, differential_matrix, relative_subspace, tuple_basis
@@ -16,8 +18,9 @@ from liecoh.cohomology import (
     duality_report,
     invariant_volume_form,
     killing_three_form,
+    relative_complex,
 )
-from liecoh.extensions import BUILTIN_NAMES, builtin
+from liecoh.extensions import BUILTIN_NAMES, builtin, verify_vanishing
 from liecoh.gmod import (
     GModule,
     MixedAlgebras,
@@ -29,6 +32,9 @@ from liecoh.gmod import (
 from liecoh.liealg import derived_subalgebra, subalgebra, unit, validate
 from liecoh.ratlin import EchelonSpan, Matrix, SubspaceNotContained, quotient_dim
 from test_graded import SL, _doubled_e
+
+# the package's ``cohomology`` attribute is the function, not its module
+cohomology_module = importlib.import_module("liecoh.cohomology")
 
 
 def test_betti_sl2_trivial():
@@ -365,19 +371,34 @@ def test_an_isotropy_inside_another_algebra_is_refused():
             call()
 
 
-# -- each reduced delta eliminated once, and the square-zero certificate ----
+# -- one rank per reduced delta, and the square-zero certificate ----------
 
 
-def _elimination_traffic(monkeypatch, argv):
-    """Run the CLI; per degree, the matrices given a forward pass and the cocycles reduced.
+def _clear_level_caches():
+    """Empty every per-level cache of cecomplex, so each operator is built afresh."""
+    for f in vars(cecomplex).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
 
-    A cocycle is reduced by an ``EchelonSpan.add`` outside every forward pass.
+
+def _elimination_traffic(monkeypatch, argv, h):
+    """Run the CLI; per degree, the forward passes, back-substitutions and relative bases.
+
+    A cocycle is reduced by an ``EchelonSpan.add`` outside every forward
+    pass.  Relative to h, the kernels of L_h and the data of g/h are built
+    before the run: they are the cells of the complex, not an elimination
+    of delta.
     """
-    passes, reduced, state = {}, {}, {"degree": None, "depth": 0}
-    real_span, real_add, real_cohomology = Matrix._span, EchelonSpan.add, cli.cohomology
+    traffic = {"passes": {}, "reduced": {}, "back": {}, "bases": {}}
+    state = {"degree": None, "depth": 0}
+    real_span, real_add, real_reduced = Matrix._span, EchelonSpan.add, EchelonSpan.reduced
+    real_basis, real_cohomology = cecomplex.relative_basis, cli.cohomology
+
+    def count(kind):
+        traffic[kind][state["degree"]] = traffic[kind].get(state["degree"], 0) + 1
 
     def span(self):
-        passes.setdefault(state["degree"], []).append(self)
+        traffic["passes"].setdefault(state["degree"], []).append(self)
         state["depth"] += 1
         try:
             return real_span(self)
@@ -386,52 +407,136 @@ def _elimination_traffic(monkeypatch, argv):
 
     def add(self, row):
         if not state["depth"]:
-            reduced[state["degree"]] = reduced.get(state["degree"], 0) + 1
+            count("reduced")
         return real_add(self, row)
+
+    def reduced(self):
+        count("back")
+        return real_reduced(self)
+
+    def basis(level, sub):
+        count("bases")
+        return real_basis(level, sub)
 
     def degree(g, module, k, h=None):
         state["degree"] = k
         return real_cohomology(g, module, k, h)
 
+    _clear_level_caches()
+    if h is not None:
+        g = h.ambient
+        for k in range(g.dim - h.dim + 1):
+            cecomplex._basic_kernel(CochainLevel(g, adjoint_module(g), k), h)
     monkeypatch.setattr(Matrix, "_span", span)
     monkeypatch.setattr(EchelonSpan, "add", add)
+    monkeypatch.setattr(EchelonSpan, "reduced", reduced)
+    monkeypatch.setattr(cecomplex, "relative_basis", basis)
     monkeypatch.setattr(cli, "cohomology", degree)
-    cecomplex.reduced_kernel.cache_clear()
     assert cli.main(argv) == 0
     monkeypatch.undo()
-    return passes, reduced
+    return traffic
 
 
-@pytest.mark.parametrize("case", ["sl3 graded", "fivedim_ext:1 relative"])
+@pytest.mark.parametrize("case", ["sl3 graded", "sl3 graded trivial", "fivedim_ext:1 relative"])
 def test_each_reduced_delta_is_eliminated_once(case, tmp_path, monkeypatch, capsys):
-    # degree k reads the kernel of delta(k) for Z and that of delta(k - 1) for
-    # rank(B); a coboundary is added to a span only to pick representatives,
-    # once per degree with b_k > 0 and from the rank(B) independent columns
-    if case == "sl3 graded":
+    # b_k is two ranks: one forward pass per reduced delta (relative to h, per
+    # K delta_q^T); only a degree with b_k > 0 back-substitutes, for Z, builds
+    # a relative basis, and adds coboundaries to a span: absolute, a pass
+    # over the rank(B) columns of delta(k - 1) at its pivots, relative, a
+    # copy of the cached rows of K delta_q^T, so no pass at all
+    coeffs = "trivial" if case.endswith("trivial") else "adjoint"
+    if case.startswith("sl3"):
         path = tmp_path / "sl3.json"
         files.save_algebra(path, SL[3], name="sl3")
         g, h, argv = files.load_algebra(path)[0], None, [str(path)]
     else:
         entry = builtin("fivedim_ext:1")
         g, h, argv = entry.algebra, entry.h, ["fivedim_ext:1", "--relative"]
-    passes, reduced = _elimination_traffic(
-        monkeypatch, ["cohomology", *argv, "--coeffs", "adjoint", "--degree", "all"])
+    traffic = _elimination_traffic(
+        monkeypatch, ["cohomology", *argv, "--coeffs", coeffs, "--degree", "all"], h)
     betti = [int(line.split()[1]) for line in capsys.readouterr().out.splitlines()
              if line.startswith("betti[")]
-    delta = cecomplex.reduction(adjoint_module(g), h)[0]
+    module = trivial_module(g, 1) if coeffs == "trivial" else adjoint_module(g)
+    delta = cecomplex.reduction(module, h)[0]
+    if h is None:
+        ranked = delta
+    else:
+        ranked = lambda k: cecomplex._basic_differential(CochainLevel(g, module, k), h)
+    passes, reduced = traffic["passes"], traffic["reduced"]
+    every_pass = [m for ms in passes.values() for m in ms]
     for k, b in enumerate(betti):
         previous = delta(k - 1)
         rank_b = previous.cols - previous.kernel().rows
         coboundaries = {frozenset(r.items()) for r in previous.transpose().sparse_rows if r}
         spans = [m for m in passes.get(k, ()) if m.rows and m.cols == previous.rows
                  and all(frozenset(r.items()) in coboundaries for r in m.sparse_rows)]
-        assert [m.rows for m in spans] == ([rank_b] if b and rank_b else []), k
+        assert [m.rows for m in spans] == ([rank_b] if b and rank_b and h is None else []), k
         assert (reduced.get(k, 0) == 0) if b == 0 else (b <= reduced[k]), k
-    every_pass = [m for ms in passes.values() for m in ms]
-    for k in range(-1, len(betti)):
-        assert sum(m == delta(k) for m in every_pass) == 1, k
+        assert sum(m == ranked(k) for m in every_pass) == 1, k
+        # Z relative to h is the kernel of the relative delta, taken where b_k > 0
+        if h is not None:
+            assert sum(m == delta(k) for m in every_pass) == (1 if b else 0), k
+        assert bool(traffic["back"].get(k)) == bool(b), k
+        assert bool(traffic["bases"].get(k)) == bool(b and h is not None), k
+    assert not any(m == ranked(-1) for m in every_pass)
     if case == "sl3 graded":
         assert betti == [0] * 9 and not reduced
+    elif case == "sl3 graded trivial":
+        assert betti == [1, 0, 0, 1, 0, 1, 0, 0, 1]
+    else:
+        assert betti == [1, 0, 1, 1, 0, 1]
+
+
+def test_verify_vanishing_builds_only_the_top_relative_basis(monkeypatch):
+    # b_1(g, h; g) = b_(n-1)(g, h; g*) = 0 on fivedim_ext:1, so the rank path
+    # builds no relative basis for either; the volume form reads the one of
+    # the trivial top level
+    entry = builtin("fivedim_ext:1")
+    g, h = entry.algebra, entry.h
+    built, real = set(), cecomplex.relative_basis
+
+    def basis(level, sub):
+        built.add(level)
+        return real(level, sub)
+
+    _clear_level_caches()
+    monkeypatch.setattr(cecomplex, "relative_basis", basis)
+    monkeypatch.setattr(cohomology_module, "relative_basis", basis)
+    assert verify_vanishing(entry.pair).passed
+    assert built == {CochainLevel(g, trivial_module(g, 1), g.dim - h.dim)}
+
+
+def _dense_rank(m):
+    return len(dense.rref((m.rows, m.cols, m.entries))[1])
+
+
+@pytest.mark.parametrize(
+    "name", [n.replace(":n", ":3").replace(":alpha", ":1") for n in BUILTIN_NAMES] + ["abelian:0"])
+def test_rank_path_betti_numbers_match_the_dense_reference(name):
+    # b_k = dim ker delta_k - rank delta_(k-1), by dense Gauss-Jordan on the
+    # full-level delta, and relative to h on delta from the relative basis
+    # bt, bt delta^T; there the rank of K delta_q^T that the rank path reads
+    # is that of the relative delta
+    entry = builtin(name)
+    g = entry.algebra
+    for mod in (trivial_module(g, 1), adjoint_module(g), coadjoint_module(g)):
+        for h in (None, entry.h) if entry.h is not None else (None,):
+            top = relative_complex(g, mod, h)[1]
+            levels = [CochainLevel(g, mod, k) for k in range(-1, top + 1)]
+            if h is None:
+                dims = [lvl.space_dim for lvl in levels]
+                ranks = [_dense_rank(differential_matrix(lvl)) for lvl in levels]
+            else:
+                bases = [cecomplex.relative_basis(lvl, h) for lvl in levels]
+                dims = [bt.rows for bt in bases]
+                ranks = [_dense_rank(bt * differential_matrix(lvl).transpose())
+                         for bt, lvl in zip(bases, levels)]
+                for lvl, r in zip(levels[1:], ranks[1:]):
+                    assert _dense_rank(cecomplex._basic_differential(lvl, h)) == r
+                    assert _dense_rank(cecomplex.relative_differential(lvl, h)) == r
+            for k in range(top + 1):
+                want = dims[k + 1] - ranks[k + 1] - ranks[k]
+                assert cohomology(g, mod, k, h).betti == want, (mod.vdim, h, k)
 
 
 # the refusals of the greedy pass that the certificate replaced: (name, module,

@@ -223,8 +223,9 @@ def test_degree_all_builds_each_graded_differential_once():
     before = graded_differential.cache_info().misses
     for k in range(g.dim + 1):
         cohomology(g, adjoint_module(g), k)
-    # the levels -1..dim, each built once
-    assert graded_differential.cache_info().misses - before == g.dim + 2
+    # the levels 0..dim, each built once; degree 0 has no coboundaries, so
+    # the level -1 is not built
+    assert graded_differential.cache_info().misses - before == g.dim + 1
 
 
 def _doubled_e(g):

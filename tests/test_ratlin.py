@@ -20,6 +20,7 @@ from liecoh.ratlin import (
     EchelonSpan,
     Matrix,
     SubspaceNotContained,
+    _kernel,
     _linear_combination,
     _row_combinations,
     _rref,
@@ -312,6 +313,24 @@ def test_elimination_does_not_depend_on_the_row_order(data):
     x, want = solve_columns(m, b), dense.solve(ref, ref_b)
     assert solve_columns(p, pb) == x
     assert (x is None) == (want is None) and (x is None or x.entries == want)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_frozen_pass_gives_the_kernel_and_a_span_to_grow(data):
+    # _echelon() freezes the forward pass into a Matrix: its kernel is the
+    # matrix's, and a span thawed from it grows without changing it
+    m = data.draw(sparse_matrices(max_dim=9))
+    extra = data.draw(sparse_matrices(max_dim=9, cols=m.cols))
+    frozen = m._echelon()
+    assert frozen.rows == m.rank()
+    assert _kernel(EchelonSpan(m.cols, frozen.int_rows)) == m.kernel()
+    before, thawed = copy.deepcopy(frozen.int_rows), EchelonSpan(m.cols, frozen.int_rows)
+    for r in extra.int_rows:
+        thawed.add(r)
+    both = Matrix._stack(m.cols, [(m, i) for i in range(m.rows)]
+                         + [(extra, i) for i in range(extra.rows)])
+    assert frozen.int_rows == before and thawed.rank == both.rank()
 
 
 @pytest.mark.parametrize("k", [2, 3])
