@@ -48,6 +48,9 @@ grading is used only when some alpha_a is nonzero and the module axiom
 holds, checked once per module; without the axiom delta need not keep
 weights.
 
+``whitehead_vanishing`` picks the fourth cell set, none at all: g
+semisimple and V^g = 0 give H^k(g; V) = 0 in every degree.
+
 Every operator is assembled as integer rows over one common denominator
 (:class:`~liecoh.ratlin.Matrix`), and so is its input: the structure
 constants are a Matrix whose row c holds the c-coefficients of the
@@ -62,8 +65,9 @@ the forward pass of each reduced delta (``reduced_echelon``), the graded
 cells, the relative bases and their dense views are cached per level,
 and so are the kernel K of L_h and K delta_q^T, which the relative
 basis, the ranks and the relative certificate of ``cohomology`` read.
-The weights are cached once per module, the data of g/h once per pair
-and the unit batch i_{e_0..e_(n-1)} on scalar forms once per (dim, k)
+The weights, the Whitehead predicate and its delta_0 pass are cached
+once per module, the data of g/h once per pair and the unit batch
+i_{e_0..e_(n-1)} on scalar forms once per (dim, k)
 (``_unit_interior_products``); ``reduction`` and the relative delta
 keep nothing.  A seed-1 relative-ext pass asks for 82 passes, 40
 distinct (40 KiB), and builds 24 relative deltas (paper-suite: 68, 51
@@ -95,7 +99,7 @@ from math import comb, lcm
 from typing import Sequence
 
 from . import gmod
-from .liealg import DimensionMismatch, LieAlgebra, Subalgebra, _cached_hash
+from .liealg import DimensionMismatch, LieAlgebra, Subalgebra, _cached_hash, killing_form
 from .ratlin import Matrix, _row_combinations, _rref, _scaled, vector
 
 _ZERO = Fraction(0)
@@ -356,6 +360,35 @@ def weight_grading(module: gmod.GModule) -> tuple | None:
         width = sum(map(abs, alpha)) + max(map(abs, mu), default=0)
         radix *= 2 * width + 1
     return tuple(weights), tuple(module_weights)
+
+
+@lru_cache(maxsize=None)
+def whitehead_vanishing(module: gmod.GModule) -> bool:
+    """True when g is semisimple, V^g = 0 and the module axiom holds.
+
+    Then H^k(g; V) = 0 in every degree: for semisimple g, H*(g; V) is
+    H*(g) (x) V^g (Hochschild-Serre).  The premises are checked exactly,
+    in this order: the forward pass of the unreduced delta_0
+    (``_invariants_pass``, degree 0's own) has a pivot in every column;
+    the Killing form has rank dim g (Cartan's criterion); the axiom, which
+    a weight grading has checked.
+    """
+    delta_0, g = _invariants_pass(module), module.algebra
+    if delta_0.rows < delta_0.cols or killing_form(g).rank() < g.dim:
+        return False
+    if weight_grading(module) is not None:
+        return True
+    try:
+        gmod.check_module_axiom(module)
+    except gmod.ModuleAxiomViolation:
+        return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _invariants_pass(module: gmod.GModule) -> Matrix:
+    """The forward pass of delta_0 on the weight-zero cells or the full level: V^g is its kernel."""
+    return _absolute(module)[0](0)._echelon()
 
 
 def _is_diagonal(m: Matrix) -> bool:
@@ -703,16 +736,26 @@ def reduction(module: gmod.GModule, h: Subalgebra | None) -> tuple:
     delta(k) is the differential from degree k on those cells, to_span(k, rows)
     puts kernel rows of delta(k) in the coordinates of the rows of
     delta(k - 1)^T, and lift(k, rows) maps them to the full level.  The cells
-    are the beta coordinates of the relative basis when h is given, the
-    weight-zero cells for a module with a weight grading, else the full level.
+    are the beta coordinates of the relative basis when h is given, none
+    when ``whitehead_vanishing(module)``, the weight-zero cells for a module
+    with a weight grading, else the full level.
     """
-    g, vdim, level = module.algebra, module.vdim, partial(CochainLevel, module.algebra, module)
     if h is not None:
+        level = partial(CochainLevel, module.algebra, module)
         return (lambda k: relative_differential(level(k), h),
                 lambda k, rows: rows * _beta_coordinates(level(k), h),
                 lambda k, rows: rows * relative_basis(level(k), h))
+    if whitehead_vanishing(module):
+        return _no_cells, _unchanged, _unchanged
+    delta, lift = _absolute(module)
+    return delta, _unchanged, lift
+
+
+def _absolute(module: gmod.GModule) -> tuple:
+    """(delta, lift) of ``reduction(module, None)`` on the weight-zero cells or the full level."""
+    g, vdim, level = module.algebra, module.vdim, partial(CochainLevel, module.algebra, module)
     if weight_grading(module) is None:
-        return lambda k: differential_matrix(level(k)), _unchanged, _unchanged
+        return lambda k: differential_matrix(level(k)), _unchanged
 
     def lift(k, rows):
         # the flat index in the full level of each weight-zero cell, in order
@@ -720,7 +763,11 @@ def reduction(module: gmod.GModule, h: Subalgebra | None) -> tuple:
         out = [{at[j]: x for j, x in r.items()} for r in rows.int_rows]
         return Matrix._new(rows.rows, level(k).space_dim, out, rows.den)
 
-    return lambda k: graded_differential(level(k)), _unchanged, lift
+    return lambda k: graded_differential(level(k)), lift
+
+
+def _no_cells(k: int) -> Matrix:
+    return Matrix.zero(0, 0)
 
 
 def _unchanged(k: int, rows: Matrix) -> Matrix:
@@ -732,9 +779,12 @@ def reduced_echelon(level: CochainLevel, h: Subalgebra | None) -> Matrix:
     """The forward pass of ``reduction(level.module, h)``'s delta(k) (``Matrix._echelon``).
 
     Relative to h it runs over K delta_q^T, of the same rank as Q_k = R K.
+    The pass of an absolute delta_0 is the one ``whitehead_vanishing`` reads.
     """
     if h is not None:
         return _basic_differential(level, h)._echelon()
+    if level.degree == 0 and not whitehead_vanishing(level.module):
+        return _invariants_pass(level.module)
     return reduction(level.module, None)[0](level.degree)._echelon()
 
 

@@ -28,7 +28,7 @@ from functools import cache
 
 from . import extensions, files, gmod, suite, volumes
 from .cecomplex import Cochain
-from .cohomology import cohomology, relative_complex
+from .cohomology import DegreeOutOfRange, cohomology, relative_complex
 from .liealg import (
     DimensionMismatch,
     LieAlgebraError,
@@ -42,10 +42,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PARSE = 2
 EXIT_VERIFY_FAILED = 3
-
-
-class DegreeOutOfRange(LieAlgebraError):
-    pass
 
 
 _CATALOG_HEADS = frozenset(name.split(":", 1)[0] for name in extensions.BUILTIN_NAMES)
@@ -124,8 +120,7 @@ def cmd_cohomology(args) -> int:
         except argparse.ArgumentTypeError:
             shown = _brief(args.degree)
             raise DegreeOutOfRange(f"degree must be an integer or 'all', got {shown}")
-        if not (0 <= k <= top):
-            raise DegreeOutOfRange(f"degree {k} out of range 0..{top}")
+        # cohomology refuses a degree outside 0..top
         degrees = [k]
 
     report = files.Report()

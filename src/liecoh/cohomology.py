@@ -35,7 +35,17 @@ kernel and the greedy pass.
 Every entry point takes g from the module: ``relative_complex`` is the one
 check of (g, V, h).  It refuses a module or an h over another algebra than
 g with ``gmod.MixedAlgebras``, counts a zero-dimensional h as no h, and
-gives the top degree dim g - dim h.
+gives the top degree dim g - dim h; a degree outside 0..top is refused
+with DegreeOutOfRange.
+
+For a semisimple g, H*(g; V) = H*(g) (x) V^g (Hochschild-Serre), so a
+module with V^g = 0 has no cohomology (Whitehead's vanishing).  Its
+absolute reduced complex has no cells (``cecomplex.whitehead_vanishing``
+decides it, from the pass of the unreduced delta_0, the Killing rank and
+the module axiom), and the same path returns b_k = 0 in every degree
+with no delta of degree k >= 1 assembled, eliminated or certified.  Any
+other input, a non-module and every complex relative to h among them,
+takes the reduced complex described above.
 
 When the module has a weight grading (:mod:`liecoh.cecomplex`), absolute
 cocycles and coboundaries are taken on the weight-zero cells only, and the
@@ -89,6 +99,10 @@ class NotSemisimple(LieAlgebraError):
     pass
 
 
+class DegreeOutOfRange(LieAlgebraError, ValueError):
+    """A degree outside 0..dim g - dim h, the degrees of the complex (``relative_complex``)."""
+
+
 @dataclass(frozen=True)
 class CohomologyResult:
     degree: int
@@ -101,9 +115,9 @@ def cohomology(
     g: LieAlgebra, module: gmod.GModule, k: int, h: Subalgebra | None = None
 ) -> CohomologyResult:
     """Cohomology in degree k, relative to h when given."""
-    h = relative_complex(g, module, h)[0]
-    if not (0 <= k <= g.dim):
-        raise ValueError(f"degree {k} out of range 0..{g.dim}")
+    h, top = relative_complex(g, module, h)
+    if not 0 <= k <= top:
+        raise DegreeOutOfRange(f"degree {k} out of range 0..{top}")
     delta, to_span, lift = reduction(module, h)
     level = CochainLevel(module.algebra, module, k)
     echelon = reduced_echelon(level, h)
@@ -241,10 +255,9 @@ def duality_report(
     g: LieAlgebra, h: Subalgebra | None, module: gmod.GModule, k: int
 ) -> DualityReport:
     """Compare betti in degree k with the dual-coefficient betti in the
-    complementary degree.  The equality is reported, never assumed."""
+    complementary degree.  The equality is reported, never assumed; a k
+    outside the complex is refused by ``cohomology``."""
     top = relative_complex(g, module, h)[1]
-    if not (0 <= k <= top):
-        raise ValueError(f"degree {k} out of range 0..{top}")
     left = cohomology(g, module, k, h).betti
     right = cohomology(g, gmod.dual_module(module), top - k, h).betti
     return DualityReport(left, right, left == right)

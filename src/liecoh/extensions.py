@@ -244,13 +244,13 @@ def verify_vanishing(pair: ExtensionPair) -> VanishingReport:
     ``pair.homogeneous_dim``.  The coadjoint module is the dual of the
     adjoint one, so the duality of degree 1 compares the two numbers
     already computed: b_1(g, h; g) with b_{n-1}(g, h; g*).  When h is all
-    of g, n = 0: b_{-1} reads 0, a degree outside the complex, and the pair
-    does not pass, as a point has no rigidity statement.
+    of g, n = 0: b_1 and b_{-1} read 0, degrees outside the complex, and the
+    pair does not pass, as a point has no rigidity statement.
     """
     g, h = pair.algebra, pair.isotropy
     adj = gmod.adjoint_module(g)
     top = relative_complex(g, adj, h)[1]
-    b1 = cohomology(g, adj, 1, h).betti
+    b1 = cohomology(g, adj, 1, h).betti if top else 0
     b_top = cohomology(g, gmod.coadjoint_module(g), top - 1, h).betti if top else 0
     vol = invariant_volume_form(g, h).dim_top_relative
     return VanishingReport(

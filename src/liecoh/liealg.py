@@ -182,31 +182,31 @@ def _checked_algebra(dim: int, names: tuple, pairs: Sequence, stacked: Matrix) -
     table = [[r.get(j, {}) for j in range(dim)] for r in rows]
     g = LieAlgebra(dim, names, tuple(Matrix._new(dim, dim, t, den) for t in table))
     for i in range(dim):
+        ti = table[i]
         for j in range(i + 1, dim):
-            if table[i][j]:
+            tj, ij = table[j], ti[j]
+            if ij:
                 ks = range(j + 1, dim)
             elif rows[i] or rows[j]:
                 ks = sorted(k for k in rows[i].keys() | rows[j].keys() if k > j)
             else:
                 continue
             for k in ks:
-                residual = _jacobi_residual(table, i, j, k)
-                if residual:
+                # [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]], times den^2
+                tk, acc = table[k], {}
+                for m, c in tj[k].items():
+                    for t, d in ti[m].items():
+                        acc[t] = acc[t] + c * d if t in acc else c * d
+                for m, c in tk[i].items():
+                    for t, d in tj[m].items():
+                        acc[t] = acc[t] + c * d if t in acc else c * d
+                for m, c in ij.items():
+                    for t, d in tk[m].items():
+                        acc[t] = acc[t] + c * d if t in acc else c * d
+                if any(acc.values()):
+                    residual = {t: v for t, v in acc.items() if v}
                     raise JacobiViolation(i, j, k, Matrix._new(1, dim, [residual], den**2).row(0))
     return g
-
-
-def _jacobi_residual(table: Sequence, i: int, j: int, k: int) -> dict[int, int]:
-    """Nonzero entries of [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]], times den^2.
-
-    ``table[a][b]`` is the sparse row of [e_a, e_b] times den, an integer row.
-    """
-    acc: dict[int, int] = {}
-    for x, (y, z) in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
-        for m, c in table[y][z].items():
-            for t, d in table[x][m].items():
-                acc[t] = acc[t] + c * d if t in acc else c * d
-    return {t: v for t, v in acc.items() if v}
 
 
 def unit(dim: int, i: int) -> tuple[Fraction, ...]:

@@ -620,10 +620,11 @@ def test_relative_subspace_builds_no_full_level_operator(monkeypatch):
         "7b25df8cc948b86fe5f688a396cf85ed123b0b104c5bafc5f3507435d012d120")
     # relative cohomology works on beta coordinates: it never assembles the
     # full-level differential, yet gives the Betti numbers and representatives
-    # of the full-level differential on the relative basis
+    # of the full-level differential on the relative basis, in every degree
+    # of the complex, 0..dim g - dim h
     cases = [(name, spec, k) for name in _COHOMOLOGY_PAIRS
              for spec in ("trivial", "adjoint", "coadjoint")
-             for k in range(builtin(name).algebra.dim + 1)]
+             for k in range(builtin(name).algebra.dim - builtin(name).h.dim + 1)]
     expected = [_full_level_relative_cohomology(level(*case), builtin(case[0]).h) for case in cases]
     monkeypatch.setattr(cecomplex, "differential_matrix", refuse)
     monkeypatch.setattr(cohomology_module, "differential_matrix", refuse)

@@ -337,8 +337,12 @@ def test_cohomology_relative_requires_subalgebra(capsys):
 
 
 def test_cohomology_degree_out_of_range(capsys):
-    code, _, err = run(capsys, ["cohomology", "sl2", "--degree", "7"])
-    assert code == EXIT_VALIDATION
+    # the library's refusal of a degree outside 0..top, relative to h too
+    for argv, top in ((["sl2", "--degree", "7"], 3),
+                      (["sl2_so2_pair", "--relative", "--degree", "3"], 2)):
+        code, out, err = run(capsys, ["cohomology", *argv])
+        assert (code, out, err) == (
+            EXIT_VALIDATION, "", f"validation error: degree {argv[-1]} out of range 0..{top}\n")
     code, _, err = run(capsys, ["cohomology", "sl2", "--degree", "x"])
     assert code == EXIT_VALIDATION
 

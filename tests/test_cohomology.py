@@ -12,6 +12,7 @@ from dense import apply, columns, kernel_basis
 from liecoh import cecomplex, cli, files, suite
 from liecoh.cecomplex import CochainLevel, differential_matrix, relative_subspace, tuple_basis
 from liecoh.cohomology import (
+    DegreeOutOfRange,
     NotSemisimple,
     betti_sequence,
     cohomology,
@@ -27,9 +28,11 @@ from liecoh.gmod import (
     adjoint_module,
     coadjoint_module,
     dual_module,
+    make_module,
+    module_from_spec,
     trivial_module,
 )
-from liecoh.liealg import derived_subalgebra, subalgebra, unit, validate
+from liecoh.liealg import LieAlgebraError, derived_subalgebra, subalgebra, unit, validate
 from liecoh.ratlin import EchelonSpan, Matrix, SubspaceNotContained, quotient_dim
 from test_graded import SL, _doubled_e
 
@@ -190,11 +193,23 @@ def test_dual_module_duality_is_symmetric():
 
 
 def test_degree_bounds_are_enforced():
+    # one refusal for a degree outside 0..top of the complex, a refusal of
+    # the library that an ``except ValueError`` still catches; relative to h
+    # the range ends at dim g - dim h, not dim g
+    assert issubclass(DegreeOutOfRange, LieAlgebraError) and issubclass(DegreeOutOfRange, ValueError)
+    assert cli.DegreeOutOfRange is DegreeOutOfRange
     g = builtin("sl2").algebra
-    with pytest.raises(ValueError):
+    with pytest.raises(DegreeOutOfRange, match="degree 4 out of range 0..3"):
         cohomology(g, trivial_module(g, 1), 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(DegreeOutOfRange, match="degree 5 out of range 0..3"):
         duality_report(g, None, trivial_module(g, 1), 5)
+    entry = builtin("sl2_so2_pair")
+    mod = adjoint_module(entry.algebra)
+    assert len(betti_sequence(entry.algebra, mod, entry.h)) == 3
+    for k in (-1, 3):
+        for call in (cohomology, lambda g, m, k, h: duality_report(g, h, m, k)):
+            with pytest.raises(DegreeOutOfRange, match=f"degree {k} out of range 0..2"):
+                call(entry.algebra, mod, k, entry.h)
 
 
 # -- the one-pass core against the three-rank quotient formula ---------
@@ -437,26 +452,37 @@ def _elimination_traffic(monkeypatch, argv, h):
     return traffic
 
 
-@pytest.mark.parametrize("case", ["sl3 graded", "sl3 graded trivial", "fivedim_ext:1 relative"])
+def _sl3_argv(tmp_path):
+    """(algebra, CLI input) of the seeded sl3 of ``test_graded``, saved as a file."""
+    path = tmp_path / "sl3.json"
+    files.save_algebra(path, SL[3], name="sl3")
+    return files.load_algebra(path)[0], [str(path)]
+
+
+def _betti_lines(capsys):
+    return [int(line.split()[1]) for line in capsys.readouterr().out.splitlines()
+            if line.startswith("betti[")]
+
+
+@pytest.mark.parametrize("case", ["sl3 graded sum", "sl3 graded trivial", "fivedim_ext:1 relative"])
 def test_each_reduced_delta_is_eliminated_once(case, tmp_path, monkeypatch, capsys):
     # b_k is two ranks: one forward pass per reduced delta (relative to h, per
     # K delta_q^T); only a degree with b_k > 0 back-substitutes, for Z, builds
     # a relative basis, and adds coboundaries to a span: absolute, a pass
     # over the rank(B) columns of delta(k - 1) at its pivots, relative, a
-    # copy of the cached rows of K delta_q^T, so no pass at all
-    coeffs = "trivial" if case.endswith("trivial") else "adjoint"
+    # copy of the cached rows of K delta_q^T, so no pass at all.  The sum
+    # has invariants, so its reduced complex is not emptied (Whitehead), and
+    # the pass of delta_0 that the emptiness check reads is the one reused
+    coeffs = {"sum": "sum:trivial+adjoint", "trivial": "trivial"}.get(case.split()[-1], "adjoint")
     if case.startswith("sl3"):
-        path = tmp_path / "sl3.json"
-        files.save_algebra(path, SL[3], name="sl3")
-        g, h, argv = files.load_algebra(path)[0], None, [str(path)]
+        (g, argv), h = _sl3_argv(tmp_path), None
     else:
         entry = builtin("fivedim_ext:1")
         g, h, argv = entry.algebra, entry.h, ["fivedim_ext:1", "--relative"]
     traffic = _elimination_traffic(
         monkeypatch, ["cohomology", *argv, "--coeffs", coeffs, "--degree", "all"], h)
-    betti = [int(line.split()[1]) for line in capsys.readouterr().out.splitlines()
-             if line.startswith("betti[")]
-    module = trivial_module(g, 1) if coeffs == "trivial" else adjoint_module(g)
+    betti = _betti_lines(capsys)
+    module = module_from_spec(g, coeffs)
     delta = cecomplex.reduction(module, h)[0]
     if h is None:
         ranked = delta
@@ -479,12 +505,28 @@ def test_each_reduced_delta_is_eliminated_once(case, tmp_path, monkeypatch, caps
         assert bool(traffic["back"].get(k)) == bool(b), k
         assert bool(traffic["bases"].get(k)) == bool(b and h is not None), k
     assert not any(m == ranked(-1) for m in every_pass)
-    if case == "sl3 graded":
-        assert betti == [0] * 9 and not reduced
-    elif case == "sl3 graded trivial":
+    if case.startswith("sl3"):
         assert betti == [1, 0, 0, 1, 0, 1, 0, 0, 1]
     else:
         assert betti == [1, 0, 1, 1, 0, 1]
+
+
+def test_whitehead_vanishing_runs_no_forward_pass_in_positive_degree(tmp_path, monkeypatch,
+                                                                      capsys):
+    # sl3 is semisimple and its adjoint module has V^g = 0: the reduced
+    # complex has no cells, so past the pass of the graded delta_0 that
+    # decides it, no degree eliminates, back-substitutes or reduces anything
+    g, argv = _sl3_argv(tmp_path)
+    traffic = _elimination_traffic(
+        monkeypatch, ["cohomology", *argv, "--coeffs", "adjoint", "--degree", "all"], None)
+    assert _betti_lines(capsys) == [0] * 9
+    module = adjoint_module(g)
+    assert cecomplex.whitehead_vanishing(module)
+    delta_0 = cecomplex.graded_differential(CochainLevel(g, module, 0))
+    passes = traffic["passes"]
+    assert sum(m == delta_0 for m in passes[0]) == 1
+    assert all(m.rows == m.cols == 0 for k in range(1, 9) for m in passes.get(k, ()))
+    assert not traffic["reduced"] and not traffic["back"] and not traffic["bases"]
 
 
 def test_verify_vanishing_builds_only_the_top_relative_basis(monkeypatch):
@@ -539,6 +581,26 @@ def test_rank_path_betti_numbers_match_the_dense_reference(name):
                 assert cohomology(g, mod, k, h).betti == want, (mod.vdim, h, k)
 
 
+def test_a_character_of_a_non_unimodular_algebra_keeps_its_cohomology(monkeypatch):
+    # g = <x, y>, [x, y] = y, acting on Q by x -> 1, y -> 0: V^g = 0, but g is
+    # not semisimple (Killing rank 1), and H* = (0, 1, 1).  Forcing the
+    # Whitehead predicate true empties the complex and breaks the match with
+    # the dense reference: the Killing-rank premise carries weight
+    g = validate(2, ("x", "y"), {(0, 1): (0, 1)})
+    mod = make_module(g, 1, (Matrix.identity(1), Matrix.zero(1, 1)))
+    levels = [CochainLevel(g, mod, k) for k in range(-1, 3)]
+    ranks = [_dense_rank(differential_matrix(lvl)) for lvl in levels]
+    dense_betti = tuple(levels[k + 1].space_dim - ranks[k + 1] - ranks[k] for k in range(3))
+    assert dense_betti == (0, 1, 1) == betti_sequence(g, mod)
+    assert not cecomplex.whitehead_vanishing(mod)
+    monkeypatch.setattr(cecomplex, "whitehead_vanishing", lambda module: True)
+    cecomplex.reduced_echelon.cache_clear()
+    forced = betti_sequence(g, mod)
+    monkeypatch.undo()
+    cecomplex.reduced_echelon.cache_clear()
+    assert forced == (0, 0, 0) != dense_betti
+
+
 # the refusals of the greedy pass that the certificate replaced: (name, module,
 # relative) -> {degree: (rank(B), |Z|)}; every other degree returns
 _REFUSALS = {
@@ -571,7 +633,8 @@ def test_the_certificate_refuses_exactly_where_the_greedy_pass_did():
     # delta_k delta_(k-1) = 0 on absolute cells, and delta_q and L_h killing
     # the coboundaries on relative ones, hold exactly where B lies in Z: the
     # non-modules (flipped coadjoint, doubled E) are refused with the counts
-    # of the greedy pass, every module is not
+    # of the greedy pass, every module is not; each complex is read in its
+    # degrees 0..top, top = dim g - dim h
     modules = {"trivial": lambda g: trivial_module(g, 1), "adjoint": adjoint_module,
                "coadjoint": coadjoint_module, "flipped": suite.flipped_coadjoint_module,
                "doubled_e": _doubled_e}
@@ -582,7 +645,9 @@ def test_the_certificate_refuses_exactly_where_the_greedy_pass_did():
             mod = make(g)
             for h in (None, entry.h) if entry.h is not None else (None,):
                 refusals = _REFUSALS.get((name, spec, h is not None), {})
-                for k in range(g.dim + 1):
+                top = relative_complex(g, mod, h)[1]
+                assert max(refusals, default=0) <= top
+                for k in range(top + 1):
                     if k not in refusals:
                         cohomology(g, mod, k, h)
                         continue
@@ -601,7 +666,7 @@ def test_the_relative_certificate_refuses_basic_coboundaries_that_are_not_closed
     raising = Matrix.from_rows([[0, 1], [0, 0]])
     mod = GModule(g, 2, (Matrix.zero(2, 2), raising, raising.transpose()))
     for sub, refusals in ((None, {1: (2, 2), 2: (4, 4)}), (h, {1: (2, 2)})):
-        for k in range(g.dim + 1):
+        for k in range(relative_complex(g, mod, sub)[1] + 1):
             if k not in refusals:
                 assert cohomology(g, mod, k, sub).betti == 0
                 continue

@@ -13,6 +13,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -220,12 +221,59 @@ def test_graded_cohomology_builds_no_full_level_differential(monkeypatch):
 
 def test_degree_all_builds_each_graded_differential_once():
     g = _sl(3, 2)  # a basis no other test uses, so every cache starts cold
-    before = graded_differential.cache_info().misses
-    for k in range(g.dim + 1):
-        cohomology(g, adjoint_module(g), k)
-    # the levels 0..dim, each built once; degree 0 has no coboundaries, so
-    # the level -1 is not built
-    assert graded_differential.cache_info().misses - before == g.dim + 1
+    # a module with invariants: the levels 0..dim, each built once; degree 0
+    # has no coboundaries, so the level -1 is not built.  The adjoint module
+    # has V^g = 0: only delta_0 is built, which shows it (Whitehead)
+    for module, built in ((module_from_spec(g, "sum:trivial+adjoint"), g.dim + 1),
+                          (adjoint_module(g), 1)):
+        before = graded_differential.cache_info().misses
+        for k in range(g.dim + 1):
+            cohomology(g, module, k)
+        assert graded_differential.cache_info().misses - before == built
+
+
+# -- Whitehead's vanishing: the reduced complex of a semisimple g with V^g = 0 --
+
+
+@pytest.mark.parametrize("name", ["sl2", "so3", "sl2sl2", "sl3"])
+def test_whitehead_vanishing_holds_exactly_for_a_module_without_invariants(name):
+    # every algebra here is semisimple; the predicate is V^g = 0, read off
+    # the kernel of the full-level delta_0, for modules, and false for the
+    # weight-compatible non-modules, whose V^g is zero too
+    g = SL[3] if name == "sl3" else builtin(name).algebra
+    specs = ("adjoint", "coadjoint", "dual:adjoint", "trivial", "sum:trivial+adjoint")
+    for spec in specs:
+        mod = module_from_spec(g, spec)
+        no_invariants = not differential_matrix(CochainLevel(g, mod, 0)).kernel().rows
+        assert no_invariants is (spec in specs[:3]), spec
+        assert cecomplex.whitehead_vanishing(mod) is no_invariants, spec
+    for mod in (_doubled_e(g), suite.flipped_coadjoint_module(g)):
+        assert not differential_matrix(CochainLevel(g, mod, 0)).kernel().rows
+        assert not cecomplex.whitehead_vanishing(mod)
+
+
+@pytest.mark.parametrize("n, modules", [(4, (adjoint_module, coadjoint_module)),
+                                        (5, (adjoint_module,))])
+def test_sl_n_without_invariants_has_zero_cohomology_without_a_positive_degree_delta(
+        n, modules, monkeypatch):
+    # module_from_spec refuses these modules by the size of their full level
+    g = SL[4] if n == 4 else _sl(5, 1)
+    real = {name: getattr(cecomplex, name) for name in ("graded_differential",
+                                                        "differential_matrix")}
+
+    def refuse_above_zero(name):
+        def build(level):
+            if level.degree >= 1:
+                raise AssertionError(f"{name} assembled in degree {level.degree}")
+            return real[name](level)
+        return build
+
+    for name in real:
+        monkeypatch.setattr(cecomplex, name, refuse_above_zero(name))
+    for make in modules:
+        start = time.perf_counter()
+        assert betti_sequence(g, make(g)) == (0,) * (g.dim + 1)
+        assert time.perf_counter() - start < 1.0, make.__name__
 
 
 def _doubled_e(g):
@@ -269,11 +317,12 @@ def test_every_graded_module_is_checked_once_and_a_non_module_is_refused(monkeyp
         betti_sequence(g, suite.flipped_coadjoint_module(g))
 
 
-def test_one_suite_run_checks_the_module_axiom_77_times():
+def test_one_suite_run_checks_the_module_axiom_78_times():
     # a fresh interpreter, so every cache starts cold as in one verify-paper run;
     # make_module checks each module it builds, and weight_grading each module
     # it grades, the trivial and adjoint modules of sl2 among them;
-    # verify_vanishing builds no dual module
+    # whitehead_vanishing checks the ungraded modules with V^g = 0 over a
+    # semisimple g, so3's adjoint module; verify_vanishing builds no dual module
     code = (
         "from liecoh import gmod, suite\n"
         "calls, real = [], gmod.check_module_axiom\n"
@@ -283,7 +332,7 @@ def test_one_suite_run_checks_the_module_axiom_77_times():
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(_SRC)},
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "77"
+    assert run.stdout == "78"
 
 
 @pytest.mark.parametrize("name", ["so3", "heis3", "abelian:3", "abelian:0"])
